@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Tuple, Union
 
@@ -138,6 +138,14 @@ class Element:
                     merged[mon] = acc
         self._terms = merged
 
+    @classmethod
+    def _merged(cls, params: AlgebraParams, terms: dict) -> "Element":
+        """Wrap a dict that already maps monomials to nonzero QQi values."""
+        out = cls.__new__(cls)
+        out.params = params
+        out._terms = terms
+        return out
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -208,14 +216,13 @@ class Element:
     def __add__(self, other: "Element") -> "Element":
         self._require_same(other)
         terms = dict(self._terms)
-        out = Element(self.params, terms)
         for mon, c in other._terms.items():
-            acc = out._terms.get(mon, QQI_ZERO) + c
+            acc = terms.get(mon, QQI_ZERO) + c
             if acc.is_zero():
-                out._terms.pop(mon, None)
+                terms.pop(mon, None)
             else:
-                out._terms[mon] = acc
-        return out
+                terms[mon] = acc
+        return Element._merged(self.params, terms)
 
     def __neg__(self) -> "Element":
         return Element(self.params, {m: -c for m, c in self._terms.items()})
@@ -322,64 +329,65 @@ class Element:
                     out[t] = acc
         return Element(self.params, out)
 
-    def _forward_map(self, mu: Word, k: int) -> Tuple[Fraction, Fraction]:
-        """(slope, offset) of w -> S_mu z^k acting on basis labels in Z[1/m].
-
-        Uses the shift model S_j: q -> (n/m) q + (j - 2); the composite on
-        e_{w} after S_nu* has stripped nu is affine with slope (n/m)^|mu|.
-        """
-        r = Fraction(self.params.n, self.params.m)
-        slope = r ** len(mu)
-        off = slope * k
-        for pos, letter in enumerate(mu, start=1):
-            off += r ** (len(mu) - pos) * (letter - 2)
-        return slope, off
-
     def is_zero(self) -> bool:
-        """Exact zero test via the separating shift representation.
+        """Exact zero test by refinement along the trie of annihilation words.
 
-        Refines all terms to a common |nu| level and merges; distinct
-        refined triples act by distinct partial affine maps on the basis
-        of the shift representation, so the merged combination is checked
-        by sampling integer basis labels away from the finitely many
-        pairwise coincidence points and requiring every image bucket to
-        cancel.
+        A term S_mu z^k S_nu* is rewritten by sum_d S_d S_d* = 1 into the n
+        terms S_mu S_d' z^k' S_(nu d)*, with (d', k') = shift_through(k, d),
+        only while nu is a proper prefix of another term's nu.  Terms are
+        expanded one letter at a time, level by level in |nu|, and merged
+        after each level.  The element is zero iff nothing survives.
+
+        Why the verdict is exact:
+
+        * After the trie refinement the surviving nu form a prefix-free
+          set.  Refining them on to a common level puts their terms on
+          disjoint annihilation words, so no cancellation can occur
+          between terms with different nu.
+        * Under one nu, distinct (mu, k) stay distinct under refinement,
+          because k -> (d', k') is injective for each letter d.  They also
+          act by distinct affine maps in the shift representation: after
+          scaling by m^|mu| the offset of S_mu z^k is a base-n digit
+          expansion whose digits, read mod n with m invertible because
+          gcd(m, n) = 1, recover mu letter by letter and then k; a
+          different |mu| changes the slope.  `entropy.span_dimension`
+          relies on the same fact.  A basis label in the range of S_nu
+          away from the finitely many points where two of these maps agree
+          is annihilated by every other surviving nu and sent to distinct
+          labels by the terms under nu, so a surviving term makes the
+          element nonzero.
+        * Conversely, an element whose refinement cancels is a sum of
+          instances of the unit relation, hence zero.
+
+        So the verdict is that of `refine_to_level` to the longest nu
+        followed by a test for an empty result, but nothing is padded to
+        the longest nu: the work is bounded by terms x n x (trie nodes)
+        instead of n^level.
         """
         if self.params.n == 1:
             raise ValueError(
                 "zero test requires n >= 2: the shift representation used "
                 "for separation is not guaranteed faithful when n = 1")
-        if not self._terms:
-            return True
-        level = max(len(mon.nu) for mon in self._terms)
-        refined = self.refine_to_level(level)
-        if not refined._terms:
-            return True
-        groups: dict = {}
-        for mon, c in refined._terms.items():
-            groups.setdefault(mon.nu, []).append((mon.mu, mon.k, c))
-        for terms in groups.values():
-            maps = [(*self._forward_map(mu, k), c) for mu, k, c in terms]
-            excluded = set()
-            for (a1, b1, _), (a2, b2, _) in combinations(maps, 2):
-                if a1 != a2:
-                    excluded.add((b2 - b1) / (a1 - a2))
-            g = len(maps)
-            needed = g * (g - 1) // 2 + g + 1
-            w = 0
-            tested = 0
-            while tested < needed:
-                if Fraction(w) in excluded:
-                    w += 1
-                    continue
-                buckets: dict = {}
-                for a, b, c in maps:
-                    img = a * w + b
-                    buckets[img] = buckets.get(img, QQI_ZERO) + c
-                if any(not v.is_zero() for v in buckets.values()):
+        n = self.params.n
+        internal = {mon.nu[:i] for mon in self._terms for i in range(len(mon.nu))}
+        levels: dict = {}
+        for mon, c in self._terms.items():
+            levels.setdefault(len(mon.nu), {})[mon] = c
+        for level in range(max(levels, default=-1) + 1):
+            below = levels.setdefault(level + 1, {})
+            for mon, c in levels.get(level, {}).items():
+                # every term at this level is merged and no later level
+                # reaches it, so a leaf that is still here survives
+                if mon.nu not in internal:
                     return False
-                tested += 1
-                w += 1
+                for d in range(1, n + 1):
+                    j, k2 = shift_through(self.params, mon.k, d)
+                    child = Monomial(mon.mu + (j,), k2, mon.nu + (d,))
+                    acc = below.get(child, QQI_ZERO) + c
+                    if acc.is_zero():
+                        below.pop(child, None)
+                    else:
+                        below[child] = acc
         return True
 
     # -- serialization --------------------------------------------------

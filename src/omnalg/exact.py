@@ -85,11 +85,17 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_frac(text: str) -> Fraction:
-    """Parse "p/q" (or a bare integer string) into a Fraction."""
+    """Parse "p/q" (or a bare integer string) into a Fraction.
+
+    Malformed text, including a zero denominator, raises ValueError.
+    """
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        q = int(den)
+        if q == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(int(num), q)
     return Fraction(int(text))
 
 

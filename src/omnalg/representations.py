@@ -5,8 +5,8 @@ Two families of representations drive the verification work:
 * the shift representation on l^2(Z[1/m]): the unitary moves a basis
   label q to q + 1 and the j-th isometry sends q to (n/m) q + c_j, with
   c_j = j - 2 (variant A) or c_j = j - 1 (variant B).  Monomials act by
-  partial injective affine maps on labels; this underlies the exact zero
-  test of the core algebra.
+  partial injective affine maps on labels; this separation is why the
+  trie-refinement zero test of the core algebra is exact.
 * finite-dimensional representations attached to periodic points of the
   m-adic solenoid, built from exact root-of-unity phase matrices.
 """
@@ -100,8 +100,9 @@ class Coincidence:
     """Where two partial affine maps agree: nowhere, one label, or everywhere.
 
     kind "overlap" means equal scale and offset; the agreement set is the
-    whole shared subdomain, and the zero test must split such terms by
-    refinement before sampling.
+    whole shared subdomain.  Distinct triples with one annihilation word
+    never overlap, which is the separation fact that `Element.is_zero`
+    argues and the tests check through `monomial_affine_map`.
     """
 
     kind: str  # "empty" | "point" | "overlap"

@@ -9,6 +9,7 @@ import pytest
 from omnalg.algebra import (AlgebraParams, Element, Monomial, all_words,
                             mul_monomials, push_exponent, shift_through)
 from omnalg.exact import QQi
+from omnalg.representations import monomial_affine_map, window_labels
 
 P12 = AlgebraParams(1, 2)
 P23 = AlgebraParams(2, 3)
@@ -274,3 +275,101 @@ def test_serialization_round_trip():
     rec = Element.monomial(P12, (1,), -2, (2,),
                            coeff=QQi(Fraction(1, 3), Fraction(-2, 7))).to_json_obj()
     assert rec == [{"mu": [1], "k": -2, "nu": [2], "re": "1/3", "im": "-2/7"}]
+
+
+# -- the zero test against two independent oracles -------------------------
+
+P52 = AlgebraParams(5, 2)
+
+
+def perturbed(rng, x):
+    """x with one coefficient moved by a nonzero amount."""
+    mon, _ = rng.choice(sorted(x.items()))
+    return x + Element(x.params, {mon: QQi(Fraction(rng.choice((-1, 1)),
+                                                    rng.randint(1, 3)))})
+
+
+def zero_test_cases(rng, params):
+    """Associator differences and x - refine(x), each with a perturbed twin.
+
+    One factor of each associator is refined first, so the difference
+    cancels only in the algebra, not term by term.
+    """
+    for _ in range(3):
+        a, b, c = (random_element(rng, params) for _ in range(3))
+        level = max((len(mon.nu) for mon, _ in c.items()), default=0) + 1
+        assoc = (a * b) * c - a * (b * c.refine_to_level(level))
+        x = random_element(rng, params, terms=3)
+        level = max((len(mon.nu) for mon, _ in x.items()), default=0) + 1
+        refined = x.refine_to_level(level)
+        for zero in (assoc, x - refined):
+            yield zero
+            yield perturbed(rng, zero) if zero else zero + a
+
+
+def shift_witness(x, labels):
+    """A label q with x e_q != 0 in the shift representation, or None."""
+    maps = [(monomial_affine_map(x.params, mon), c) for mon, c in x.items()]
+    for q in labels:
+        buckets: dict = {}
+        for f, c in maps:
+            img = f.apply(q)
+            if img is not None:
+                buckets[img] = buckets.get(img, QQi()) + c
+        if any(not v.is_zero() for v in buckets.values()):
+            return q
+    return None
+
+
+def test_is_zero_matches_refinement_and_shift_representation():
+    seen = {True: 0, False: 0}
+    for seed, params in enumerate((P12, P23, P35, P52)):
+        rng = random.Random(seed)
+        for x in zero_test_cases(rng, params):
+            verdict = x.is_zero()
+            seen[verdict] += 1
+            level = max((len(mon.nu) for mon, _ in x.items()), default=0)
+            # (a) padding every term to the longest nu leaves nothing
+            assert verdict == (not x.refine_to_level(level))
+            # (b) a label in the range of S_nu needs a numerator window
+            # covering every residue mod n^level
+            labels = window_labels(params.m, params.n ** level + 4,
+                                   1 if params.m > 1 else 0)
+            witness = shift_witness(x, labels)
+            assert verdict == (witness is None), (params, x, witness)
+    assert seen[True] >= 20 and seen[False] >= 20
+
+
+def chain_zero(params, branches):
+    """S_mu z^k S_nu* minus its expansion by sum_d S_d S_d* = 1 along one branch.
+
+    Each step rewrites the current monomial as n monomials with one more
+    annihilation letter and keeps expanding the one on the chosen branch,
+    so |nu| runs from 0 to len(branches) inside one element that sums to
+    zero.
+    """
+    mu, k, nu = (2,), 5, ()
+    terms = [(Monomial(mu, k, nu), QQi.of(1))]
+    for branch in branches:
+        nxt = None
+        for d in range(1, params.n + 1):
+            jp, kp = shift_oracle(params, k, d)
+            mon = Monomial(mu + (jp,), kp, nu + (d,))
+            if d == branch:
+                nxt = mon
+            else:
+                terms.append((mon, QQi.of(-1)))
+        mu, k, nu = nxt
+    terms.append((Monomial(mu, k, nu), QQi.of(-1)))
+    return Element(params, terms)
+
+
+def test_is_zero_on_deep_annihilation_words():
+    # |nu| spans 0..22 at n = 3: full refinement would pad to 3^22 terms
+    rng = random.Random(29)
+    branches = [rng.randint(1, 3) for _ in range(22)]
+    zero = chain_zero(P13, branches)
+    assert {len(mon.nu) for mon, _ in zero.items()} == set(range(23))
+    assert zero.is_zero()
+    for _ in range(5):
+        assert not perturbed(rng, zero).is_zero()

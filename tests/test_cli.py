@@ -77,6 +77,15 @@ def test_iszero_needs_params_and_valid_stdin(monkeypatch, capsys):
     assert code == 2
 
 
+def test_iszero_deep_nu_answers_quickly(monkeypatch, capsys):
+    # 1 + S_1 S_{1^22}* at n = 3: refining to |nu| = 22 would take 3^22 terms
+    stdin = json.dumps([{"mu": [], "k": 0, "nu": []},
+                        {"mu": [1], "k": 0, "nu": [1] * 22}])
+    code, out, _ = run(["iszero", "--m", "1", "--n", "3"], monkeypatch, capsys,
+                       stdin=stdin)
+    assert (code, out) == (1, "false")
+
+
 def test_normalize_merges_terms(monkeypatch, capsys):
     stdin = json.dumps([{"mu": [1], "k": 0, "nu": []},
                         {"mu": [1], "k": 0, "nu": []}])
@@ -85,6 +94,14 @@ def test_normalize_merges_terms(monkeypatch, capsys):
     assert code == 0
     assert json.loads(out) == [{"mu": [1], "k": 0, "nu": [],
                                 "re": "2/1", "im": "0/1"}]
+
+
+def test_normalize_zero_denominator_exits_two(monkeypatch, capsys):
+    stdin = json.dumps([{"mu": [], "k": 0, "nu": [], "re": "1/0"}])
+    code, out, err = run(["normalize", "--m", "1", "--n", "2"],
+                         monkeypatch, capsys, stdin=stdin)
+    assert (code, out) == (2, "")
+    assert "zero denominator" in err and "Traceback" not in err
 
 
 def test_mul_contracts(monkeypatch, capsys):
