@@ -225,14 +225,16 @@ class Element:
         return Element._merged(self.params, terms)
 
     def __neg__(self) -> "Element":
-        return Element(self.params, {m: -c for m, c in self._terms.items()})
+        return Element._merged(self.params, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def scaled(self, s: Scalar) -> "Element":
         c = QQi.of(s)
-        return Element(self.params, {m: v * c for m, v in self._terms.items()})
+        if c.is_zero():
+            return Element(self.params)
+        return Element._merged(self.params, {m: v * c for m, v in self._terms.items()})
 
     def __mul__(self, other: Union["Element", Scalar]) -> "Element":
         if not isinstance(other, Element):
@@ -249,7 +251,7 @@ class Element:
                     out.pop(mon, None)
                 else:
                     out[mon] = acc
-        return Element(self.params, out)
+        return Element._merged(self.params, out)
 
     def __rmul__(self, other: Scalar) -> "Element":
         return self.scaled(other)
@@ -263,8 +265,8 @@ class Element:
         return acc
 
     def adjoint(self) -> "Element":
-        return Element(self.params, {Monomial(m.nu, -m.k, m.mu): c.conjugate()
-                                     for m, c in self._terms.items()})
+        return Element._merged(self.params, {Monomial(m.nu, -m.k, m.mu): c.conjugate()
+                                             for m, c in self._terms.items()})
 
     # -- gauge structure ----------------------------------------------
 
@@ -272,8 +274,8 @@ class Element:
         return {m.gauge_degree() for m in self._terms}
 
     def degree_part(self, d: int) -> "Element":
-        return Element(self.params, {m: c for m, c in self._terms.items()
-                                     if m.gauge_degree() == d})
+        return Element._merged(self.params, {m: c for m, c in self._terms.items()
+                                             if m.gauge_degree() == d})
 
     def gauge_expectation(self) -> "Element":
         """Conditional expectation onto the gauge-fixed subalgebra."""
@@ -290,7 +292,7 @@ class Element:
                     out.pop(lifted, None)
                 else:
                     out[lifted] = acc
-        return Element(self.params, out)
+        return Element._merged(self.params, out)
 
     def kms_state(self) -> QQi:
         """The gauge-invariant state: S_mu z^k S_nu* -> [mu=nu][k=0] n^-|mu|."""
@@ -327,7 +329,7 @@ class Element:
                     out.pop(t, None)
                 else:
                     out[t] = acc
-        return Element(self.params, out)
+        return Element._merged(self.params, out)
 
     def is_zero(self) -> bool:
         """Exact zero test by refinement along the trie of annihilation words.

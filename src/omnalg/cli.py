@@ -35,6 +35,9 @@ from . import reproduce as reproduce_mod
 
 SCHEMA = "omnalg-report/1"
 DEFAULT_SEED = 1729
+# solenoid points|rep enumerate every residue mod m^period - 1; the
+# largest modulus the acceptance sweep and tests use is 3^4 - 1 = 80
+SOLENOID_RESIDUE_LIMIT = 1 << 16
 
 
 class UsageError(Exception):
@@ -262,9 +265,28 @@ def _cmd_rep(args) -> Tuple[dict, bool, str]:
     return report, ok, compact
 
 
+def _bound_solenoid(m: int, period: int) -> None:
+    """Refuse more than SOLENOID_RESIDUE_LIMIT residues before enumerating.
+
+    m^period - 1 is built one factor at a time, so for m >= 2 the loop
+    stops within 17 steps however large period is; m < 2 and period < 1
+    are left to the checks in `representations`.
+    """
+    if m < 2:
+        return
+    count = 1
+    for _ in range(period):
+        count *= m
+        if count - 1 > SOLENOID_RESIDUE_LIMIT:
+            raise UsageError(f"solenoid --m {m} --period {period} would enumerate "
+                             f"m^period - 1 = {m}^{period} - 1 residues, more than "
+                             f"the limit of {SOLENOID_RESIDUE_LIMIT}")
+
+
 def _cmd_solenoid(args) -> Tuple[dict, bool, str]:
     if args.m is None:
         raise UsageError("solenoid needs --m")
+    _bound_solenoid(args.m, args.period)
     try:
         points = representations.solenoid_periodic_points(args.m, args.period)
         orbits = representations.solenoid_orbits(args.m, args.period)

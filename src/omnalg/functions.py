@@ -1,13 +1,11 @@
 """Piecewise-polynomial functions on the circle [0, 1).
 
-Two backends share one container.  The exact backend stores rational
-polynomial pieces and supports everything the projection verification
-needs: ring operations, dilation t -> f(d*t mod 1), the averaging
-transfer operator, exact integration, and winding numbers.  The numeric
-backend stores complex polynomial pieces, each piece a finite sum of
-summands p(t) * exp(2*pi*i*r*t) with rational frequency r, so that the
-half-frequency phases produced by cross-letter contractions stay inside
-the class.
+Each piece is a polynomial with rational coefficients.  The container
+supports everything the exact projection verification needs: ring
+operations, dilation t -> f(d*t mod 1), the averaging transfer operator,
+exact integration, and winding numbers.  Float evaluation is offered for
+the sampling cross-check in `projection`, which needs square roots and
+phases that leave the class; floats never enter the pieces.
 
 Pieces are half-open intervals [b_i, b_{i+1}); values at a breakpoint
 follow the left-closed convention.  Polynomials are kept in the global
@@ -16,17 +14,11 @@ t coordinate, so restricting a piece never changes its coefficients.
 
 from __future__ import annotations
 
-import cmath
 from bisect import bisect_right
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from .exact import frac_str, parse_frac
-
-Scalar = Union[int, Fraction]
-
-EXACT = "exact"
-NUMERIC = "numeric"
 
 
 # -- polynomial helpers (coefficients ascending) -------------------------
@@ -73,73 +65,15 @@ def _poly_compose_affine(p: tuple, a, b) -> tuple:
     return acc
 
 
-# -- numeric pieces: sorted tuples of (coeffs, frequency) summands -------
-
-
-def _summands_norm(summands) -> tuple:
-    merged = {}
-    for coeffs, freq in summands:
-        coeffs = _poly_trim(tuple(coeffs))
-        if not coeffs:
-            continue
-        key = Fraction(freq)
-        if key in merged:
-            merged[key] = _poly_add(merged[key], coeffs)
-        else:
-            merged[key] = coeffs
-    return tuple((merged[f], f) for f in sorted(merged) if merged[f])
-
-
-def _summands_add(u: tuple, v: tuple) -> tuple:
-    return _summands_norm(list(u) + list(v))
-
-
-def _summands_mul(u: tuple, v: tuple) -> tuple:
-    out = []
-    for cu, fu in u:
-        for cv, fv in v:
-            out.append((_poly_mul(cu, cv), fu + fv))
-    return _summands_norm(out)
-
-
-def _summands_scale(u: tuple, s: complex) -> tuple:
-    return _summands_norm([(tuple(c * s for c in coeffs), f) for coeffs, f in u])
-
-
-def _summands_conj(u: tuple) -> tuple:
-    return _summands_norm([(tuple(c.conjugate() for c in coeffs), -f)
-                           for coeffs, f in u])
-
-
-def _summands_eval(u: tuple, t: float) -> complex:
-    acc = 0j
-    for coeffs, freq in u:
-        acc += _poly_eval(coeffs, t) * cmath.exp(2j * cmath.pi * float(freq) * t)
-    return acc
-
-
-def _summands_compose_affine(u: tuple, a: Fraction, b: Fraction) -> tuple:
-    """Summands of t -> u(a*t + b)."""
-    out = []
-    for coeffs, freq in u:
-        phase = cmath.exp(2j * cmath.pi * float(freq * b))
-        poly = _poly_compose_affine(coeffs, complex(a), complex(b))
-        out.append((tuple(c * phase for c in poly), freq * a))
-    return _summands_norm(out)
-
-
 # -- the container --------------------------------------------------------
 
 
 class PiecewiseFunction:
     """Function on [0,1) given by one piece per half-open interval."""
 
-    __slots__ = ("breakpoints", "pieces", "backend")
+    __slots__ = ("breakpoints", "pieces")
 
-    def __init__(self, breakpoints: Sequence[Fraction], pieces: Sequence,
-                 backend: str = EXACT):
-        if backend not in (EXACT, NUMERIC):
-            raise ValueError(f"unknown backend {backend!r}")
+    def __init__(self, breakpoints: Sequence[Fraction], pieces: Sequence):
         bps = tuple(Fraction(b) for b in breakpoints)
         if not bps or bps[0] != 0:
             raise ValueError("breakpoints must start at 0")
@@ -149,13 +83,10 @@ class PiecewiseFunction:
             raise ValueError("breakpoints must be strictly increasing")
         if len(pieces) != len(bps):
             raise ValueError("need exactly one piece per breakpoint")
-        if backend == EXACT:
-            norm = [_poly_trim(tuple(Fraction(c) for c in p)) for p in pieces]
-        else:
-            norm = [_summands_norm(p) for p in pieces]
+        norm = [_poly_trim(tuple(Fraction(c) for c in p)) for p in pieces]
         # merge adjacent identical pieces
         mb: List[Fraction] = []
-        mp: List = []
+        mp: List[tuple] = []
         for b, p in zip(bps, norm):
             if mp and mp[-1] == p:
                 continue
@@ -163,7 +94,6 @@ class PiecewiseFunction:
             mp.append(p)
         object.__setattr__(self, "breakpoints", tuple(mb))
         object.__setattr__(self, "pieces", tuple(mp))
-        object.__setattr__(self, "backend", backend)
 
     def __setattr__(self, name, value):
         raise AttributeError("PiecewiseFunction is immutable")
@@ -171,33 +101,31 @@ class PiecewiseFunction:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def constant(cls, value, backend: str = EXACT) -> "PiecewiseFunction":
-        piece = (value,) if backend == EXACT else (((complex(value),), Fraction(0)),)
-        return cls((Fraction(0),), (piece,), backend)
+    def constant(cls, value) -> "PiecewiseFunction":
+        return cls((Fraction(0),), ((value,),))
 
     @classmethod
-    def zero(cls, backend: str = EXACT) -> "PiecewiseFunction":
-        return cls((Fraction(0),), ((),), backend)
+    def zero(cls) -> "PiecewiseFunction":
+        return cls((Fraction(0),), ((),))
 
     @classmethod
-    def one(cls, backend: str = EXACT) -> "PiecewiseFunction":
-        return cls.constant(1, backend)
+    def one(cls) -> "PiecewiseFunction":
+        return cls.constant(1)
 
     @classmethod
-    def polynomial(cls, coeffs: Sequence, backend: str = EXACT) -> "PiecewiseFunction":
-        piece = tuple(coeffs) if backend == EXACT else ((tuple(map(complex, coeffs)), Fraction(0)),)
-        return cls((Fraction(0),), (piece,), backend)
+    def polynomial(cls, coeffs: Sequence) -> "PiecewiseFunction":
+        return cls((Fraction(0),), (tuple(coeffs),))
 
     @classmethod
     def indicator(cls, start, end) -> "PiecewiseFunction":
-        """Characteristic function of [start, end), exact backend."""
+        """Characteristic function of [start, end)."""
         a, b = Fraction(start), Fraction(end)
         if not (0 <= a < b <= 1):
             raise ValueError("indicator needs 0 <= start < end <= 1")
         return cls.from_segments([(a, b, (1,))])
 
     @classmethod
-    def from_segments(cls, segments, backend: str = EXACT) -> "PiecewiseFunction":
+    def from_segments(cls, segments) -> "PiecewiseFunction":
         """Build from (start, end, coeffs) triples; uncovered gaps are zero."""
         segs = sorted((Fraction(s), Fraction(e), tuple(p)) for s, e, p in segments)
         for (_, e1, _), (s2, _, _) in zip(segs, segs[1:]):
@@ -208,8 +136,6 @@ class PiecewiseFunction:
         for s, e, poly in segs:
             if not (0 <= s < e <= 1):
                 raise ValueError("segment outside [0, 1]")
-            if backend == NUMERIC and poly and not isinstance(poly[0], tuple):
-                poly = ((tuple(map(complex, poly)), Fraction(0)),)
             if s == bps[-1]:
                 pieces[-1] = poly
             else:
@@ -218,7 +144,7 @@ class PiecewiseFunction:
             if e < 1:
                 bps.append(e)
                 pieces.append(())
-        return cls(bps, pieces, backend)
+        return cls(bps, pieces)
 
     # -- basic views ------------------------------------------------------
 
@@ -233,15 +159,12 @@ class PiecewiseFunction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PiecewiseFunction):
             return NotImplemented
-        return (self.backend == other.backend
-                and self.breakpoints == other.breakpoints
-                and self.pieces == other.pieces)
+        return self.breakpoints == other.breakpoints and self.pieces == other.pieces
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return (f"PiecewiseFunction({len(self.pieces)} pieces, "
-                f"backend={self.backend!r})")
+        return f"PiecewiseFunction({len(self.pieces)} pieces)"
 
     # -- evaluation --------------------------------------------------------
 
@@ -249,43 +172,30 @@ class PiecewiseFunction:
         idx = bisect_right(self.breakpoints, t) - 1
         return self.pieces[idx]
 
-    def evaluate(self, t):
-        """Exact value at rational t (exact backend only)."""
-        if self.backend != EXACT:
-            raise ValueError("exact evaluation requires the exact backend")
+    def evaluate(self, t) -> Fraction:
+        """Exact value at rational t."""
         t = Fraction(t) % 1
         return Fraction(_poly_eval(self._piece_at(t), t))
 
-    def evaluate_float(self, t: float):
+    def evaluate_float(self, t: float) -> float:
         t = float(t) % 1.0
-        piece = self._piece_at(t)
-        if self.backend == EXACT:
-            return float(_poly_eval(tuple(map(float, piece)), t))
-        return _summands_eval(piece, t)
+        return float(_poly_eval(tuple(map(float, self._piece_at(t))), t))
 
     __call__ = evaluate_float
 
     # -- ring operations ----------------------------------------------------
 
-    def _require_backend(self, other: "PiecewiseFunction") -> None:
-        if self.backend != other.backend:
-            raise ValueError(f"backend mismatch: {self.backend} vs {other.backend}")
-
     def _zip_with(self, other: "PiecewiseFunction", combine) -> "PiecewiseFunction":
-        self._require_backend(other)
         bps = sorted(set(self.breakpoints) | set(other.breakpoints))
         pieces = [combine(self._piece_at(b), other._piece_at(b)) for b in bps]
-        return PiecewiseFunction(bps, pieces, self.backend)
+        return PiecewiseFunction(bps, pieces)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)) and self.backend == EXACT:
+        if isinstance(other, (int, Fraction)):
             other = PiecewiseFunction.constant(other)
-        elif isinstance(other, (int, float, complex)) and self.backend == NUMERIC:
-            other = PiecewiseFunction.constant(other, NUMERIC)
         if not isinstance(other, PiecewiseFunction):
             return NotImplemented
-        op = _poly_add if self.backend == EXACT else _summands_add
-        return self._zip_with(other, op)
+        return self._zip_with(other, _poly_add)
 
     __radd__ = __add__
 
@@ -302,34 +212,17 @@ class PiecewiseFunction:
 
     def __mul__(self, other):
         if isinstance(other, PiecewiseFunction):
-            op = _poly_mul if self.backend == EXACT else _summands_mul
-            return self._zip_with(other, op)
+            return self._zip_with(other, _poly_mul)
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, s) -> "PiecewiseFunction":
-        if self.backend == EXACT:
-            if isinstance(s, float) or isinstance(s, complex):
-                raise ValueError("cannot scale the exact backend by a float")
-            s = Fraction(s)
-            pieces = [_poly_trim(tuple(c * s for c in p)) for p in self.pieces]
-        else:
-            pieces = [_summands_scale(p, complex(s)) for p in self.pieces]
-        return PiecewiseFunction(self.breakpoints, pieces, self.backend)
-
-    def conjugate(self) -> "PiecewiseFunction":
-        if self.backend == EXACT:
-            return self
-        return PiecewiseFunction(self.breakpoints,
-                                 [_summands_conj(p) for p in self.pieces], NUMERIC)
-
-    def to_numeric(self) -> "PiecewiseFunction":
-        if self.backend == NUMERIC:
-            return self
-        pieces = [(((tuple(map(complex, p)), Fraction(0)),) if p else ())
-                  for p in self.pieces]
-        return PiecewiseFunction(self.breakpoints, pieces, NUMERIC)
+        if isinstance(s, (float, complex)):
+            raise ValueError("cannot scale by a float: pieces stay exact")
+        s = Fraction(s)
+        pieces = [_poly_trim(tuple(c * s for c in p)) for p in self.pieces]
+        return PiecewiseFunction(self.breakpoints, pieces)
 
 
 def dilate(f: PiecewiseFunction, d: int) -> PiecewiseFunction:
@@ -339,15 +232,12 @@ def dilate(f: PiecewiseFunction, d: int) -> PiecewiseFunction:
     if d == 1:
         return f
     bps: List[Fraction] = []
-    pieces: List = []
+    pieces: List[tuple] = []
     for j in range(d):
         for (lo, _hi), piece in zip(f.piece_bounds(), f.pieces):
             bps.append((lo + j) / d)
-            if f.backend == EXACT:
-                pieces.append(_poly_compose_affine(piece, Fraction(d), Fraction(-j)))
-            else:
-                pieces.append(_summands_compose_affine(piece, Fraction(d), Fraction(-j)))
-    return PiecewiseFunction(bps, pieces, f.backend)
+            pieces.append(_poly_compose_affine(piece, Fraction(d), Fraction(-j)))
+    return PiecewiseFunction(bps, pieces)
 
 
 def _pullback_half(f: PiecewiseFunction, shift: int) -> PiecewiseFunction:
@@ -355,31 +245,25 @@ def _pullback_half(f: PiecewiseFunction, shift: int) -> PiecewiseFunction:
     lo_dom = Fraction(shift, 2)
     hi_dom = Fraction(shift + 1, 2)
     bps: List[Fraction] = []
-    pieces: List = []
+    pieces: List[tuple] = []
     for (lo, hi), piece in zip(f.piece_bounds(), f.pieces):
         lo, hi = max(lo, lo_dom), min(hi, hi_dom)
         if lo >= hi:
             continue
         bps.append(2 * lo - shift)
-        if f.backend == EXACT:
-            pieces.append(_poly_compose_affine(piece, Fraction(1, 2), Fraction(shift, 2)))
-        else:
-            pieces.append(_summands_compose_affine(piece, Fraction(1, 2), Fraction(shift, 2)))
+        pieces.append(_poly_compose_affine(piece, Fraction(1, 2), Fraction(shift, 2)))
     if not bps or bps[0] != 0:
         raise AssertionError("pullback lost the origin piece")
-    return PiecewiseFunction(bps, pieces, f.backend)
+    return PiecewiseFunction(bps, pieces)
 
 
 def transfer(f: PiecewiseFunction) -> PiecewiseFunction:
     """Averaging over the doubling map: t -> (f(t/2) + f((t+1)/2))/2."""
-    total = _pullback_half(f, 0) + _pullback_half(f, 1)
-    return total.scale(Fraction(1, 2)) if f.backend == EXACT else total.scale(0.5)
+    return (_pullback_half(f, 0) + _pullback_half(f, 1)).scale(Fraction(1, 2))
 
 
 def integrate(f: PiecewiseFunction) -> Fraction:
-    """Exact integral over [0, 1); refuses the numeric backend."""
-    if f.backend != EXACT:
-        raise ValueError("integration requires the exact backend")
+    """Exact integral over [0, 1)."""
     total = Fraction(0)
     for (lo, hi), piece in zip(f.piece_bounds(), f.pieces):
         for i, c in enumerate(piece):
@@ -388,13 +272,11 @@ def integrate(f: PiecewiseFunction) -> Fraction:
 
 
 def winding(f: PiecewiseFunction) -> int:
-    """Winding number of exp(2*pi*i*f) for piecewise-linear exact f.
+    """Winding number of exp(2*pi*i*f) for piecewise-linear f.
 
     Every jump of f, including the wrap from t=1 back to t=0, must be an
     integer so the exponential closes up into a continuous loop.
     """
-    if f.backend != EXACT:
-        raise ValueError("winding requires the exact backend")
     if any(len(p) > 2 for p in f.pieces):
         raise ValueError("winding requires piecewise-linear data")
     bounds = f.piece_bounds()
@@ -424,22 +306,10 @@ def support_pieces(f: PiecewiseFunction) -> List[Tuple[Fraction, Fraction]]:
 
 
 def function_to_json_obj(f: PiecewiseFunction) -> dict:
-    if f.backend == EXACT:
-        pieces = [[frac_str(c) for c in p] for p in f.pieces]
-    else:
-        pieces = [[{"freq": frac_str(freq),
-                    "coeffs": [[c.real, c.imag] for c in coeffs]}
-                   for coeffs, freq in p] for p in f.pieces]
     return {"breakpoints": [frac_str(b) for b in f.breakpoints],
-            "pieces": pieces, "backend": f.backend}
+            "pieces": [[frac_str(c) for c in p] for p in f.pieces]}
 
 
 def function_from_json_obj(obj: dict) -> PiecewiseFunction:
-    backend = obj.get("backend", EXACT)
-    bps = [parse_frac(b) for b in obj["breakpoints"]]
-    if backend == EXACT:
-        pieces = [tuple(parse_frac(c) for c in p) for p in obj["pieces"]]
-    else:
-        pieces = [tuple((tuple(complex(re, im) for re, im in s["coeffs"]),
-                         parse_frac(s["freq"])) for s in p) for p in obj["pieces"]]
-    return PiecewiseFunction(bps, pieces, backend)
+    return PiecewiseFunction([parse_frac(b) for b in obj["breakpoints"]],
+                             [tuple(parse_frac(c) for c in p) for p in obj["pieces"]])

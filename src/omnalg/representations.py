@@ -95,36 +95,6 @@ def monomial_affine_map(params: AlgebraParams, mon: Monomial,
     return PartialAffineMap(params.m, scale, offset, tuple(conditions))
 
 
-@dataclass(frozen=True)
-class Coincidence:
-    """Where two partial affine maps agree: nowhere, one label, or everywhere.
-
-    kind "overlap" means equal scale and offset; the agreement set is the
-    whole shared subdomain.  Distinct triples with one annihilation word
-    never overlap, which is the separation fact that `Element.is_zero`
-    argues and the tests check through `monomial_affine_map`.
-    """
-
-    kind: str  # "empty" | "point" | "overlap"
-    points: Tuple[Fraction, ...] = ()
-
-
-def coincidence_points(params: AlgebraParams, a: Monomial, b: Monomial,
-                       variant: str = "A") -> Coincidence:
-    if a == b:
-        raise ValueError("coincidence query needs two distinct monomial triples")
-    fa = monomial_affine_map(params, a, variant)
-    fb = monomial_affine_map(params, b, variant)
-    if fa.scale == fb.scale:
-        if fa.offset == fb.offset:
-            return Coincidence("overlap")
-        return Coincidence("empty")
-    q = (fb.offset - fa.offset) / (fa.scale - fb.scale)
-    if fa.defined_at(q) and fb.defined_at(q):
-        return Coincidence("point", (q,))
-    return Coincidence("empty")
-
-
 def window_labels(m: int, num_bound: int, exp_bound: int) -> List[Fraction]:
     """All labels p/m^e with |p| <= num_bound, 0 <= e <= exp_bound, deduplicated."""
     if m == 1:

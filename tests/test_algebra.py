@@ -203,6 +203,24 @@ def test_product_adjoint_is_term_exact():
         assert (x * y).adjoint() == y.adjoint() * x.adjoint()
 
 
+def test_ring_operations_return_nonzero_terms():
+    # the ring operations skip the validating constructor, so their term
+    # dictionaries must already be merged and free of zero coefficients
+    rng = random.Random(11)
+    for params in (P12, P23, P35):
+        for _ in range(20):
+            x = random_element(rng, params, terms=3)
+            y = random_element(rng, params, terms=3)
+            level = max((len(mon.nu) for mon, _ in x.items()), default=0) + 1
+            built = (-x, x.scaled(QQi(Fraction(2, 3), Fraction(-1))), x.adjoint(),
+                     x.degree_part(0), x.degree_part(1), x * y,
+                     x.canonical_endo(), x.refine_to_level(level))
+            for r in built:
+                assert all(not c.is_zero() for _, c in r.items())
+            assert not x.scaled(0) and x.scaled(0).term_count() == 0
+            assert not x * 0 and (x * 0).term_count() == 0
+
+
 def test_gauge_degree_additive_under_mul():
     rng = random.Random(13)
     for _ in range(200):

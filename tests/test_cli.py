@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+from time import perf_counter
 
 import pytest
 
@@ -207,6 +208,17 @@ def test_solenoid_points_and_rep(monkeypatch, capsys):
     code, _, err = run(["solenoid", "rep", "--m", "2", "--period", "2",
                         "--residue", "0"], monkeypatch, capsys)
     assert code == 2 and "exact period" in err
+
+
+@pytest.mark.parametrize("m, period", [(2, 40), (2, 1_000_000_000), (100_000, 2)])
+def test_solenoid_refuses_too_many_residues(m, period, monkeypatch, capsys):
+    for action in ("points", "rep"):
+        start = perf_counter()
+        code, out, err = run(["solenoid", action, "--m", str(m),
+                              "--period", str(period)], monkeypatch, capsys)
+        assert perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert f"{m}^{period} - 1 residues" in err and "Traceback" not in err
 
 
 def test_entropy_table_output(monkeypatch, capsys):

@@ -1,15 +1,14 @@
 """Piecewise polynomial functions on the circle: arithmetic, dilation, transfer."""
 
 import json
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from omnalg.functions import (NUMERIC, PiecewiseFunction, dilate,
-                              function_from_json_obj, function_to_json_obj,
-                              integrate, support_pieces, transfer, winding)
+from omnalg.functions import (PiecewiseFunction, dilate, function_from_json_obj,
+                              function_to_json_obj, integrate, support_pieces,
+                              transfer, winding)
 
 F = Fraction
 
@@ -82,8 +81,14 @@ def test_pointwise_arithmetic():
             assert p.evaluate(t) == f.evaluate(t) * g.evaluate(t)
             assert d.evaluate(t) == f.evaluate(t) - g.evaluate(t)
         assert (F(3) * f).evaluate(F(1, 3)) == 3 * f.evaluate(F(1, 3))
+        # the float path the projection sampler uses; piece midpoints, since
+        # float rounding at a breakpoint may select the neighbouring piece
+        for h in (f, s, p):
+            for lo, hi in h.piece_bounds():
+                t = (lo + hi) / 2
+                assert abs(h.evaluate_float(float(t)) - float(h.evaluate(t))) <= 1e-12
     with pytest.raises(ValueError):
-        sawtooth().scale(0.5)  # floats stay out of the exact backend
+        sawtooth().scale(0.5)  # floats stay out of the pieces
 
 
 def test_dilate_samples():
@@ -150,42 +155,3 @@ def test_serialization_round_trip_exact():
         f = random_function(rng)
         blob = json.dumps(function_to_json_obj(f))
         assert function_from_json_obj(json.loads(blob)) == f
-
-
-def test_serialization_round_trip_numeric():
-    f = PiecewiseFunction([F(0)], [(((1 + 2j, 0.5j), F(1, 2)),)], NUMERIC)
-    blob = json.dumps(function_to_json_obj(f))
-    assert function_from_json_obj(json.loads(blob)) == f
-    g = sawtooth().to_numeric()
-    assert function_from_json_obj(function_to_json_obj(g)) == g
-
-
-def test_numeric_backend_agrees_on_samples():
-    rng = random.Random(47)
-    for _ in range(10):
-        f = random_function(rng)
-        g = f.to_numeric()
-        # sample piece midpoints: float rounding at a breakpoint may select
-        # the neighbouring piece, which is fine but not comparable
-        for lo, hi in f.piece_bounds():
-            t = (lo + hi) / 2
-            assert math.isclose(abs(g(float(t)) - float(f.evaluate(t))), 0.0,
-                                abs_tol=1e-12)
-
-
-def test_numeric_conjugate():
-    f = PiecewiseFunction([F(0)], [(((1j,), F(1, 3)),)], NUMERIC)
-    g = f.conjugate()
-    for t in (0.0, 0.21, 0.73):
-        assert abs(g(t) - f(t).conjugate()) < 1e-12
-    assert sawtooth().conjugate() == sawtooth()  # exact data is real
-
-
-def test_numeric_functions_refuse_exact_queries():
-    f = sawtooth().to_numeric()
-    with pytest.raises(ValueError):
-        integrate(f)
-    with pytest.raises(ValueError):
-        winding(f)
-    with pytest.raises(ValueError):
-        f.evaluate(F(1, 4))

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from omnalg.algebra import AlgebraParams, Monomial
-from omnalg.representations import (SolenoidPeriodicPoint, coincidence_points,
-                                    coordinate_diagonal, exact_period,
-                                    isometry_image, isometry_preimage,
+from omnalg.representations import (SolenoidPeriodicPoint, coordinate_diagonal,
+                                    exact_period, isometry_image, isometry_preimage,
                                     monomial_affine_map, precompose_shift_inverse,
                                     relation_residuals, shift_unitary,
                                     solenoid_orbits, solenoid_periodic_points,
@@ -80,20 +79,6 @@ def test_relation_residuals_both_variants():
             assert r["pass"]
             assert r["coverage"] == 1.0
             assert r["violations"] == []
-
-
-def test_coincidence_points():
-    # z and z^2 translate by different amounts: never equal
-    c = coincidence_points(P12, Monomial((), 1, ()), Monomial((), 2, ()), "A")
-    assert c.kind == "empty" and c.points == ()
-    # S_1 (q -> 2q - 1) meets z^{-1} (q -> q - 1) exactly at q = 0
-    c = coincidence_points(P12, Monomial((1,), 0, ()), Monomial((), -1, ()), "A")
-    assert c.kind == "point" and c.points == (F(0),)
-    # S_1 S_1* is the identity on its domain: overlap, not a point
-    c = coincidence_points(P12, Monomial((1,), 0, (1,)), Monomial((), 0, ()), "A")
-    assert c.kind == "overlap"
-    with pytest.raises(ValueError):
-        coincidence_points(P12, Monomial((), 1, ()), Monomial((), 1, ()), "A")
 
 
 def test_periodic_point_counts():
