@@ -14,6 +14,7 @@ t coordinate, so restricting a piece never changes its coefficients.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -182,6 +183,22 @@ class PiecewiseFunction:
         return float(_poly_eval(tuple(map(float, self._piece_at(t))), t))
 
     __call__ = evaluate_float
+
+    def evaluate_lattice(self, size: int) -> List[float]:
+        """``evaluate_float`` at k/size for every k < size, size a power of two.
+
+        The points k/size are exact floats.  Piece [lo, hi) holds the k with
+        ceil(lo*size) <= k < ceil(hi*size), found in exact arithmetic, so
+        the sweep looks up no point by bisection and gives the same floats.
+        """
+        if size < 1 or size & (size - 1):
+            raise ValueError("lattice size must be a power of two")
+        out: List[float] = []
+        for (lo, hi), piece in zip(self.piece_bounds(), self.pieces):
+            coeffs = tuple(map(float, piece))
+            out.extend(float(_poly_eval(coeffs, k / size))
+                       for k in range(math.ceil(lo * size), math.ceil(hi * size)))
+        return out
 
     # -- ring operations ----------------------------------------------------
 

@@ -8,7 +8,10 @@ sufficient piecewise-polynomial identities that force P^2 = P, entirely
 in rational arithmetic.  The numeric path assembles P, squares it with
 the operator rewriting rules, and samples the residual kernel on a
 uniform grid; the square roots prevent this path from being exact, which
-is why the functions travel as callables rather than polynomial pieces.
+is why it works with float sample tables rather than polynomial pieces.
+Every point it touches is dyadic, so each function is sampled on a
+power-of-two lattice in one sweep, and dilation and contraction become
+index arithmetic on those tables.
 
 The printed form of b_0 in the source material is internally
 inconsistent; ``build_canonical_data`` returns the unique
@@ -163,82 +166,122 @@ def telescoping_identity(data: ProjectionData, power: int) -> dict:
 
 
 # -- numeric engine --------------------------------------------------------
+#
+# Every point the engine touches is dyadic: the grid i/G, dilation by 2^a,
+# and contraction to t/2 and (t+1)/2.  So a function is never evaluated at
+# one point.  ``_sample(fn, size, phases)`` returns its values at k/size
+# for every k < size, with size a power of two.  Dilation by d reads index
+# (d*k) mod size of the child's table, and contraction reads indices k and
+# k + size of the child's table of twice the size.  Every value comes from
+# the same float operations, in the same order, as evaluating the node's
+# formula at the float k/size, and those points are exact.  So a table
+# does not depend on the path by which its points were reached.
 
 
-class CircleFn:
-    """Callable function on the circle; ops build new closures."""
+class _Fn:
+    """Function on the circle as an expression tree, sampled on a lattice.
 
-    __slots__ = ("fn",)
+    ``kind`` is one of const, exact, sqrt, mul, conj, dilate, contract.
+    A leaf over a PiecewiseFunction (exact, sqrt) keeps its table on the
+    finest lattice sampled so far and serves coarser lattices from it;
+    every other table is built when asked for and dropped by the caller.
+    """
 
-    def __init__(self, fn):
-        self.fn = fn
+    __slots__ = ("kind", "args", "table")
 
-    def __call__(self, t: float) -> complex:
-        return self.fn(t % 1.0)
+    def __init__(self, kind: str, *args):
+        self.kind = kind
+        self.args = args
+        self.table: Optional[List[complex]] = None
 
     @classmethod
-    def const(cls, c) -> "CircleFn":
-        c = complex(c)
-        return cls(lambda t: c)
+    def const(cls, c) -> "_Fn":
+        return cls("const", complex(c))
 
     @classmethod
-    def from_exact(cls, pw: PiecewiseFunction) -> "CircleFn":
-        return cls(lambda t: complex(pw.evaluate_float(t)))
+    def from_exact(cls, pw: PiecewiseFunction) -> "_Fn":
+        return cls("exact", pw)
 
     @classmethod
-    def sqrt_of(cls, pw: PiecewiseFunction) -> "CircleFn":
-        # clamps tiny negatives from the indicator edges
-        return cls(lambda t: complex(math.sqrt(max(float(pw.evaluate_float(t)), 0.0))))
+    def sqrt_of(cls, pw: PiecewiseFunction) -> "_Fn":
+        return cls("sqrt", pw)
 
-    def __mul__(self, other: "CircleFn") -> "CircleFn":
-        f, g = self.fn, other.fn
-        return CircleFn(lambda t: f(t) * g(t))
+    def __mul__(self, other: "_Fn") -> "_Fn":
+        return _Fn("mul", self, other)
 
-    def conjugate(self) -> "CircleFn":
-        f = self.fn
-        return CircleFn(lambda t: complex(f(t)).conjugate())
+    def conjugate(self) -> "_Fn":
+        return _Fn("conj", self)
 
-    def dilated(self, d: int) -> "CircleFn":
-        if d == 1:
-            return self
-        f = self.fn
-        return CircleFn(lambda t: f((d * t) % 1.0))
+    def dilated(self, d: int) -> "_Fn":
+        return self if d == 1 else _Fn("dilate", self, d)
 
 
-FN_ONE = CircleFn.const(1.0)
-
-
-def contract_through(i: int, j: int, h: CircleFn) -> CircleFn:
+def contract_through(i: int, j: int, h: _Fn) -> _Fn:
     """S_i* h S_j as a function: average of h over halved points with phase."""
-    d = j - i
+    return _Fn("contract", h, j - i)
 
-    def fn(t: float) -> complex:
-        s0 = t / 2.0
-        s1 = (t + 1.0) / 2.0
-        return 0.5 * (cmath.exp(2j * cmath.pi * d * s0) * h(s0)
-                      + cmath.exp(2j * cmath.pi * d * s1) * h(s1))
 
-    return CircleFn(fn)
+def _phase_table(scale: complex, size: int, phases: dict) -> List[complex]:
+    """exp(scale * k/size) for k < size, memoised in ``phases``."""
+    key = (scale, size)
+    table = phases.get(key)
+    if table is None:
+        table = phases[key] = [cmath.exp(scale * (k / size)) for k in range(size)]
+    return table
+
+
+def _sample(fn: _Fn, size: int, phases: dict) -> List[complex]:
+    """Values of fn at k/size for k < size."""
+    kind, args = fn.kind, fn.args
+    if kind == "const":
+        return [args[0]] * size
+    if kind == "exact" or kind == "sqrt":
+        # k/size is the point k*s/(size*s), so a finer table holds this one
+        if fn.table is not None and len(fn.table) >= size:
+            return fn.table[::len(fn.table) // size]
+        values = args[0].evaluate_lattice(size)
+        if kind == "sqrt":
+            # clamps tiny negatives from the indicator edges
+            fn.table = [complex(math.sqrt(max(v, 0.0))) for v in values]
+        else:
+            fn.table = [complex(v) for v in values]
+        return fn.table
+    if kind == "mul":
+        f = _sample(args[0], size, phases)
+        g = _sample(args[1], size, phases)
+        return [x * y for x, y in zip(f, g)]
+    if kind == "conj":
+        return [z.conjugate() for z in _sample(args[0], size, phases)]
+    if kind == "dilate":
+        child, d = _sample(args[0], size, phases), args[1]
+        return [child[(d * k) % size] for k in range(size)]
+    # contract: at t = k/size, h is read at t/2 = k/(2 size) and at
+    # (t+1)/2 = (k+size)/(2 size), each times exp(2 pi i d s)
+    h, d = args
+    child = _sample(h, 2 * size, phases)
+    phase = _phase_table(2j * cmath.pi * d, 2 * size, phases)
+    return [0.5 * (phase[k] * child[k] + phase[k + size] * child[k + size])
+            for k in range(size)]
 
 
 @dataclass(frozen=True)
 class FETerm:
     """left * S_mu * S_nu^adj * right, words over {1, 2}."""
-    left: CircleFn
+    left: _Fn
     mu: Tuple[int, ...]
     nu: Tuple[int, ...]
-    right: CircleFn
+    right: _Fn
 
 
-FnLike = Union[CircleFn, PiecewiseFunction, int, float, complex]
+FnLike = Union[_Fn, PiecewiseFunction, int, float, complex]
 
 
-def _as_fn(f: FnLike) -> CircleFn:
-    if isinstance(f, CircleFn):
+def _as_fn(f: FnLike) -> _Fn:
+    if isinstance(f, _Fn):
         return f
     if isinstance(f, PiecewiseFunction):
-        return CircleFn.from_exact(f)
-    return CircleFn.const(f)
+        return _Fn.from_exact(f)
+    return _Fn.const(f)
 
 
 class FuncElement:
@@ -256,17 +299,17 @@ class FuncElement:
         if not all(x in (1, 2) for x in mu + nu):
             raise ValueError("letters must be 1 or 2")
         left = _as_fn(f).dilated(2 ** len(mu))
-        return cls((FETerm(left, mu, nu, FN_ONE),))
+        return cls((FETerm(left, mu, nu, _Fn.const(1.0)),))
 
     @classmethod
     def function(cls, f: FnLike) -> "FuncElement":
-        return cls((FETerm(_as_fn(f), (), (), FN_ONE),))
+        return cls((FETerm(_as_fn(f), (), (), _Fn.const(1.0)),))
 
     def __add__(self, other: "FuncElement") -> "FuncElement":
         return FuncElement(self.terms + other.terms)
 
     def __sub__(self, other: "FuncElement") -> "FuncElement":
-        minus = [FETerm(CircleFn.const(-1.0) * t.left, t.mu, t.nu, t.right)
+        minus = [FETerm(_Fn.const(-1.0) * t.left, t.mu, t.nu, t.right)
                  for t in other.terms]
         return FuncElement(self.terms + tuple(minus))
 
@@ -295,14 +338,20 @@ def _term_product(s: FETerm, t: FETerm) -> FETerm:
     return FETerm(s.left, s.mu, t.nu + tuple(nu), right)
 
 
-def _word_phase(word: Tuple[int, ...], t: float) -> complex:
-    acc = complex(1.0)
-    cur = t
-    for letter in word:
-        if letter == 2:
-            acc *= cmath.exp(2j * cmath.pi * cur)
-        cur = (2.0 * cur) % 1.0
-    return acc
+def _word_phase(word: Tuple[int, ...], size: int, phases: dict) -> List[complex]:
+    """Phase of S_word at k/size: exp(2 pi i 2^l t) for each letter 2 at l."""
+    key = (word, size)
+    table = phases.get(key)
+    if table is None:
+        base = _phase_table(2j * cmath.pi, size, phases)
+        table = [complex(1.0)] * size
+        for l, letter in enumerate(word):
+            if letter == 2:
+                step = 2 ** l
+                table = [acc * base[(step * k) % size]
+                         for k, acc in enumerate(table)]
+        phases[key] = table
+    return table
 
 
 def sample_element(elem: FuncElement, grid: int) -> float:
@@ -311,33 +360,39 @@ def sample_element(elem: FuncElement, grid: int) -> float:
     In the defining circle representation, a term contributes along the
     correspondence x = (2^a t + j) / 2^b; contributions sharing the same
     affine line are summed before taking absolute values, so exact
-    operator cancellations show up as zeros here.
+    operator cancellations show up as zeros here.  With t = i/grid the
+    point x is the lattice point (2^a i + j grid) mod (grid 2^b) over
+    grid 2^b, so both sides of a term are read from tables by index.
     """
+    if grid < 1 or grid & (grid - 1):
+        raise ValueError("grid must be a power of two")
     buckets: Dict[Tuple[Fraction, Fraction], List[complex]] = {}
-    ts = [i / grid for i in range(grid)]
+    phases: dict = {}
     for term in elem.terms:
-        a, b = len(term.mu), len(term.nu)
-        pow_a, pow_b = 2 ** a, 2 ** b
-        for j in range(pow_b):
-            key = (Fraction(pow_a, pow_b), Fraction(j, pow_b) % 1)
-            acc = buckets.setdefault(key, [0j] * grid)
-            for idx, t in enumerate(ts):
-                x = ((pow_a * t + j) / pow_b) % 1.0
-                amp = (term.left(t) * _word_phase(term.mu, t) / pow_b
-                       * _word_phase(term.nu, x).conjugate() * term.right(x))
-                acc[idx] += amp
-    worst = 0.0
-    for acc in buckets.values():
-        for v in acc:
-            worst = max(worst, abs(v))
-    return worst
+        _add_term(buckets, term, grid, phases)
+    return max((abs(v) for acc in buckets.values() for v in acc), default=0.0)
+
+
+def _add_term(buckets: dict, term: FETerm, grid: int, phases: dict) -> None:
+    pow_a, pow_b = 2 ** len(term.mu), 2 ** len(term.nu)
+    size = grid * pow_b
+    head = [f * p / pow_b for f, p in zip(_sample(term.left, grid, phases),
+                                          _word_phase(term.mu, grid, phases))]
+    nu_phase = [p.conjugate() for p in _word_phase(term.nu, size, phases)]
+    right = _sample(term.right, size, phases)
+    for j in range(pow_b):
+        key = (Fraction(pow_a, pow_b), Fraction(j, pow_b) % 1)
+        acc = buckets.setdefault(key, [0j] * grid)
+        xs = [(pow_a * i + j * grid) % size for i in range(grid)]
+        acc[:] = [s + h * nu_phase[x] * right[x]
+                  for s, h, x in zip(acc, head, xs)]
 
 
 def _matrix_of(data: ProjectionData) -> List[List[FuncElement]]:
-    a1 = CircleFn.sqrt_of(data.a1sq)
-    b1 = CircleFn.sqrt_of(data.b1sq)
-    phi_a0 = CircleFn.from_exact(dilate(data.a0, 2))
-    phi_b0 = CircleFn.from_exact(dilate(data.b0, 2))
+    a1 = _Fn.sqrt_of(data.a1sq)
+    b1 = _Fn.sqrt_of(data.b1sq)
+    phi_a0 = _Fn.from_exact(dilate(data.a0, 2))
+    phi_b0 = _Fn.from_exact(dilate(data.b0, 2))
     S = FuncElement.sandwich
     p11 = S((1,), a1, ()) + FuncElement.function(phi_a0) + S((), a1, (1,))
     p12 = S((2,), a1, ()) + S((), b1, (2,))

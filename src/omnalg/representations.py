@@ -254,30 +254,41 @@ def exact_period(m: int, k: int, r: int) -> int:
     return t
 
 
-def solenoid_periodic_points(m: int, k: int) -> List[SolenoidPeriodicPoint]:
-    """All exact-period-k points, sorted by residue."""
+def _exact_period_residues(m: int, k: int) -> List[int]:
+    """Residues mod m^k - 1 of exact period k, ascending."""
     if m < 2 or k < 1:
         raise ValueError("need m >= 2 and k >= 1")
     mod = m ** k - 1
     if mod == 1:
-        return [SolenoidPeriodicPoint(m, k, 0)]
-    return [SolenoidPeriodicPoint(m, k, r) for r in range(mod)
-            if exact_period(m, k, r) == k]
+        return [0]
+    return [r for r in range(mod) if exact_period(m, k, r) == k]
+
+
+def solenoid_periodic_points(m: int, k: int) -> List[SolenoidPeriodicPoint]:
+    """All exact-period-k points, sorted by residue."""
+    return [SolenoidPeriodicPoint(m, k, r) for r in _exact_period_residues(m, k)]
 
 
 def solenoid_orbits(m: int, k: int) -> List[List[int]]:
-    """Exact-period-k residues grouped into backward-shift orbits."""
-    points = {p.residue for p in solenoid_periodic_points(m, k)}
+    """Exact-period-k residues grouped into backward-shift orbits.
+
+    The residues are walked once in ascending order, and each one not yet
+    visited starts an orbit; so every orbit starts at its least residue,
+    and the orbits come in ascending order of their starts.
+    """
+    residues = _exact_period_residues(m, k)
     mod = m ** k - 1
     step = pow(m, k - 1, mod) if mod > 1 else 0
+    visited = set()
     orbits = []
-    while points:
-        r = min(points)
+    for r in residues:
+        if r in visited:
+            continue
         orbit = []
         c = r
         for _ in range(k):
             orbit.append(c)
-            points.discard(c)
+            visited.add(c)
             c = (c * step) % mod if mod > 1 else 0
         orbits.append(orbit)
     return orbits

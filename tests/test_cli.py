@@ -7,7 +7,7 @@ from time import perf_counter
 
 import pytest
 
-from omnalg.cli import SCHEMA, main
+from omnalg.cli import RIEFFEL_GRID_LIMIT, SCHEMA, main
 
 RANGE_SUM_MINUS_ONE = json.dumps([
     {"mu": [1], "k": 0, "nu": [1]},
@@ -219,6 +219,18 @@ def test_solenoid_refuses_too_many_residues(m, period, monkeypatch, capsys):
         assert perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert f"{m}^{period} - 1 residues" in err and "Traceback" not in err
+
+
+def test_rieffel_verify_refuses_too_large_grid(monkeypatch, capsys):
+    grid = 1 << 40
+    assert grid > RIEFFEL_GRID_LIMIT
+    start = perf_counter()
+    code, out, err = run(["rieffel", "verify", "--grid", str(grid)],
+                         monkeypatch, capsys)
+    assert perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert str(grid) in err and str(RIEFFEL_GRID_LIMIT) in err
+    assert "Traceback" not in err
 
 
 def test_entropy_table_output(monkeypatch, capsys):

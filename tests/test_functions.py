@@ -91,6 +91,27 @@ def test_pointwise_arithmetic():
         sawtooth().scale(0.5)  # floats stay out of the pieces
 
 
+def test_evaluate_lattice_matches_pointwise():
+    # cuts at twelfths fall between lattice points, cuts at sixteenths on
+    # them: the sweep must follow the left-closed convention exactly
+    rng = random.Random(41)
+    for denominator in (12, 16):
+        for _ in range(20):
+            cuts = sorted({F(rng.randint(0, denominator - 1), denominator)
+                           for _ in range(4)} | {F(0)})
+            f = PiecewiseFunction(cuts, [tuple(F(rng.randint(-3, 3), rng.randint(1, 4))
+                                               for _ in range(rng.randint(0, 3)))
+                                         for _ in cuts])
+            for size in (1, 2, 8, 64, 256):
+                values = f.evaluate_lattice(size)
+                assert values == [f.evaluate_float(k / size) for k in range(size)]
+                for k, v in enumerate(values):
+                    assert abs(v - float(f.evaluate(F(k, size)))) <= 1e-12
+    for size in (0, 3, 12):
+        with pytest.raises(ValueError):
+            sawtooth().evaluate_lattice(size)
+
+
 def test_dilate_samples():
     rng = random.Random(37)
     for _ in range(25):

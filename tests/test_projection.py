@@ -1,10 +1,12 @@
 """The distinguished projection over (1, 2): exact identities and sampling."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from omnalg.functions import PiecewiseFunction, dilate, support_pieces
+from omnalg.functions import (PiecewiseFunction, dilate, support_pieces,
+                              transfer)
 from omnalg.projection import (FuncElement, ProjectionData, assemble_and_square,
                                build_canonical_data, check_conditions, k0_class,
                                kms_trace, sample_element, telescoping_identity)
@@ -129,3 +131,41 @@ def test_assemble_and_square_grid_validation():
         assemble_and_square(d, grid=3)
     with pytest.raises(ValueError):
         assemble_and_square(d, grid=0)
+
+
+def test_sample_element_grid_validation():
+    # the sampled points k/grid are exact floats only for powers of two
+    f = FuncElement.function(build_canonical_data().a0)
+    for grid in (0, 3, 48):
+        with pytest.raises(ValueError):
+            sample_element(f, grid)
+
+
+def test_sampler_contractions_match_exact_transfer():
+    # S_mu* f S_mu = transfer^|mu|(f) for every word mu, whatever its
+    # letters; the left side runs through |mu| nested contractions on
+    # lattices up to 8 times the grid, the right side is computed exactly.
+    # S_mu* (S_mu f) = f runs the same contractions over f dilated by 2^|mu|
+    d = build_canonical_data()
+    for f in (d.a0, d.b0, d.a1sq):
+        expected = f
+        for length in range(4):
+            for mu in product((1, 2), repeat=length):
+                lhs = (FuncElement.sandwich((), 1, mu) * FuncElement.function(f)
+                       * FuncElement.sandwich(mu, 1, ()))
+                assert sample_element(lhs - FuncElement.function(expected), 64) < 1e-12
+                lhs = FuncElement.sandwich((), 1, mu) * FuncElement.sandwich(mu, f, ())
+                assert sample_element(lhs - FuncElement.function(f), 64) < 1e-12
+            expected = transfer(expected)
+
+
+def test_sampler_isometry_words_are_orthonormal():
+    # S_mu* S_nu is 1 for mu = nu and 0 otherwise, for words of equal length
+    one = FuncElement.function(1)
+    for length in range(1, 4):
+        words = list(product((1, 2), repeat=length))
+        for mu in words:
+            for nu in words:
+                prod = FuncElement.sandwich((), 1, mu) * FuncElement.sandwich(nu, 1, ())
+                diff = prod - one if mu == nu else prod
+                assert sample_element(diff, 64) < 1e-12
