@@ -163,9 +163,36 @@ def fixed_point_rewrite(params: AlgebraParams, mon: Monomial) -> GeneratorWord:
 # -- subalgebra witness families ----------------------------------------
 
 
-def _relation_report(name_checks: List[Tuple[str, int, bool]]) -> dict:
-    rels = {name: {"checked": cnt, "ok": ok} for name, cnt, ok in name_checks}
-    return {"relations": rels, "pass": all(ok for _, _, ok in name_checks)}
+def _check_relations(params: AlgebraParams, unitary: Element, wrap: Element,
+                     gens: List[Element]) -> dict:
+    """Relation report for w = unitary and gens = T_1..T_c.
+
+    shift: w T_j = T_{j+1}; wrap: w T_c = T_1 * wrap; orthogonality:
+    T_i* T_j = delta_ij; completeness: sum T_j T_j* = 1.  Every check is
+    an exact zero test.
+    """
+    count = len(gens)
+    one = Element.unit(params)
+    shift_ok = all((unitary * gens[j] - gens[j + 1]).is_zero()
+                   for j in range(count - 1))
+    wrap_ok = (unitary * gens[-1] - gens[0] * wrap).is_zero()
+    orth_ok = True
+    for i in range(count):
+        for j in range(count):
+            prod = gens[i].adjoint() * gens[j]
+            target = one if i == j else Element.zero(params)
+            if not (prod - target).is_zero():
+                orth_ok = False
+    total = Element.zero(params)
+    for g in gens:
+        total = total + g * g.adjoint()
+    complete_ok = (total - one).is_zero()
+    checks = (("shift", count - 1, shift_ok), ("wrap", 1, wrap_ok),
+              ("orthogonality", count * count, orth_ok),
+              ("completeness", 1, complete_ok))
+    return {"relations": {name: {"checked": cnt, "ok": ok}
+                          for name, cnt, ok in checks},
+            "pass": all(ok for _, _, ok in checks)}
 
 
 def subalgebra_witness_power(params: AlgebraParams, k: int,
@@ -181,31 +208,10 @@ def subalgebra_witness_power(params: AlgebraParams, k: int,
     count = params.n ** k
     if count > size_bound:
         raise ValueError(f"n^k = {count} exceeds size bound {size_bound}")
-    one = Element.unit(params)
-    z = Element.unitary(params, 1)
     s1k = Element.isometry(params, 1) ** k
     gens = [Element.unitary(params, j) * s1k for j in range(count)]
-
-    shift_ok = all((z * gens[j] - gens[j + 1]).is_zero() for j in range(count - 1))
-    wrap_ok = (z * gens[-1] - gens[0] * Element.unitary(params, params.m ** k)).is_zero()
-    orth_ok = True
-    for i in range(count):
-        for j in range(count):
-            prod = gens[i].adjoint() * gens[j]
-            target = one if i == j else Element.zero(params)
-            if not (prod - target).is_zero():
-                orth_ok = False
-    total = Element.zero(params)
-    for g in gens:
-        total = total + g * g.adjoint()
-    complete_ok = (total - one).is_zero()
-
-    report = _relation_report([
-        ("shift", count - 1, shift_ok),
-        ("wrap", 1, wrap_ok),
-        ("orthogonality", count * count, orth_ok),
-        ("completeness", 1, complete_ok),
-    ])
+    report = _check_relations(params, Element.unitary(params, 1),
+                              Element.unitary(params, params.m ** k), gens)
     report.update({"kind": "power", "k": k, "generators": count})
     return report
 
@@ -235,31 +241,10 @@ def subalgebra_witness_zk(params: AlgebraParams, k: int) -> dict:
     if sorted(ltable) != list(range(n)):
         raise AssertionError(f"residue table {ltable} is not a permutation of Z_{n}")
 
-    one = Element.unit(params)
     w = Element.unitary(params, reduced)
     s1 = Element.isometry(params, 1)
     gens = [Element.unitary(params, (q - 1) * reduced) * s1 for q in range(1, n + 1)]
-
-    shift_ok = all((w * gens[q] - gens[q + 1]).is_zero() for q in range(n - 1))
-    wrap_ok = (w * gens[-1] - gens[0] * (w ** params.m)).is_zero()
-    orth_ok = True
-    for i in range(n):
-        for j in range(n):
-            prod = gens[i].adjoint() * gens[j]
-            target = one if i == j else Element.zero(params)
-            if not (prod - target).is_zero():
-                orth_ok = False
-    total = Element.zero(params)
-    for g in gens:
-        total = total + g * g.adjoint()
-    complete_ok = (total - one).is_zero()
-
-    report = _relation_report([
-        ("shift", n - 1, shift_ok),
-        ("wrap", 1, wrap_ok),
-        ("orthogonality", n * n, orth_ok),
-        ("completeness", 1, complete_ok),
-    ])
+    report = _check_relations(params, w, w ** params.m, gens)
     report.update({"kind": "zk", "k": k, "reduced_k": reduced,
                    "l_table": ltable, "p_table": ptable, "generators": n})
     return report

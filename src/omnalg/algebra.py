@@ -404,12 +404,46 @@ class Element:
 
     @classmethod
     def from_json_obj(cls, params: AlgebraParams, obj: list) -> "Element":
-        terms = []
-        for rec in obj:
-            mon = Monomial(params.check_word(rec["mu"]), int(rec["k"]),
-                           params.check_word(rec["nu"]))
-            # omitted coefficients mean the bare monomial
-            coeff = QQi(parse_frac(rec.get("re", "1")),
-                        parse_frac(rec.get("im", "0")))
-            terms.append((mon, coeff))
-        return cls(params, terms)
+        """Read the term list `to_json_obj` writes; ValueError if malformed.
+
+        Each term is checked by `monomial_from_json_obj`; "re" and "im",
+        when present, must be "p/q" strings, and omitted ones mean the
+        bare monomial.
+        """
+        if not isinstance(obj, list):
+            raise ValueError("element JSON must be an array of terms")
+        return cls(params, [(monomial_from_json_obj(params, rec),
+                             QQi(_coefficient_part(rec, "re", "1"),
+                                 _coefficient_part(rec, "im", "0")))
+                            for rec in obj])
+
+
+def monomial_from_json_obj(params: AlgebraParams, rec) -> Monomial:
+    """The monomial of one term {"mu": [..], "k": int, "nu": [..]}.
+
+    Strict, so that no malformed value is coerced: "k" must be a JSON
+    integer (not a boolean, float or string) and each word a list of
+    integer letters in 1..n.  Every malformed record raises ValueError.
+    """
+    if not isinstance(rec, dict) or not {"mu", "k", "nu"} <= rec.keys():
+        raise ValueError('a term must be an object with keys "mu", "k" and "nu"')
+    k = rec["k"]
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f'"k" must be an integer, not {type(k).__name__}')
+    return Monomial(_word_from_json(params, rec, "mu"), k,
+                    _word_from_json(params, rec, "nu"))
+
+
+def _word_from_json(params: AlgebraParams, rec: dict, key: str) -> Word:
+    word = rec[key]
+    if not (isinstance(word, list) and all(
+            isinstance(i, int) and not isinstance(i, bool) for i in word)):
+        raise ValueError(f'"{key}" must be a list of integers')
+    return params.check_word(word)
+
+
+def _coefficient_part(rec: dict, key: str, default: str) -> Fraction:
+    text = rec.get(key, default)
+    if not isinstance(text, str):
+        raise ValueError(f'"{key}" must be a string "p/q", not {type(text).__name__}')
+    return parse_frac(text)

@@ -12,7 +12,15 @@ Every subcommand prints a compact answer on stdout and exits 0 exactly
 when its checks pass; ``--json`` wraps the same results in a
 schema-versioned run report with a command echo, parameters, a pass flag,
 and wall-clock timing.  Elements are read from stdin in the JSON term-list
-format of the algebra module.  Malformed input exits with status 2.
+format of the algebra module, which `algebra.Element.from_json_obj`
+checks strictly.
+
+Bad input has one path to exit status 2: library code raises ValueError
+for bad arguments and for nothing else, handlers raise `UsageError` (a
+ValueError) for bad flags, and `main` maps every ValueError to
+``error: <message>`` on stderr and status 2.  A broken internal invariant
+raises AssertionError or ArithmeticError instead and still ends in a
+traceback.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from fractions import Fraction
 from time import perf_counter
 from typing import Optional, Sequence, Tuple
 
-from .algebra import AlgebraParams, Element, Monomial
+from .algebra import AlgebraParams, Element, monomial_from_json_obj
 from .exact import frac_str, parse_frac
 from . import actions
 from . import entropy as entropy_mod
@@ -44,8 +52,8 @@ SOLENOID_RESIDUE_LIMIT = 1 << 16
 RIEFFEL_GRID_LIMIT = 1 << 14
 
 
-class UsageError(Exception):
-    """Bad flags or malformed stdin; mapped to exit status 2."""
+class UsageError(ValueError):
+    """Bad flags or malformed stdin; mapped to exit status 2 like any ValueError."""
 
 
 def _compact(obj) -> str:
@@ -55,75 +63,47 @@ def _compact(obj) -> str:
 def _require_params(args) -> AlgebraParams:
     if args.m is None or args.n is None:
         raise UsageError("this subcommand needs both --m and --n")
-    try:
-        return AlgebraParams(args.m, args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return AlgebraParams(args.m, args.n)
 
 
-def _stdin_json():
-    text = sys.stdin.read()
+def _load_json(text: str, source: str):
+    # nesting too deep for the decoder is malformed input as well
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"stdin is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise UsageError(f"{source} is not valid JSON: {exc}") from None
 
 
-def _element_from_obj(params: AlgebraParams, obj) -> Element:
-    if not isinstance(obj, list):
-        raise UsageError("expected a JSON array of element terms")
-    try:
-        return Element.from_json_obj(params, obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad element JSON: {exc}") from None
-
-
-def _monomial_from_obj(params: AlgebraParams, obj) -> Monomial:
-    try:
-        return Monomial(params.check_word(obj["mu"]), int(obj["k"]),
-                        params.check_word(obj["nu"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad monomial JSON: {exc}") from None
-
-
-def _group_json(g: ktheory.FGAbelianGroup) -> dict:
-    return g.to_json_obj()
+def _stdin_element(params: AlgebraParams) -> Element:
+    return Element.from_json_obj(params, _load_json(sys.stdin.read(), "stdin"))
 
 
 # -- subcommand handlers: each returns (results, pass, compact text) ------
 
 
 def _cmd_normalize(args) -> Tuple[dict, bool, str]:
-    params = _require_params(args)
-    elem = _element_from_obj(params, _stdin_json())
-    terms = elem.to_json_obj()
+    terms = _stdin_element(_require_params(args)).to_json_obj()
     return {"terms": terms, "term_count": len(terms)}, True, _compact(terms)
 
 
 def _cmd_mul(args) -> Tuple[dict, bool, str]:
     params = _require_params(args)
-    obj = _stdin_json()
+    obj = _load_json(sys.stdin.read(), "stdin")
     if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
         raise UsageError('mul reads {"a": [terms], "b": [terms]} from stdin')
-    prod = (_element_from_obj(params, obj["a"])
-            * _element_from_obj(params, obj["b"]))
+    prod = (Element.from_json_obj(params, obj["a"])
+            * Element.from_json_obj(params, obj["b"]))
     terms = prod.to_json_obj()
     return {"terms": terms, "term_count": len(terms)}, True, _compact(terms)
 
 
 def _cmd_iszero(args) -> Tuple[dict, bool, str]:
-    params = _require_params(args)
-    elem = _element_from_obj(params, _stdin_json())
-    try:
-        zero = elem.is_zero()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    zero = _stdin_element(_require_params(args)).is_zero()
     return {"is_zero": zero}, zero, "true" if zero else "false"
 
 
 def _cmd_kms(args) -> Tuple[dict, bool, str]:
-    params = _require_params(args)
-    value = _element_from_obj(params, _stdin_json()).kms_state()
+    value = _stdin_element(_require_params(args)).kms_state()
     results = {"re": frac_str(value.re), "im": frac_str(value.im)}
     return results, True, str(value)
 
@@ -131,17 +111,14 @@ def _cmd_kms(args) -> Tuple[dict, bool, str]:
 def _cmd_kgroups(args) -> Tuple[dict, bool, str]:
     if args.m is None or args.n is None:
         raise UsageError("kgroups needs both --m and --n")
-    try:
-        results: dict = {"method": args.method}
-        if args.method in ("six-term", "both"):
-            k0, k1 = ktheory.six_term_kgroups(args.m, args.n)
-            results["six_term"] = {"K0": _group_json(k0), "K1": _group_json(k1)}
-        # the dual-action splice is only defined once there are isometries
-        if args.method == "pv" or (args.method == "both" and args.n >= 2):
-            p0, p1 = ktheory.pv_dual_action_kgroups(args.m, args.n)
-            results["pv"] = {"K0": _group_json(p0), "K1": _group_json(p1)}
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    results: dict = {"method": args.method}
+    if args.method in ("six-term", "both"):
+        k0, k1 = ktheory.six_term_kgroups(args.m, args.n)
+        results["six_term"] = {"K0": k0.to_json_obj(), "K1": k1.to_json_obj()}
+    # the dual-action splice is only defined once there are isometries
+    if args.method == "pv" or (args.method == "both" and args.n >= 2):
+        p0, p1 = ktheory.pv_dual_action_kgroups(args.m, args.n)
+        results["pv"] = {"K0": p0.to_json_obj(), "K1": p1.to_json_obj()}
     ok = True
     if args.method == "both" and "pv" in results:
         ok = results["six_term"] == results["pv"]
@@ -153,13 +130,10 @@ def _cmd_kgroups(args) -> Tuple[dict, bool, str]:
 def _cmd_kgroups_fixed(args) -> Tuple[dict, bool, str]:
     if args.n is None:
         raise UsageError("kgroups-fixed needs --n")
-    try:
-        rep = ktheory.symmetry_fixed_kgroups(args.m_parity, args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    rep = ktheory.symmetry_fixed_kgroups(args.m_parity, args.n)
     results = dict(rep)
     for key in ("computed_k0", "computed_k1", "reference_k0", "reference_k1"):
-        results[key] = _group_json(rep[key])
+        results[key] = rep[key].to_json_obj()
     # the even-parity K0 disagreeing with the published value is reported
     # data, not a failure; K1 must agree either way
     ok = rep["agrees_k1"] and (rep["agrees_k0"] or args.m_parity == "even")
@@ -174,23 +148,14 @@ def _cmd_kgroups_fixed(args) -> Tuple[dict, bool, str]:
 
 def _cmd_fixed_point(args) -> Tuple[dict, bool, str]:
     params = _require_params(args)
-    try:
-        mon = _monomial_from_obj(params, json.loads(args.monomial))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"--monomial is not valid JSON: {exc}") from None
-    try:
-        modulus = actions.rotation_modulus(params)
-        weight = actions.rotation_weight(params, mon)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    mon = monomial_from_json_obj(params, _load_json(args.monomial, "--monomial"))
+    modulus = actions.rotation_modulus(params)
+    weight = actions.rotation_weight(params, mon)
     if args.action == "test":
         fixed = weight == 0
         results = {"weight": weight, "modulus": modulus, "fixed": fixed}
         return results, fixed, _compact(results)
-    try:
-        word = actions.fixed_point_rewrite(params, mon)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    word = actions.fixed_point_rewrite(params, mon)
     target = Element.monomial(params, mon.mu, mon.k, mon.nu)
     round_trip = (word.to_element() - target).is_zero()
     results = {
@@ -206,14 +171,11 @@ def _cmd_fixed_point(args) -> Tuple[dict, bool, str]:
 
 def _cmd_subalgebra(args) -> Tuple[dict, bool, str]:
     params = _require_params(args)
-    try:
-        if args.family == "power":
-            report = actions.subalgebra_witness_power(
-                params, args.k, size_bound=args.bound or 81)
-        else:
-            report = actions.subalgebra_witness_zk(params, args.k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.family == "power":
+        report = actions.subalgebra_witness_power(
+            params, args.k, size_bound=args.bound or 81)
+    else:
+        report = actions.subalgebra_witness_zk(params, args.k)
     return report, report["pass"], _compact(report)
 
 
@@ -231,10 +193,7 @@ def _cmd_rieffel(args) -> Tuple[dict, bool, str]:
         value = projection.k0_class(data)
         return {"k0_class": value}, True, str(value)
     conditions = projection.check_conditions(data)
-    try:
-        square = projection.assemble_and_square(data, grid=args.grid)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    square = projection.assemble_and_square(data, grid=args.grid)
     trace = projection.kms_trace(data)
     k0 = projection.k0_class(data)
     ok = (conditions["pass"] and square["pass"]
@@ -294,10 +253,7 @@ def _cmd_solenoid(args) -> Tuple[dict, bool, str]:
     if args.m is None:
         raise UsageError("solenoid needs --m")
     _bound_solenoid(args.m, args.period)
-    try:
-        orbits = representations.solenoid_orbits(args.m, args.period)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    orbits = representations.solenoid_orbits(args.m, args.period)
     if args.action == "points":
         # the orbits partition the exact-period points
         residues = sorted(r for orbit in orbits for r in orbit)
@@ -313,13 +269,9 @@ def _cmd_solenoid(args) -> Tuple[dict, bool, str]:
         return results, True, _compact({"count": len(residues),
                                         "orbit_count": len(orbits)})
     residue = args.residue if args.residue is not None else orbits[0][0]
-    try:
-        point = representations.SolenoidPeriodicPoint(
-            args.m, args.period, residue)
-        phase = parse_frac(args.phase)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(str(exc)) from None
-    report = representations.solenoid_rep_check(point, phase, {0: 1})
+    point = representations.SolenoidPeriodicPoint(args.m, args.period, residue)
+    report = representations.solenoid_rep_check(point, parse_frac(args.phase),
+                                                 {0: 1})
     compact = _compact({
         "residue": report["residue"],
         "unitary": report["unitary"],
@@ -330,13 +282,8 @@ def _cmd_solenoid(args) -> Tuple[dict, bool, str]:
 
 
 def _cmd_entropy(args) -> Tuple[dict, bool, str]:
-    params = _require_params(args)
-    try:
-        table = entropy_mod.entropy_estimate(
-            params, args.s, args.nmax,
-            term_bound=args.bound or 5_000_000)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    table = entropy_mod.entropy_estimate(_require_params(args), args.s, args.nmax,
+                                         term_bound=args.bound or 5_000_000)
     results = table.to_json_obj()
     ok = not table.truncated
     lines = [f"{'N':>3} {'dim':>10} {'slope':>9} {'slope/log n':>12}"]
@@ -353,7 +300,7 @@ def _cmd_entropy(args) -> Tuple[dict, bool, str]:
 
 
 def _cmd_reproduce(args) -> Tuple[dict, bool, str]:
-    if args.criteria:
+    if args.criteria is not None:
         try:
             wanted = sorted({int(part) for part in args.criteria.split(",")})
         except ValueError:
@@ -515,7 +462,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     start = perf_counter()
     try:
         results, ok, compact = args.handler(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = perf_counter() - start

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 IntMatrix = List[List[int]]
 
@@ -168,33 +168,16 @@ class FGAbelianGroup:
 TRIVIAL_GROUP = FGAbelianGroup()
 
 
-def _factorize(x: int) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    d = 2
-    while d * d <= x:
-        while x % d == 0:
-            out[d] = out.get(d, 0) + 1
-            x //= d
-        d += 1
-    if x > 1:
-        out[x] = out.get(x, 0) + 1
-    return out
-
-
 def invariant_factors(cyclic_orders: List[int]) -> Tuple[int, ...]:
-    """Rewrite a direct sum of cyclic groups as a divisibility chain."""
-    exps: Dict[int, List[int]] = {}
-    for t in cyclic_orders:
-        if t <= 1:
-            continue
-        for p, e in _factorize(t).items():
-            exps.setdefault(p, []).append(e)
-    depth = max((len(v) for v in exps.values()), default=0)
-    factors = [1] * depth
-    for p, es in exps.items():
-        for slot, e in enumerate(sorted(es, reverse=True)):
-            factors[slot] *= p ** e
-    return tuple(sorted(f for f in factors if f > 1))
+    """Rewrite a direct sum of cyclic groups as a divisibility chain.
+
+    The sum of the Z_t is the cokernel of diag(t), so its invariant factors
+    come from the Smith normal form, with no factoring of the orders.
+    """
+    orders = [t for t in cyclic_orders if t > 1]
+    diag = [[t if i == j else 0 for j in range(len(orders))]
+            for i, t in enumerate(orders)]
+    return cokernel(diag).torsion
 
 
 def direct_sum(a: FGAbelianGroup, b: FGAbelianGroup) -> FGAbelianGroup:

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from omnalg.algebra import (AlgebraParams, Element, Monomial, all_words,
-                            mul_monomials, push_exponent, shift_through)
+                            monomial_from_json_obj, mul_monomials, push_exponent,
+                            shift_through)
 from omnalg.exact import QQi
 from omnalg.representations import monomial_affine_map, window_labels
 
@@ -293,6 +294,33 @@ def test_serialization_round_trip():
     rec = Element.monomial(P12, (1,), -2, (2,),
                            coeff=QQi(Fraction(1, 3), Fraction(-2, 7))).to_json_obj()
     assert rec == [{"mu": [1], "k": -2, "nu": [2], "re": "1/3", "im": "-2/7"}]
+
+
+@pytest.mark.parametrize("bad", [
+    5, "x", None, [1], {"mu": [1], "k": 0},
+    {"mu": [1], "k": 1e400, "nu": []}, {"mu": [1], "k": 1.5, "nu": []},
+    {"mu": [1], "k": True, "nu": []}, {"mu": [1], "k": "3", "nu": []},
+    {"mu": [1], "k": None, "nu": []}, {"mu": [True], "k": 0, "nu": []},
+    {"mu": 5, "k": 0, "nu": []}, {"mu": [0], "k": 0, "nu": []},
+    {"mu": [1.0], "k": 0, "nu": []}, {"mu": [], "k": 0, "nu": "1"},
+    {"mu": [], "k": 0, "nu": [], "re": 5}, {"mu": [], "k": 0, "nu": [], "im": None},
+    {"mu": [], "k": 0, "nu": [], "re": "1/0"}, {"mu": [], "k": 0, "nu": [], "im": "x"},
+])
+def test_from_json_obj_rejects_malformed_terms(bad):
+    # a malformed term is a ValueError, never a coerced value or another error
+    with pytest.raises(ValueError):
+        Element.from_json_obj(P12, [{"mu": [1], "k": 0, "nu": []}, bad])
+    if isinstance(bad, dict) and not ({"re", "im"} & bad.keys()):
+        with pytest.raises(ValueError):
+            monomial_from_json_obj(P12, bad)
+
+
+def test_from_json_obj_needs_a_term_list():
+    for obj in ({"mu": [], "k": 0, "nu": []}, 5, "[]", None):
+        with pytest.raises(ValueError):
+            Element.from_json_obj(P12, obj)
+    mon = monomial_from_json_obj(P12, {"mu": [2], "k": -3, "nu": [1, 2]})
+    assert mon == Monomial((2,), -3, (1, 2))
 
 
 # -- the zero test against two independent oracles -------------------------

@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import sys
 from time import perf_counter
 
@@ -282,3 +283,209 @@ def test_reproduce_subset(monkeypatch, capsys):
 
 def test_unknown_subcommand_exits_two(monkeypatch, capsys):
     assert run(["frobnicate"], monkeypatch, capsys)[0] == 2
+
+
+def test_kgroups_at_a_mersenne_prime_answers_quickly(monkeypatch, capsys):
+    # n - 1 = 2^61 - 1 is prime: invariant factors must not trial-divide it
+    n, p = str(2 ** 61), [2 ** 61 - 1]
+    start = perf_counter()
+    code, out, _ = run(["kgroups", "--m", "1", "--n", n], monkeypatch, capsys)
+    assert perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["K0"]["torsion"] == p
+    start = perf_counter()
+    code, out, _ = run(["kgroups-fixed", "--m-parity", "even", "--n", n,
+                        "--json"], monkeypatch, capsys)
+    assert perf_counter() - start < 1.0
+    results = json.loads(out)["results"]
+    assert code == 0 and results["reference_k0"]["torsion"] == p
+    assert results["computed_k0"]["torsion"] == p + p
+
+
+# -- malformed input: every case exits 2 with a message ---------------------
+#
+# Cases change the type or the shape of one value in a valid request, never
+# its size.  Term fields are JSON text, so "1e400" reaches the parser as the
+# literal the user typed.
+
+VALID_TERM = {"mu": "[1]", "k": "0", "nu": "[2]", "re": '"1/2"', "im": '"0"'}
+MONOMIAL_MUTATIONS = (
+    [("k", text) for text in ("1e400", "1.5", "true", '"3"', "null")]
+    + [(key, text) for key in ("mu", "nu") for text in ("[true]", "5", "[0]")]
+)
+COEFF_MUTATIONS = [(key, text) for key in ("re", "im")
+                   for text in ("5", '"1/0"', '"x"')]
+MISSING = [(key, None) for key in ("mu", "k", "nu")]
+NOT_A_TERM = ("5", '"x"', "null", "[1]", "true")
+
+
+def term_text(fields: dict, key=None, text=None) -> str:
+    fields = dict(fields)
+    if text is None:
+        fields.pop(key, None)
+    else:
+        fields[key] = text
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+
+
+def _bad_terms():
+    for key, text in MONOMIAL_MUTATIONS + COEFF_MUTATIONS + MISSING:
+        yield term_text(VALID_TERM, key, text)
+    yield from NOT_A_TERM
+
+
+def malformed_cases():
+    mn = ["--m", "1", "--n", "2"]
+    good = term_text(VALID_TERM)
+    for term in _bad_terms():
+        for cmd in ("normalize", "iszero", "kms"):
+            yield [cmd, *mn], f"[{good}, {term}]"
+        yield ["mul", *mn], f'{{"a": [{term}], "b": [{good}]}}'
+        yield ["mul", *mn], f'{{"a": [{good}], "b": [{term}]}}'
+    # the monomial flag reads mu, k and nu only
+    mono = {"mu": "[2]", "k": "1", "nu": "[1, 1]"}
+    for key, text in MONOMIAL_MUTATIONS + MISSING:
+        for action in ("test", "rewrite"):
+            yield (["fixed-point", action, "--m", "1", "--n", "3", "--monomial",
+                    term_text(mono, key, text)], "")
+    for text in NOT_A_TERM + ("{", "[" * 100_000):
+        yield ["fixed-point", "test", "--m", "1", "--n", "3", "--monomial", text], ""
+    for stdin in ('{"a": 1}', "5", '"x"', "null", "not json", "[",
+                  "[" * 100_000, ""):
+        for cmd in ("normalize", "iszero", "kms"):
+            yield [cmd, *mn], stdin
+    for stdin in ("[]", '{"a": []}', '{"a": 5, "b": []}', '{"a": [], "b": {}}'):
+        yield ["mul", *mn], stdin
+    # bad flag values, every subcommand
+    for flags in (["--m", "2", "--n", "4"], ["--m", "0", "--n", "2"],
+                  ["--m", "1"], ["--m", "x", "--n", "2"]):
+        for cmd in ("normalize", "mul", "iszero", "kms"):
+            yield [cmd, *flags], f"[{good}]"
+    for argv in (
+        ["kgroups", "--m", "2", "--n", "4"], ["kgroups", "--m", "0", "--n", "2"],
+        ["kgroups", "--m", "1", "--n", "-2"], ["kgroups", "--n", "2"],
+        ["kgroups", "--method", "pv", "--m", "3", "--n", "1"],
+        ["kgroups", "--method", "x", "--m", "1", "--n", "2"],
+        ["kgroups-fixed", "--m-parity", "odd", "--n", "1"],
+        ["kgroups-fixed", "--m-parity", "even", "--n", "-3"],
+        ["kgroups-fixed", "--m-parity", "x", "--n", "3"],
+        ["kgroups-fixed", "--m-parity", "odd"],
+        ["fixed-point", "test", "--m", "1", "--n", "2",
+         "--monomial", '{"mu": [], "k": 0, "nu": []}'],
+        ["fixed-point", "rewrite", "--m", "1", "--n", "3",
+         "--monomial", '{"mu": [], "k": 1, "nu": []}'],
+        ["subalgebra", "power", "--m", "1", "--n", "2", "--k", "0"],
+        ["subalgebra", "zk", "--m", "1", "--n", "2", "--k", "-1"],
+        ["subalgebra", "power", "--m", "1", "--n", "2", "--k", "1", "--bound", "-1"],
+        ["subalgebra", "zk", "--m", "2", "--n", "4", "--k", "1"],
+        ["subalgebra", "zk", "--m", "1", "--n", "2", "--k", "1.5"],
+        ["rieffel", "verify", "--grid", "0"], ["rieffel", "verify", "--grid", "-8"],
+        ["rieffel", "verify", "--grid", "96"], ["rieffel", "trace", "--m", "1"],
+        ["rieffel", "k0class", "--m", "2", "--n", "3"],
+        ["rep", "check", "--m", "1", "--n", "2", "--window", "4"],
+        ["rep", "check", "--m", "1", "--n", "2", "--window", "1,2,3"],
+        ["rep", "check", "--m", "1", "--n", "2", "--window", "a,b"],
+        ["rep", "check", "--m", "1", "--n", "2", "--window", ""],
+        ["rep", "check", "--m", "2", "--n", "4"],
+        ["rep", "check", "--m", "1", "--n", "2", "--variant", "C"],
+        ["solenoid", "points", "--m", "1", "--period", "2"],
+        ["solenoid", "points", "--m", "-3", "--period", "2"],
+        ["solenoid", "points", "--m", "2", "--period", "0"],
+        ["solenoid", "points", "--period", "2"],
+        ["solenoid", "rep", "--m", "2", "--period", "2", "--phase", "x"],
+        ["solenoid", "rep", "--m", "2", "--period", "2", "--phase", "1/0"],
+        ["solenoid", "rep", "--m", "2", "--period", "2", "--phase", ""],
+        ["solenoid", "rep", "--m", "2", "--period", "2", "--residue", "-1"],
+        ["solenoid", "rep", "--m", "2", "--period", "2", "--residue", "0"],
+        ["entropy", "--m", "2", "--n", "3", "--s", "0", "--nmax", "2"],
+        ["entropy", "--m", "1", "--n", "2", "--s", "-1", "--nmax", "2"],
+        ["entropy", "--m", "1", "--n", "2", "--s", "0", "--nmax", "0"],
+        ["entropy", "--m", "1", "--n", "2", "--s", "x", "--nmax", "2"],
+        ["reproduce", "--criteria", "0"], ["reproduce", "--criteria", "12"],
+        ["reproduce", "--criteria", "one"], ["reproduce", "--criteria", "1,,2"],
+        ["reproduce", "--criteria", ""], ["reproduce", "--seed", "x"],
+        ["frobnicate"], [],
+    ):
+        yield argv, ""
+
+
+def call(argv, stdin, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    try:
+        code = main(argv)
+    except Exception as exc:  # a process would show this as a traceback
+        pytest.fail(f"{argv} with stdin {stdin[:80]!r} raised {exc!r}")
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+SUBCOMMANDS = {"normalize", "mul", "iszero", "kms", "kgroups", "kgroups-fixed",
+               "fixed-point", "subalgebra", "rieffel", "rep", "solenoid",
+               "entropy", "reproduce", "frobnicate"}
+
+
+def test_every_named_malformed_case_exits_two(monkeypatch, capsys):
+    cases = list(malformed_cases())
+    assert {argv[0] for argv, _ in cases if argv} == SUBCOMMANDS
+    for argv, stdin in cases:
+        code, out, err = call(argv, stdin, monkeypatch, capsys)
+        assert (code, out) == (2, ""), (argv, stdin[:80], out)
+        assert "error:" in err and "Traceback" not in err, (argv, stdin[:80])
+
+
+# valid, cheap requests for all 13 subcommands; the sweep mutates them
+SWEEP_BASE = (
+    (["normalize", "--m", "1", "--n", "2"], "terms"),
+    (["iszero", "--m", "2", "--n", "3"], "terms"),
+    (["kms", "--m", "1", "--n", "3"], "terms"),
+    (["mul", "--m", "1", "--n", "2"], "pair"),
+    (["kgroups", "--m", "2", "--n", "3"], ""),
+    (["kgroups-fixed", "--m-parity", "odd", "--n", "3"], ""),
+    (["fixed-point", "rewrite", "--m", "1", "--n", "3", "--monomial",
+      '{"mu": [2], "k": 1, "nu": [1, 1]}'], ""),
+    (["subalgebra", "zk", "--m", "1", "--n", "2", "--k", "3"], ""),
+    (["rieffel", "verify", "--grid", "8"], ""),
+    (["rep", "check", "--m", "1", "--n", "2", "--window", "8,1"], ""),
+    (["solenoid", "rep", "--m", "2", "--period", "3", "--phase", "1/3"], ""),
+    (["entropy", "--m", "1", "--n", "2", "--s", "0", "--nmax", "2"], ""),
+    (["reproduce", "--criteria", "1"], ""),
+)
+FLAG_VALUES = ("0", "-1", "1", "x", "", "1.5", "1/0", "2,3", "[]", "{}")
+
+
+def test_seeded_malformed_sweep(monkeypatch, capsys):
+    # random mutations of valid requests: any exit code but a traceback
+    # would be wrong; a mutated element or monomial must exit 2
+    rng = random.Random(1729)
+    term_mutations = MONOMIAL_MUTATIONS + COEFF_MUTATIONS + MISSING
+    seen = set()
+    for _ in range(400):
+        argv, shape = rng.choice(SWEEP_BASE)
+        argv = list(argv)
+        seen.add(argv[0])
+        stdin, element_broken = "", False
+        if shape:
+            terms = [term_text(VALID_TERM) for _ in range(rng.randint(1, 3))]
+            j = rng.randrange(len(terms))
+            terms[j] = (rng.choice(NOT_A_TERM) if rng.random() < 0.2
+                        else term_text(VALID_TERM, *rng.choice(term_mutations)))
+            element_broken = True
+            stdin = f"[{', '.join(terms)}]"
+            if shape == "pair":
+                halves = [stdin, f"[{term_text(VALID_TERM)}]"]
+                rng.shuffle(halves)
+                stdin = f'{{"a": {halves[0]}, "b": {halves[1]}}}'
+        elif argv[0] == "fixed-point" and rng.random() < 0.5:
+            mono = {"mu": "[2]", "k": "1", "nu": "[1, 1]"}
+            argv[-1] = term_text(mono, *rng.choice(MONOMIAL_MUTATIONS + MISSING))
+            element_broken = True
+        flag_slots = [i for i, a in enumerate(argv) if a.startswith("--")
+                      and i + 1 < len(argv) and argv[i] != "--monomial"]
+        if flag_slots and (not element_broken or rng.random() < 0.5):
+            argv[rng.choice(flag_slots) + 1] = rng.choice(FLAG_VALUES)
+        code, out, err = call(argv, stdin, monkeypatch, capsys)
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, stdin)
+        if element_broken:
+            assert (code, out) == (2, ""), (argv, stdin)
+        if code == 2:
+            assert out == "" and "error:" in err, (argv, stdin)
+    assert seen == SUBCOMMANDS - {"frobnicate"}

@@ -71,6 +71,10 @@ def test_invariant_factors_normalization():
     assert invariant_factors([2, 3]) == (6,)
     assert invariant_factors([1, 1]) == ()
     assert invariant_factors([]) == ()
+    # 2-parts 4, 2, 8 and 3-parts 3, 9, 1 pair off largest with largest
+    assert invariant_factors([12, 18, 8]) == (2, 12, 72)
+    # a Mersenne prime: no factoring, so no trial division up to its root
+    assert invariant_factors([2 ** 61 - 1, 1]) == (2 ** 61 - 1,)
 
 
 def test_fg_group_basics():

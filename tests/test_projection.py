@@ -1,5 +1,6 @@
 """The distinguished projection over (1, 2): exact identities and sampling."""
 
+import cmath
 from fractions import Fraction
 from itertools import product
 
@@ -7,8 +8,9 @@ import pytest
 
 from omnalg.functions import (PiecewiseFunction, dilate, support_pieces,
                               transfer)
-from omnalg.projection import (FuncElement, ProjectionData, assemble_and_square,
-                               build_canonical_data, check_conditions, k0_class,
+from omnalg.projection import (FuncElement, ProjectionData, _Fn, _sample,
+                               assemble_and_square, build_canonical_data,
+                               check_conditions, contract_through, k0_class,
                                kms_trace, sample_element, telescoping_identity)
 
 F = Fraction
@@ -169,3 +171,18 @@ def test_sampler_isometry_words_are_orthonormal():
                 prod = FuncElement.sandwich((), 1, mu) * FuncElement.sandwich(nu, 1, ())
                 diff = prod - one if mu == nu else prod
                 assert sample_element(diff, 64) < 1e-12
+
+
+def test_contraction_phase_sign_matches_pointwise_formula():
+    # S_2 = z S_1 with z(s) = e^{2 pi i s}, so S_1* h S_2 = S_1* (h z) S_1 is
+    # the transfer of h z: t -> 1/2 sum over 2s = t mod 1 of e^{2 pi i s} h(s).
+    # The sup norms sample_element reports cannot see this sign; the table can
+    d = build_canonical_data()
+    size = 64
+    for h in (d.a0, d.b0):
+        table = _sample(contract_through(1, 2, _Fn.from_exact(h)), size, {})
+        for k in range(size):
+            t = F(k, size)
+            want = sum(cmath.exp(2j * cmath.pi * float(s)) * float(h.evaluate(s))
+                       for s in (t / 2, (t + 1) / 2)) / 2
+            assert abs(table[k] - want) < 1e-12, (k, table[k], want)
