@@ -101,6 +101,11 @@ class GeneratorWord:
                 acc = acc * s1.adjoint()
         return acc
 
+    def represents(self, mon: Monomial) -> bool:
+        """Whether the word multiplies out to mon, by the exact zero test."""
+        target = Element.monomial(self.params, mon.mu, mon.k, mon.nu)
+        return (self.to_element() - target).is_zero()
+
     def __str__(self) -> str:
         bits = []
         for tok in self.tokens:
@@ -205,6 +210,8 @@ def subalgebra_witness_power(params: AlgebraParams, k: int,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if size_bound < 1:
+        raise ValueError(f"size bound {size_bound} must be >= 1")
     count = params.n ** k
     if count > size_bound:
         raise ValueError(f"n^k = {count} exceeds size bound {size_bound}")

@@ -182,6 +182,8 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int,
         raise ValueError("growth estimate requires m = 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if term_bound < 1:
+        raise ValueError(f"term bound {term_bound} must be >= 1")
     n = params.n
     window = monomial_window(params, s)
     level = (n_max - 1) + s
@@ -250,12 +252,7 @@ def rho_matrix(params: AlgebraParams, mon: Monomial, r: int, l: int,
 
     x = _iterate_endo(Element.monomial(params, mon.mu, mon.k, mon.nu), l)
     words = list(all_words(params.n, r))
-    lifts = []
-    for w in words:
-        acc = Element.unit(params)
-        for letter in w:
-            acc = acc * Element.isometry(params, letter)
-        lifts.append(acc)
+    lifts = [Element.monomial(params, w, 0, ()) for w in words]
     # surplus letters survive into each entry as a word of this length
     surplus = len(mon.mu) - len(mon.nu)
     want_mu, want_nu = max(surplus, 0), max(-surplus, 0)

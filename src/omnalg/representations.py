@@ -121,6 +121,8 @@ def relation_residuals(params: AlgebraParams, variant: str = "A",
     so every relation instance over the base window is checkable and the
     coverage fraction is 1.  Violations are collected, never raised.
     """
+    if num_bound < 0 or exp_bound < 0:
+        raise ValueError(f"window bounds must be >= 0, got {num_bound},{exp_bound}")
     m, n = params.m, params.n
     labels = window_labels(m, num_bound, exp_bound)
     grown = [num_bound, exp_bound if m > 1 else 0]
@@ -397,15 +399,8 @@ def precompose_shift_inverse(m: int, exponents: LaurentMonomial) -> LaurentMonom
 
 def precompose_shift(point: SolenoidPeriodicPoint,
                      exponents: LaurentMonomial) -> PhaseMatrix:
-    """rho_x(f∘σ) directly from phases (used to probe the wrong orientation)."""
-    k = point.period
-    phases = []
-    for j in range(k):
-        ph = Fraction(0)
-        for i, a in exponents.items():
-            ph += a * point.coordinate_phase(i + j + 1)
-        phases.append(ph % 1)
-    return PhaseMatrix.diagonal(phases)
+    """rho_x(f∘σ), x_i moved to x_{i+1} (used to probe the wrong orientation)."""
+    return coordinate_diagonal(point, {i + 1: a for i, a in exponents.items()})
 
 
 def solenoid_rep_check(point: SolenoidPeriodicPoint, z_phase: Fraction,
@@ -430,15 +425,16 @@ def solenoid_rep_check(point: SolenoidPeriodicPoint, z_phase: Fraction,
     rn = rhs.to_complex()
     float_residual = max(abs(num[i][j] - rn[i][j]) for i in range(k) for j in range(k))
 
+    unitary = u.is_unitary()
     return {
         "m": point.m,
         "period": k,
         "residue": point.residue,
         "z_phase": str(z_phase),
-        "unitary": u.is_unitary(),
+        "unitary": unitary,
         "covariance_exact": lhs == rhs,
         "orientations_distinct": rhs != wrong,
         "wrong_orientation_holds": lhs == wrong,
         "float_residual": float_residual,
-        "pass": u.is_unitary() and lhs == rhs and float_residual < 1e-12,
+        "pass": unitary and lhs == rhs and float_residual < 1e-12,
     }

@@ -44,14 +44,13 @@ def criterion_1(seed: int = DEFAULT_SEED) -> dict:
                want1: ktheory.FGAbelianGroup) -> None:
         nonlocal checked
         checked += 1
-        six = ktheory.six_term_kgroups(m, n)
+        report = ktheory.kgroups_by_method(m, n)
+        six = report["six_term"]
         if six != (want0, want1):
             failures.append(f"({m},{n}): six-term gave {six[0]}, {six[1]}; "
                             f"wanted {want0}, {want1}")
-        if n < 2:  # the dual-action splice needs the gauge circle action
-            return
-        pv = ktheory.pv_dual_action_kgroups(m, n)
-        if six != pv:
+        if not report["pass"]:
+            pv = report["pv"]
             failures.append(f"({m},{n}): six-term {six[0]}, {six[1]} but "
                             f"dual-action splice {pv[0]}, {pv[1]}")
 
@@ -76,25 +75,21 @@ def criterion_1(seed: int = DEFAULT_SEED) -> dict:
 # -- criterion 2: the projection ------------------------------------------
 
 
-def criterion_2(seed: int = DEFAULT_SEED, grid: int = 4096) -> dict:
+def criterion_2(seed: int = DEFAULT_SEED,
+                grid: int = projection.DEFAULT_GRID) -> dict:
     """Exact projection identities plus the numeric squaring residual."""
-    data = projection.build_canonical_data()
-    conditions = projection.check_conditions(data)
-    trace = projection.kms_trace(data)
-    k0 = projection.k0_class(data)
-    square = projection.assemble_and_square(data, grid=grid)
-    ok = (conditions["pass"] and trace == Fraction(7, 16) and k0 == -4
-          and square["pass"])
+    report = projection.verify(projection.build_canonical_data(), grid=grid)
+    conditions, square = report["conditions"], report["square"]
     return {
-        "pass": ok,
+        "pass": report["pass"],
         "checked": len(conditions["identities"]) + 3,
         "details": {
             "conditions": conditions["pass"],
             "failed_identities": [name for name, rec
                                   in conditions["identities"].items()
                                   if not rec["pass"]],
-            "trace": f"{trace}",
-            "k0_class": k0,
+            "trace": report["trace"],
+            "k0_class": report["k0_class"],
             "grid": square["grid"],
             "residual": square["residual"],
             "residual_doubled": square["residual_doubled"],
@@ -124,16 +119,11 @@ def criterion_3(seed: int = DEFAULT_SEED, per_pair: int = 1000) -> dict:
     failures: List[str] = []
     for m, n in ((1, 3), (2, 5), (3, 5)):
         params = AlgebraParams(m, n)
-        mod = actions.rotation_modulus(params)
         for _ in range(per_pair):
             mon = _random_fixed_monomial(rng, params)
             checked += 1
             word = actions.fixed_point_rewrite(params, mon)
-            if any(e % mod for e in word.exponents()):
-                failures.append(f"({m},{n}) {mon}: exponent escaped {mod}Z")
-                continue
-            target = Element.monomial(params, mon.mu, mon.k, mon.nu)
-            if not (word.to_element() - target).is_zero():
+            if not word.represents(mon):
                 failures.append(f"({m},{n}) {mon}: round trip failed")
     return {"pass": not failures, "checked": checked,
             "details": {"failures": failures[:5],
@@ -149,24 +139,16 @@ def criterion_4(seed: int = DEFAULT_SEED) -> dict:
     failures: List[str] = []
     for m, n in ((1, 2), (2, 3)):
         params = AlgebraParams(m, n)
-        for k in (1, 2, 3):
-            if n ** k > 81:
-                continue
+        runs = [(actions.subalgebra_witness_power, k) for k in (1, 2, 3)]
+        runs += [(actions.subalgebra_witness_zk, k) for k in range(1, 8)
+                 if gcd(k, n) == 1]
+        for witness, k in runs:
             checked += 1
-            report = actions.subalgebra_witness_power(params, k)
+            report = witness(params, k)
             if not report["pass"]:
                 bad = [r for r, rec in report["relations"].items()
                        if not rec["ok"]]
-                failures.append(f"power ({m},{n}) k={k}: {bad}")
-        for k in range(1, 8):
-            if gcd(k, n) != 1:
-                continue
-            checked += 1
-            report = actions.subalgebra_witness_zk(params, k)
-            if not report["pass"]:
-                bad = [r for r, rec in report["relations"].items()
-                       if not rec["ok"]]
-                failures.append(f"zk ({m},{n}) k={k}: {bad}")
+                failures.append(f"{report['kind']} ({m},{n}) k={k}: {bad}")
     return {"pass": not failures, "checked": checked,
             "details": {"failures": failures}}
 
@@ -245,14 +227,11 @@ def criterion_5(seed: int = DEFAULT_SEED) -> dict:
                 failures.append(f"{parity} n={n}: U*M*V != D")
             if abs(ktheory.determinant(u)) != 1 or abs(ktheory.determinant(v)) != 1:
                 failures.append(f"{parity} n={n}: transform not unimodular")
-            if not rep["agrees_k1"]:
-                failures.append(f"{parity} n={n}: K1 {rep['computed_k1']} != "
-                                f"published {rep['reference_k1']}")
-            if parity == "odd":
-                if not rep["agrees_k0"]:
-                    failures.append(f"odd n={n}: K0 {rep['computed_k0']} != "
-                                    f"published {rep['reference_k0']}")
-            else:
+            if not rep["pass"]:
+                failures.append(f"{parity} n={n}: K0, K1 = {rep['computed_k0']}, "
+                                f"{rep['computed_k1']}; published "
+                                f"{rep['reference_k0']}, {rep['reference_k1']}")
+            if parity == "even":
                 # the even computation genuinely departs from the published
                 # single cyclic group once n > 2; the report must say so
                 expect_agree = n == 2
@@ -296,10 +275,9 @@ def criterion_6(seed: int = DEFAULT_SEED) -> dict:
             checked += 1
             report = representations.relation_residuals(
                 params, variant, num_bound=256, exp_bound=4)
-            if report["violations"] or report["coverage"] < 0.95:
+            if not report["pass"]:
                 failures.append(f"({m},{n}) variant {variant}: "
-                                f"{len(report['violations'])} violations, "
-                                f"coverage {report['coverage']}")
+                                f"{len(report['violations'])} violations")
         checked += 1
         if representations.isometry_image(params, 2, "A", Fraction(0)) != 0:
             failures.append(f"({m},{n}): S_2 e_0 != e_0 in variant A")
@@ -320,7 +298,7 @@ def criterion_6(seed: int = DEFAULT_SEED) -> dict:
                     for exps in ({0: 1}, {0: 2, 1: -1}):
                         checked += 1
                         rep = representations.solenoid_rep_check(point, phase, exps)
-                        if not (rep["pass"] and rep["covariance_exact"]):
+                        if not rep["pass"]:
                             failures.append(f"m={m} k={k} r={point.residue} "
                                             f"phase={phase}: covariance failed")
     return {"pass": not failures, "checked": checked,
@@ -445,8 +423,6 @@ def criterion_9(seed: int = DEFAULT_SEED, sweeps: int = 200) -> dict:
         if not report["pass"]:
             failures.append(f"tuple {i}: {mon} s={s} l={l} r={r} -> "
                             f"exponents {report['exponents']}")
-        if len(report["exponents"]) > 2 or not report["consecutive"]:
-            failures.append(f"tuple {i}: exponent set {report['exponents']}")
     return {"pass": not failures, "checked": checked,
             "details": {"failures": failures[:5],
                         "failure_count": len(failures)}}

@@ -47,6 +47,56 @@ def test_kgroups_json_envelope(monkeypatch, capsys):
     assert report["results"]["six_term"]["K0"] == {"free_rank": 0, "torsion": [2]}
 
 
+# -- the --json report fields, one valid request per subcommand -------------
+
+ENVELOPE = ["schema", "command", "params", "results", "pass", "elapsed_s"]
+TERMS = '[{"mu": [1], "k": 0, "nu": [2], "re": "1/2"}]'
+REPORT_FIELDS = (
+    (["normalize", "--m", "1", "--n", "2"], TERMS, 0, ["term_count", "terms"]),
+    (["mul", "--m", "1", "--n", "2"], f'{{"a": {TERMS}, "b": {TERMS}}}', 0,
+     ["term_count", "terms"]),
+    (["iszero", "--m", "1", "--n", "2"], TERMS, 1, ["is_zero"]),
+    (["kms", "--m", "1", "--n", "2"], TERMS, 0, ["im", "re"]),
+    (["kgroups", "--m", "2", "--n", "3"], "", 0,
+     ["agree", "method", "pv", "six_term"]),
+    (["kgroups-fixed", "--m-parity", "odd", "--n", "3"], "", 0,
+     ["agrees_k0", "agrees_k1", "agrees_unit_class", "computed_k0",
+      "computed_k1", "generator_orders", "m_parity", "matrix", "n", "pass",
+      "reference_k0", "reference_k1", "reference_unit_class_order",
+      "unit_class_order"]),
+    (["fixed-point", "rewrite", "--m", "1", "--n", "3", "--monomial",
+      '{"mu": [2], "k": 1, "nu": [1, 1]}'], "", 0,
+     ["exponents", "modulus", "round_trip", "tokens", "word"]),
+    (["subalgebra", "power", "--m", "1", "--n", "2", "--k", "2"], "", 0,
+     ["generators", "k", "kind", "pass", "relations"]),
+    (["rieffel", "verify", "--grid", "8"], "", 0,
+     ["conditions", "k0_class", "pass", "square", "trace"]),
+    (["rep", "check", "--m", "1", "--n", "2", "--window", "8,1"], "", 0,
+     ["checked", "checks", "coverage", "grown_window", "labels", "m", "n",
+      "pass", "variant", "violations", "window"]),
+    (["solenoid", "rep", "--m", "2", "--period", "3", "--phase", "1/3"], "", 0,
+     ["covariance_exact", "float_residual", "m", "orientations_distinct",
+      "pass", "period", "residue", "unitary", "wrong_orientation_holds",
+      "z_phase"]),
+    (["entropy", "--m", "1", "--n", "2", "--s", "0", "--nmax", "2"], "", 0,
+     ["growth_rate", "log_n", "m", "n", "rows", "s", "truncated", "warning"]),
+    (["reproduce", "--criteria", "1"], "", 0,
+     ["criteria", "pass", "results", "seed"]),
+)
+
+
+@pytest.mark.parametrize("argv, stdin, want_code, fields", REPORT_FIELDS,
+                         ids=[case[0][0] for case in REPORT_FIELDS])
+def test_json_report_fields_are_pinned(argv, stdin, want_code, fields,
+                                       monkeypatch, capsys):
+    code, out, _ = run(argv + ["--json"], monkeypatch, capsys, stdin=stdin)
+    assert code == want_code
+    report = json.loads(out)
+    assert list(report) == ENVELOPE
+    assert report["command"] == argv[0]
+    assert sorted(report["results"]) == fields
+
+
 def test_kgroups_error_paths(monkeypatch, capsys):
     code, _, err = run(["kgroups", "--m", "2", "--n", "4"], monkeypatch, capsys)
     assert code == 2 and "error:" in err
@@ -375,6 +425,7 @@ def malformed_cases():
          "--monomial", '{"mu": [], "k": 1, "nu": []}'],
         ["subalgebra", "power", "--m", "1", "--n", "2", "--k", "0"],
         ["subalgebra", "zk", "--m", "1", "--n", "2", "--k", "-1"],
+        ["subalgebra", "power", "--m", "1", "--n", "2", "--k", "1", "--bound", "0"],
         ["subalgebra", "power", "--m", "1", "--n", "2", "--k", "1", "--bound", "-1"],
         ["subalgebra", "zk", "--m", "2", "--n", "4", "--k", "1"],
         ["subalgebra", "zk", "--m", "1", "--n", "2", "--k", "1.5"],
@@ -385,6 +436,8 @@ def malformed_cases():
         ["rep", "check", "--m", "1", "--n", "2", "--window", "1,2,3"],
         ["rep", "check", "--m", "1", "--n", "2", "--window", "a,b"],
         ["rep", "check", "--m", "1", "--n", "2", "--window", ""],
+        ["rep", "check", "--m", "1", "--n", "2", "--window", "2,-1"],
+        ["rep", "check", "--m", "1", "--n", "2", "--window=-1,2"],
         ["rep", "check", "--m", "2", "--n", "4"],
         ["rep", "check", "--m", "1", "--n", "2", "--variant", "C"],
         ["solenoid", "points", "--m", "1", "--period", "2"],
@@ -400,6 +453,8 @@ def malformed_cases():
         ["entropy", "--m", "1", "--n", "2", "--s", "-1", "--nmax", "2"],
         ["entropy", "--m", "1", "--n", "2", "--s", "0", "--nmax", "0"],
         ["entropy", "--m", "1", "--n", "2", "--s", "x", "--nmax", "2"],
+        ["entropy", "--m", "1", "--n", "2", "--s", "0", "--nmax", "3", "--bound", "0"],
+        ["entropy", "--m", "1", "--n", "2", "--s", "0", "--nmax", "3", "--bound", "-1"],
         ["reproduce", "--criteria", "0"], ["reproduce", "--criteria", "12"],
         ["reproduce", "--criteria", "one"], ["reproduce", "--criteria", "1,,2"],
         ["reproduce", "--criteria", ""], ["reproduce", "--seed", "x"],

@@ -9,9 +9,10 @@ import pytest
 
 from omnalg.ktheory import (FGAbelianGroup, LocalizedGroup, LocalizedMap,
                             class_order, cokernel, determinant, direct_sum,
-                            invariant_factors, kernel, localized_coker_ker,
-                            mat_mul, pv_dual_action_kgroups, six_term_kgroups,
-                            smith_normal_form, symmetry_fixed_kgroups)
+                            invariant_factors, kernel, kgroups_by_method,
+                            localized_coker_ker, mat_mul, pv_dual_action_kgroups,
+                            six_term_kgroups, smith_normal_form,
+                            symmetry_fixed_kgroups)
 
 
 def int_det(mat):
@@ -173,8 +174,18 @@ def test_dual_action_agrees_with_six_term():
             if math.gcd(m, n) != 1:
                 continue
             assert pv_dual_action_kgroups(m, n) == six_term_kgroups(m, n)
+            report = kgroups_by_method(m, n)
+            assert report["agree"] is True and report["pass"] is True
+            assert report["pv"] == report["six_term"] == six_term_kgroups(m, n)
     with pytest.raises(ValueError):
         pv_dual_action_kgroups(3, 1)
+    # below n = 2 "both" has only the six-term answer, and passes on it
+    assert kgroups_by_method(3, 1) == {"method": "both", "pass": True,
+                                       "six_term": six_term_kgroups(3, 1)}
+    assert set(kgroups_by_method(3, 2, "pv")) == {"method", "pv", "pass"}
+    for method, m, n in (("pv", 3, 1), ("x", 1, 2)):
+        with pytest.raises(ValueError):
+            kgroups_by_method(m, n, method)
 
 
 def test_symmetry_fixed_odd_family():
@@ -186,7 +197,7 @@ def test_symmetry_fixed_odd_family():
     assert r3["generator_orders"] == {"e0": 2, "e1": None, "e2": 2}
     for n in range(2, 11):
         r = symmetry_fixed_kgroups("odd", n)
-        assert r["agrees_k0"] and r["agrees_k1"]
+        assert r["agrees_k0"] and r["agrees_k1"] and r["pass"]
         assert r["agrees_unit_class"]
         assert r["computed_k1"].torsion == ()
 
@@ -196,6 +207,7 @@ def test_symmetry_fixed_even_family():
         r = symmetry_fixed_kgroups("even", n)
         assert r["agrees_k1"]
         assert r["agrees_k0"] == (n == 2)
+        assert r["pass"]  # the even K0 departure is data, not a failure
         assert r["computed_k1"].torsion == ()
     r4 = symmetry_fixed_kgroups("even", 4)
     assert str(r4["computed_k0"]) == "Z_3 + Z_3"

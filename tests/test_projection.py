@@ -11,7 +11,8 @@ from omnalg.functions import (PiecewiseFunction, dilate, support_pieces,
 from omnalg.projection import (FuncElement, ProjectionData, _Fn, _sample,
                                assemble_and_square, build_canonical_data,
                                check_conditions, contract_through, k0_class,
-                               kms_trace, sample_element, telescoping_identity)
+                               kms_trace, sample_element, telescoping_identity,
+                               verify)
 
 F = Fraction
 
@@ -112,6 +113,9 @@ def test_assemble_and_square_canonical():
     assert report["residual"] < 1e-9
     assert report["grid_stable"]
     assert report["self_adjoint_defect"] == 0.0
+    full = verify(build_canonical_data(), grid=256)
+    assert full["pass"] and full["square"] == report
+    assert (full["trace"], full["k0_class"]) == ("7/16", -4)
 
 
 def test_assemble_and_square_rejects_flat_control():
