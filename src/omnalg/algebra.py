@@ -324,7 +324,11 @@ class Element:
                     w, k2 = push_exponent(self.params, mon.k, delta)
                     targets.append(Monomial(mon.mu + w, k2, mon.nu + delta))
             for t in targets:
-                acc = out.get(t, QQI_ZERO) + c
+                acc = out.get(t)
+                if acc is None:
+                    out[t] = c  # terms are non-zero, so c stands as it is
+                    continue
+                acc = acc + c
                 if acc.is_zero():
                     out.pop(t, None)
                 else:

@@ -50,6 +50,10 @@ SOLENOID_RESIDUE_LIMIT = 1 << 16
 # acceptance sweep uses 4096, and at this limit the check takes about 7 s
 # and 93 MB peak RSS (Python 3.11.7, 2 cores)
 RIEFFEL_GRID_LIMIT = 1 << 14
+# rep check --window P,Q checks up to (2P+1)(Q+1) labels (2P+1 when m = 1);
+# the default 256,4 has 2 565, and at this limit (3, 5) takes about 5 s
+# (Python 3.11.7, 2 cores)
+REP_LABEL_LIMIT = 1 << 14
 
 
 class UsageError(ValueError):
@@ -201,6 +205,14 @@ def _cmd_rep(args) -> Tuple[dict, bool, str]:
         num_bound, exp_bound = (int(part) for part in args.window.split(","))
     except ValueError:
         raise UsageError("--window expects two integers as P,Q") from None
+    # negative bounds are left to the check in `representations`
+    labels = 2 * max(num_bound, 0) + 1
+    if params.m > 1:
+        labels *= max(exp_bound, 0) + 1
+    if labels > REP_LABEL_LIMIT:
+        raise UsageError(f"rep check --window {num_bound},{exp_bound} would check "
+                         f"up to {labels} labels, more than the limit of "
+                         f"{REP_LABEL_LIMIT}")
     report = representations.relation_residuals(
         params, args.variant, num_bound=num_bound, exp_bound=exp_bound)
     compact = _compact({

@@ -5,8 +5,8 @@ monomial window together with its images under the canonical
 endomorphism, term by term.  Dimensions are ranks of exact coefficient
 matrices: every element is refined so all annihilation words share one
 length, at which point distinct triples are linearly independent and a
-sparse echelon pass over Gaussian-rational rows gives the rank with no
-sampling involved.
+fraction-free sparse echelon pass over Gaussian-integer rows gives the
+rank with no sampling involved.
 
 The compression map sends x to the matrix (S_mu^* x S_nu) over all
 length-r words; for admissible inputs each entry collapses to a single
@@ -26,6 +26,8 @@ from .algebra import AlgebraParams, Element, Monomial, all_words
 from .exact import QQi
 
 Word = Tuple[int, ...]
+# a Gaussian integer re + im*i as the pair (re, im)
+GaussInt = Tuple[int, int]
 
 
 def word_value(word: Word, n: int) -> int:
@@ -66,32 +68,89 @@ def monomial_window(params: AlgebraParams, s: int,
 
 
 class _Echelon:
-    """Incremental sparse echelon over the Gaussian rationals."""
+    """Incremental sparse echelon over the Gaussian integers Z[i].
+
+    A Gaussian-rational row is scaled once by the lcm L of the
+    denominators of all its real and imaginary parts, so its entries
+    become Gaussian integers, stored as (re, im) pairs of ints.  A row
+    whose leading key already has a pivot is reduced by
+
+        row <- p * row - c * pivot,
+
+    with p the pivot's and c the row's leading entry, which cancels the
+    leading key; the row is then divided by the integer gcd of all its
+    parts, and pivots are stored in that same primitive form.
+
+    Why the rank is the rank over Q(i): Z[i] is an integral domain whose
+    field of fractions is Q(i), so each step is invertible over Q(i).
+    Scaling by L or dividing by a gcd multiplies by a non-zero rational,
+    and as p != 0 the old row is (new row + c * pivot) / p, so every step
+    leaves the Q(i)-span of the rows inserted so far unchanged.  A row
+    reduces to nothing exactly when it lies in the span of the pivots,
+    and pivots with distinct leading keys are linearly independent, so
+    `rank` counts the dimension of that span.  No Fraction or QQi is
+    built inside the elimination loop.
+    """
 
     def __init__(self) -> None:
-        self.pivots: Dict[Monomial, Dict[Monomial, QQi]] = {}
+        self.pivots: Dict[Monomial, Dict[Monomial, GaussInt]] = {}
 
     def insert(self, row: Dict[Monomial, QQi]) -> bool:
         """Reduce row against the basis; returns True if rank grew."""
-        row = {k: v for k, v in row.items() if not v.is_zero()}
-        while row:
-            key = min(row)
-            coeff = row[key]
+        work = _integral_row(row)
+        while work:
+            key = min(work)
             piv = self.pivots.get(key)
             if piv is None:
-                self.pivots[key] = {k: v / coeff for k, v in row.items()}
+                self.pivots[key] = work
                 return True
-            for k, v in piv.items():
-                delta = row.get(k, QQi.of(0)) - coeff * v
-                if delta.is_zero():
-                    row.pop(k, None)
-                else:
-                    row[k] = delta
+            work = _eliminate(work, piv, key)
         return False
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+
+def _integral_row(row: Dict[Monomial, QQi]) -> Dict[Monomial, GaussInt]:
+    """Scale a Gaussian-rational row to primitive Gaussian-integer form."""
+    scale = math.lcm(*(part.denominator for v in row.values()
+                       for part in (v.re, v.im)))
+    out = {}
+    for key, v in row.items():
+        if v.re or v.im:
+            out[key] = (v.re.numerator * (scale // v.re.denominator),
+                        v.im.numerator * (scale // v.im.denominator))
+    return _primitive(out)
+
+
+def _eliminate(row: Dict[Monomial, GaussInt], piv: Dict[Monomial, GaussInt],
+               key: Monomial) -> Dict[Monomial, GaussInt]:
+    """p * row - c * piv in primitive form, p and c the entries at key."""
+    pr, pi = piv[key]
+    cr, ci = row[key]
+    if pi == 0 and pr == 1:  # about half the growth-table pivots lead with 1
+        out = dict(row)
+    else:
+        out = {k: (pr * a - pi * b, pr * b + pi * a)
+               for k, (a, b) in row.items()}
+    for k, (a, b) in piv.items():
+        x, y = out.get(k, (0, 0))
+        x -= cr * a - ci * b
+        y -= cr * b + ci * a
+        if x or y:
+            out[k] = (x, y)
+        else:
+            out.pop(k, None)
+    return _primitive(out)
+
+
+def _primitive(row: Dict[Monomial, GaussInt]) -> Dict[Monomial, GaussInt]:
+    """Divide out the integer gcd of every real and imaginary part."""
+    g = math.gcd(*(part for pair in row.values() for part in pair))
+    if g > 1:
+        return {k: (a // g, b // g) for k, (a, b) in row.items()}
+    return row
 
 
 def _refined_row(elem: Element, level: int) -> Dict[Monomial, QQi]:

@@ -107,9 +107,8 @@ def _random_fixed_monomial(rng: random.Random, params: AlgebraParams) -> Monomia
     mu = tuple(rng.randint(1, params.n) for _ in range(rng.randint(0, 3)))
     nu = tuple(rng.randint(1, params.n) for _ in range(rng.randint(0, 3)))
     k = rng.randint(-8, 8)
-    skew = sum(i - 1 for i in mu) - sum(j - 1 for j in nu) + k
-    k += (-skew) % mod  # push the rotation weight to 0
-    return Monomial(mu, k, nu)
+    weight = actions.rotation_weight(params, Monomial(mu, k, nu))
+    return Monomial(mu, k + (-weight) % mod, nu)  # push the weight to 0
 
 
 def criterion_3(seed: int = DEFAULT_SEED, per_pair: int = 1000) -> dict:

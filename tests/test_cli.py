@@ -8,7 +8,7 @@ from time import perf_counter
 
 import pytest
 
-from omnalg.cli import RIEFFEL_GRID_LIMIT, SCHEMA, main
+from omnalg.cli import REP_LABEL_LIMIT, RIEFFEL_GRID_LIMIT, SCHEMA, main
 
 RANGE_SUM_MINUS_ONE = json.dumps([
     {"mu": [1], "k": 0, "nu": [1]},
@@ -195,6 +195,11 @@ def test_rieffel_verify_small_grid(monkeypatch, capsys):
     code, _, err = run(["rieffel", "verify", "--grid", "100"],
                        monkeypatch, capsys)
     assert code == 2 and "power of two" in err
+    # 1 = 2^0 is a power of two, so it gets an answer
+    code, out, err = run(["rieffel", "verify", "--grid", "1"],
+                         monkeypatch, capsys)
+    assert code in (0, 1) and "pass" in json.loads(out)
+    assert "Traceback" not in err
 
 
 def test_fixed_point_test_and_rewrite(monkeypatch, capsys):
@@ -281,6 +286,24 @@ def test_rieffel_verify_refuses_too_large_grid(monkeypatch, capsys):
     assert perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert str(grid) in err and str(RIEFFEL_GRID_LIMIT) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mn, window, labels", [
+    ((1, 2), "100000,0", 200_001),
+    ((1, 2), "8192,0", 16_385),  # one label past the limit
+    ((3, 5), "4096,4", 40_965),
+    ((2, 3), f"{10 ** 30},{10 ** 30}", (2 * 10 ** 30 + 1) * (10 ** 30 + 1)),
+])
+def test_rep_check_refuses_too_many_labels(mn, window, labels, monkeypatch,
+                                           capsys):
+    assert labels > REP_LABEL_LIMIT
+    start = perf_counter()
+    code, out, err = run(["rep", "check", "--m", str(mn[0]), "--n", str(mn[1]),
+                          "--window", window], monkeypatch, capsys)
+    assert perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert f"{labels} labels" in err and str(REP_LABEL_LIMIT) in err
     assert "Traceback" not in err
 
 
@@ -430,7 +453,8 @@ def malformed_cases():
         ["subalgebra", "zk", "--m", "2", "--n", "4", "--k", "1"],
         ["subalgebra", "zk", "--m", "1", "--n", "2", "--k", "1.5"],
         ["rieffel", "verify", "--grid", "0"], ["rieffel", "verify", "--grid", "-8"],
-        ["rieffel", "verify", "--grid", "96"], ["rieffel", "trace", "--m", "1"],
+        ["rieffel", "verify", "--grid", "96"], ["rieffel", "verify", "--grid", "3"],
+        ["rieffel", "trace", "--m", "1"],
         ["rieffel", "k0class", "--m", "2", "--n", "3"],
         ["rep", "check", "--m", "1", "--n", "2", "--window", "4"],
         ["rep", "check", "--m", "1", "--n", "2", "--window", "1,2,3"],
@@ -440,6 +464,8 @@ def malformed_cases():
         ["rep", "check", "--m", "1", "--n", "2", "--window=-1,2"],
         ["rep", "check", "--m", "2", "--n", "4"],
         ["rep", "check", "--m", "1", "--n", "2", "--variant", "C"],
+        ["rep", "check", "--m", "1", "--n", "2", "--window", "100000,0"],
+        ["rep", "check", "--m", "3", "--n", "5", "--window", "4096,4"],
         ["solenoid", "points", "--m", "1", "--period", "2"],
         ["solenoid", "points", "--m", "-3", "--period", "2"],
         ["solenoid", "points", "--m", "2", "--period", "0"],

@@ -2,12 +2,15 @@
 
 import math
 import random
+from fractions import Fraction as F
 
 import pytest
 
 from omnalg.algebra import AlgebraParams, Element, Monomial, mul_monomials
-from omnalg.entropy import (entropy_estimate, monomial_window, rho_matrix,
-                            span_dimension, window_size, word_value)
+from omnalg.entropy import (_Echelon, entropy_estimate, monomial_window,
+                            rho_matrix, span_dimension, window_size,
+                            word_value)
+from omnalg.exact import QQi
 
 P12 = AlgebraParams(1, 2)
 P13 = AlgebraParams(1, 3)
@@ -66,11 +69,112 @@ def test_span_dimension_examples():
         span_dimension([Element.unit(AlgebraParams(2, 1))])
 
 
+# -- reference rank: dense elimination over Q(i) on Fraction pairs ----------
+
+
+def _cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def fraction_rank(rows):
+    """Rank over Q(i) of sparse rows {key: QQi}, by Gauss-Jordan on pairs."""
+    keys = sorted({key for row in rows for key in row})
+    zero = (F(0), F(0))
+    mat = [[(F(row[key].re), F(row[key].im)) if key in row else zero
+            for key in keys] for row in rows]
+    rank = 0
+    for col in range(len(keys)):
+        pick = next((r for r in range(rank, len(mat)) if mat[r][col] != zero),
+                    None)
+        if pick is None:
+            continue
+        mat[rank], mat[pick] = mat[pick], mat[rank]
+        a, b = mat[rank][col]
+        inv = (a / (a * a + b * b), -b / (a * a + b * b))
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != zero:
+                f = _cmul(mat[r][col], inv)
+                mat[r] = [(x[0] - g[0], x[1] - g[1])
+                          for x, g in zip(mat[r], (_cmul(f, y)
+                                                   for y in mat[rank]))]
+        rank += 1
+    return rank
+
+
+def random_qqi(rng):
+    # non-trivial denominators and, mostly, a non-zero imaginary part
+    return QQi(F(rng.randint(-9, 9), rng.randint(1, 12)),
+               F(rng.randint(-9, 9), rng.randint(1, 12)))
+
+
+def random_rows(rng, keys, count):
+    """Sparse rows, about a third of them combinations of earlier rows."""
+    rows = []
+    for _ in range(count):
+        if len(rows) >= 2 and rng.random() < 0.35:
+            row = {}
+            for earlier in rng.sample(rows, rng.randint(1, min(3, len(rows)))):
+                c = random_qqi(rng)
+                for key, v in earlier.items():
+                    row[key] = row.get(key, QQi()) + c * v
+            row = {key: v for key, v in row.items() if not v.is_zero()}
+        else:
+            row = {key: random_qqi(rng)
+                   for key in rng.sample(keys, rng.randint(1, 4))}
+        rows.append(row)
+    return rows
+
+
+def test_echelon_matches_fraction_elimination():
+    rng = random.Random(4242)
+    keys = [Monomial(mu, k, nu) for mu in ((), (1,), (2,))
+            for k in (-1, 0, 1) for nu in ((1,), (2,))]
+    checked = dependent = 0
+    for _ in range(40):
+        rows = random_rows(rng, keys, rng.randint(3, 16))
+        ranks = [fraction_rank(rows[:i]) for i in range(len(rows) + 1)]
+        ech = _Echelon()
+        for i, row in enumerate(rows):
+            grew = ranks[i + 1] > ranks[i]
+            assert ech.insert(row) is grew, rows[:i + 1]
+            checked += 1
+            dependent += not grew
+        assert ech.rank == ranks[-1]
+    assert checked > 300 and dependent > 100
+
+
+def test_span_dimension_matches_fraction_elimination():
+    rng = random.Random(4243)
+    deficient = 0
+    for params in (P12, P13):
+        def word():
+            return tuple(rng.randint(1, params.n)
+                         for _ in range(rng.randint(0, 2)))
+        for _ in range(25):
+            elems = []
+            for _ in range(rng.randint(2, 7)):
+                if len(elems) >= 2 and rng.random() < 0.35:
+                    a, b = rng.sample(elems, 2)
+                    elems.append(a.scaled(random_qqi(rng))
+                                 + b.scaled(random_qqi(rng)))
+                else:
+                    elems.append(Element(params, {
+                        Monomial(word(), rng.randint(-2, 2), word()):
+                            random_qqi(rng) for _ in range(rng.randint(1, 3))}))
+            level = max(len(mon.nu) for e in elems for mon, _ in e.items())
+            rows = [dict(e.refine_to_level(level).items()) for e in elems]
+            dim = span_dimension(elems)
+            assert dim == fraction_rank(rows)
+            deficient += dim < len(elems)
+    assert deficient > 10
+
+
 def test_entropy_dimensions_frozen():
-    t2 = entropy_estimate(P12, 0, 5)
-    assert t2.dimensions() == [3, 8, 18, 38, 78]
-    t3 = entropy_estimate(P13, 0, 4)
-    assert t3.dimensions() == [3, 11, 35, 107]
+    # criterion 7's sizes
+    t2 = entropy_estimate(P12, 0, 8)
+    assert t2.dimensions() == [3, 8, 18, 38, 78, 158, 318, 638]
+    t3 = entropy_estimate(P13, 0, 6)
+    assert t3.dimensions() == [3, 11, 35, 107, 323, 971]
     assert not t2.truncated and t2.warning is None
 
 

@@ -118,17 +118,27 @@ def test_assemble_and_square_canonical():
     assert (full["trace"], full["k0_class"]) == ("7/16", -4)
 
 
-def test_assemble_and_square_rejects_flat_control():
-    # constant 1/2 satisfies none of the projection identities: the sampled
-    # residual stays bounded away from zero
+def flat_control() -> ProjectionData:
+    # constant 1/2 satisfies none of the projection identities
     d = build_canonical_data()
     flat = PiecewiseFunction.constant(F(1, 2))
     a1sq = (dilate(flat, 2) - dilate(flat * flat, 2)) * d.delta1
     b1sq = (dilate(d.b0, 2) - dilate(d.b0 * d.b0, 2)) * d.delta2
-    control = ProjectionData(flat, d.b0, a1sq, b1sq, d.delta1, d.delta2)
-    report = assemble_and_square(control, grid=256)
+    return ProjectionData(flat, d.b0, a1sq, b1sq, d.delta1, d.delta2)
+
+
+def test_assemble_and_square_rejects_flat_control():
+    # the sampled residual stays bounded away from zero
+    report = assemble_and_square(flat_control(), grid=256)
     assert not report["pass"]
     assert report["residual"] > 0.2
+
+
+def test_verify_fails_flat_control_without_raising():
+    # its boundary curve jumps by 1/2, so it has no winding number
+    report = verify(flat_control(), grid=16)
+    assert report["pass"] is False and report["k0_class"] is None
+    assert not report["square"]["pass"]
 
 
 def test_assemble_and_square_grid_validation():
