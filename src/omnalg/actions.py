@@ -15,6 +15,7 @@ from math import gcd
 from typing import List, Tuple
 
 from .algebra import AlgebraParams, Element, Monomial
+from .exact import bounded_power
 
 
 def rotation_modulus(params: AlgebraParams) -> int:
@@ -119,11 +120,12 @@ class GeneratorWord:
 
 
 def _solve_residue(value: int, n: int, mod: int) -> int:
-    """Least p in [0, mod) with value + p*n = 0 mod `mod` (n invertible mod `mod`)."""
-    for p in range(mod):
-        if (value + p * n) % mod == 0:
-            return p
-    raise ArithmeticError(f"no residue solves {value} + p*{n} = 0 mod {mod}")
+    """Least p in [0, mod) with value + p*n = 0 mod `mod`.
+
+    n is invertible mod |n - m| because gcd(n, |n - m|) = gcd(n, m) = 1,
+    so p = -value * n^-1 mod `mod` in closed form.
+    """
+    return (-value * pow(n, -1, mod)) % mod
 
 
 def fixed_point_rewrite(params: AlgebraParams, mon: Monomial) -> GeneratorWord:
@@ -212,9 +214,9 @@ def subalgebra_witness_power(params: AlgebraParams, k: int,
         raise ValueError("k must be >= 1")
     if size_bound < 1:
         raise ValueError(f"size bound {size_bound} must be >= 1")
-    count = params.n ** k
-    if count > size_bound:
-        raise ValueError(f"n^k = {count} exceeds size bound {size_bound}")
+    count = bounded_power(params.n, k, size_bound)
+    if count is None:
+        raise ValueError(f"n^k = {params.n}^{k} exceeds size bound {size_bound}")
     s1k = Element.isometry(params, 1) ** k
     gens = [Element.unitary(params, j) * s1k for j in range(count)]
     report = _check_relations(params, Element.unitary(params, 1),
@@ -251,7 +253,7 @@ def subalgebra_witness_zk(params: AlgebraParams, k: int) -> dict:
     w = Element.unitary(params, reduced)
     s1 = Element.isometry(params, 1)
     gens = [Element.unitary(params, (q - 1) * reduced) * s1 for q in range(1, n + 1)]
-    report = _check_relations(params, w, w ** params.m, gens)
+    report = _check_relations(params, w, Element.unitary(params, reduced * params.m), gens)
     report.update({"kind": "zk", "k": k, "reduced_k": reduced,
                    "l_table": ltable, "p_table": ptable, "generators": n})
     return report

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple, Tuple, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
 from .exact import QQI_ZERO, QQi, Scalar, frac_str, parse_frac
 
@@ -116,6 +116,40 @@ def mul_monomials(params: AlgebraParams, a: Monomial, b: Monomial) -> Union[Mono
     return Monomial(a.mu, a.k - c, b.nu + w)
 
 
+def _merge(items: Iterable[Tuple[Monomial, QQi]], out: Optional[dict] = None) -> dict:
+    """Sum (monomial, non-zero QQi) pairs into `out` (a new dict by default).
+
+    A new key stores its coefficient as it is, and a sum that reaches zero
+    is dropped, so every value left in `out` is non-zero.
+    """
+    if out is None:
+        out = {}
+    for mon, c in items:
+        acc = out.get(mon)
+        if acc is None:
+            out[mon] = c
+            continue
+        acc = acc + c
+        if acc.is_zero():
+            del out[mon]
+        else:
+            out[mon] = acc
+    return out
+
+
+def _expand(params: AlgebraParams,
+            terms: Iterable[Tuple[Monomial, QQi]]) -> Iterator[Tuple[Monomial, QQi]]:
+    """Rewrite each term once by the unit relation sum_d S_d S_d* = 1.
+
+    S_mu z^k S_nu* = sum over letters d of S_mu S_j z^k' S_(nu d)*, with
+    (j, k') = shift_through(k, d); each child keeps the term's coefficient.
+    """
+    for mon, c in terms:
+        for d in range(1, params.n + 1):
+            j, k2 = shift_through(params, mon.k, d)
+            yield Monomial(mon.mu + (j,), k2, mon.nu + (d,)), c
+
+
 class Element:
     """A finite Q(i)-linear combination of spanning monomials."""
 
@@ -124,19 +158,9 @@ class Element:
     def __init__(self, params: AlgebraParams,
                  terms: Union[dict, Iterable[Tuple[Monomial, Scalar]], None] = None):
         self.params = params
-        merged: dict = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for mon, coeff in items:
-                c = QQi.of(coeff)
-                if c.is_zero():
-                    continue
-                acc = merged.get(mon, QQI_ZERO) + c
-                if acc.is_zero():
-                    merged.pop(mon, None)
-                else:
-                    merged[mon] = acc
-        self._terms = merged
+        items = (terms.items() if isinstance(terms, dict) else terms) or ()
+        scalars = ((mon, QQi.of(coeff)) for mon, coeff in items)
+        self._terms = _merge((mon, c) for mon, c in scalars if not c.is_zero())
 
     @classmethod
     def _merged(cls, params: AlgebraParams, terms: dict) -> "Element":
@@ -176,9 +200,6 @@ class Element:
     def items(self) -> Iterator[Tuple[Monomial, QQi]]:
         return iter(self._terms.items())
 
-    def coefficient(self, mon: Monomial) -> QQi:
-        return self._terms.get(mon, QQI_ZERO)
-
     def term_count(self) -> int:
         return len(self._terms)
 
@@ -215,14 +236,7 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         self._require_same(other)
-        terms = dict(self._terms)
-        for mon, c in other._terms.items():
-            acc = terms.get(mon, QQI_ZERO) + c
-            if acc.is_zero():
-                terms.pop(mon, None)
-            else:
-                terms[mon] = acc
-        return Element._merged(self.params, terms)
+        return Element._merged(self.params, _merge(other._terms.items(), dict(self._terms)))
 
     def __neg__(self) -> "Element":
         return Element._merged(self.params, {m: -c for m, c in self._terms.items()})
@@ -240,18 +254,11 @@ class Element:
         if not isinstance(other, Element):
             return self.scaled(other)
         self._require_same(other)
-        out: dict = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                mon = mul_monomials(self.params, ma, mb)
-                if mon is None:
-                    continue
-                acc = out.get(mon, QQI_ZERO) + ca * cb
-                if acc.is_zero():
-                    out.pop(mon, None)
-                else:
-                    out[mon] = acc
-        return Element._merged(self.params, out)
+        params, right = self.params, other._terms.items()
+        # a coefficient product is formed only for a product that survives
+        return Element._merged(params, _merge(
+            (mon, ca * cb) for ma, ca in self._terms.items() for mb, cb in right
+            if (mon := mul_monomials(params, ma, mb)) is not None))
 
     def __rmul__(self, other: Scalar) -> "Element":
         return self.scaled(other)
@@ -270,9 +277,6 @@ class Element:
 
     # -- gauge structure ----------------------------------------------
 
-    def gauge_degrees(self) -> set:
-        return {m.gauge_degree() for m in self._terms}
-
     def degree_part(self, d: int) -> "Element":
         return Element._merged(self.params, {m: c for m, c in self._terms.items()
                                              if m.gauge_degree() == d})
@@ -283,16 +287,11 @@ class Element:
 
     def canonical_endo(self) -> "Element":
         """The endomorphism x -> sum_i S_i x S_i*."""
-        out: dict = {}
-        for mon, c in self._terms.items():
-            for i in range(1, self.params.n + 1):
-                lifted = Monomial((i,) + mon.mu, mon.k, (i,) + mon.nu)
-                acc = out.get(lifted, QQI_ZERO) + c
-                if acc.is_zero():
-                    out.pop(lifted, None)
-                else:
-                    out[lifted] = acc
-        return Element._merged(self.params, out)
+        # lifting by S_i . S_i* is injective on (i, term), and the terms are
+        # merged, so no two lifts share a monomial and nothing can merge
+        return Element._merged(self.params, {
+            Monomial((i,) + mon.mu, mon.k, (i,) + mon.nu): c
+            for mon, c in self._terms.items() for i in range(1, self.params.n + 1)})
 
     def kms_state(self) -> QQi:
         """The gauge-invariant state: S_mu z^k S_nu* -> [mu=nu][k=0] n^-|mu|."""
@@ -308,31 +307,18 @@ class Element:
         """Rewrite so every term has |nu| = level, via sum_d S_d S_d* = 1.
 
         S_mu z^k S_nu* = sum over words d of length (level - |nu|) of
-        S_mu (z^k S_d) (S_nu S_d)*, with z^k pushed through S_d.
+        S_mu (z^k S_d) (S_nu S_d)*, with z^k pushed through S_d.  Terms are
+        expanded one letter at a time, level by level in |nu|, and merged
+        with the terms already at the next level.
         """
-        n = self.params.n
-        out: dict = {}
+        by_length: dict = {}
         for mon, c in self._terms.items():
-            pad = level - len(mon.nu)
-            if pad < 0:
+            if len(mon.nu) > level:
                 raise ValueError(f"term already has |nu| > {level}")
-            if pad == 0:
-                targets = [mon]
-            else:
-                targets = []
-                for delta in all_words(n, pad):
-                    w, k2 = push_exponent(self.params, mon.k, delta)
-                    targets.append(Monomial(mon.mu + w, k2, mon.nu + delta))
-            for t in targets:
-                acc = out.get(t)
-                if acc is None:
-                    out[t] = c  # terms are non-zero, so c stands as it is
-                    continue
-                acc = acc + c
-                if acc.is_zero():
-                    out.pop(t, None)
-                else:
-                    out[t] = acc
+            by_length.setdefault(len(mon.nu), []).append((mon, c))
+        out: dict = {}
+        for length in range(min(by_length, default=level), level + 1):
+            out = _merge(by_length.get(length, ()), _merge(_expand(self.params, out.items())))
         return Element._merged(self.params, out)
 
     def is_zero(self) -> bool:
@@ -374,26 +360,17 @@ class Element:
             raise ValueError(
                 "zero test requires n >= 2: the shift representation used "
                 "for separation is not guaranteed faithful when n = 1")
-        n = self.params.n
         internal = {mon.nu[:i] for mon in self._terms for i in range(len(mon.nu))}
         levels: dict = {}
         for mon, c in self._terms.items():
             levels.setdefault(len(mon.nu), {})[mon] = c
         for level in range(max(levels, default=-1) + 1):
-            below = levels.setdefault(level + 1, {})
-            for mon, c in levels.get(level, {}).items():
-                # every term at this level is merged and no later level
-                # reaches it, so a leaf that is still here survives
-                if mon.nu not in internal:
-                    return False
-                for d in range(1, n + 1):
-                    j, k2 = shift_through(self.params, mon.k, d)
-                    child = Monomial(mon.mu + (j,), k2, mon.nu + (d,))
-                    acc = below.get(child, QQI_ZERO) + c
-                    if acc.is_zero():
-                        below.pop(child, None)
-                    else:
-                        below[child] = acc
+            here = levels.get(level, {})
+            # every term at this level is merged and no later level
+            # reaches it, so a leaf that is still here survives
+            if any(mon.nu not in internal for mon in here):
+                return False
+            _merge(_expand(self.params, here.items()), levels.setdefault(level + 1, {}))
         return True
 
     # -- serialization --------------------------------------------------

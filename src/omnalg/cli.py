@@ -34,7 +34,7 @@ from time import perf_counter
 from typing import Optional, Sequence, Tuple
 
 from .algebra import AlgebraParams, Element, monomial_from_json_obj
-from .exact import frac_str, parse_frac
+from .exact import bounded_power, frac_str, parse_frac
 from . import actions
 from . import entropy as entropy_mod
 from . import ktheory
@@ -229,19 +229,14 @@ def _cmd_rep(args) -> Tuple[dict, bool, str]:
 def _bound_solenoid(m: int, period: int) -> None:
     """Refuse more than SOLENOID_RESIDUE_LIMIT residues before enumerating.
 
-    m^period - 1 is built one factor at a time, so for m >= 2 the loop
-    stops within 17 steps however large period is; m < 2 and period < 1
-    are left to the checks in `representations`.
+    m^period is built by `bounded_power`, so for m >= 2 the check stops
+    within 17 factors however large period is; m < 2 and period < 1 are
+    left to the checks in `representations`.
     """
-    if m < 2:
-        return
-    count = 1
-    for _ in range(period):
-        count *= m
-        if count - 1 > SOLENOID_RESIDUE_LIMIT:
-            raise UsageError(f"solenoid --m {m} --period {period} would enumerate "
-                             f"m^period - 1 = {m}^{period} - 1 residues, more than "
-                             f"the limit of {SOLENOID_RESIDUE_LIMIT}")
+    if m >= 2 and bounded_power(m, period, SOLENOID_RESIDUE_LIMIT + 1) is None:
+        raise UsageError(f"solenoid --m {m} --period {period} would enumerate "
+                         f"m^period - 1 = {m}^{period} - 1 residues, more than "
+                         f"the limit of {SOLENOID_RESIDUE_LIMIT}")
 
 
 def _cmd_solenoid(args) -> Tuple[dict, bool, str]:

@@ -19,11 +19,12 @@ permutation pattern, which is the structure theorem verified by
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraParams, Element, Monomial, all_words
-from .exact import QQi
+from .exact import QQi, bounded_power
 
 Word = Tuple[int, ...]
 # a Gaussian integer re + im*i as the pair (re, im)
@@ -42,7 +43,7 @@ def word_value(word: Word, n: int) -> int:
 
 def window_size(params: AlgebraParams, s: int) -> int:
     n = params.n
-    words = sum(n ** a for a in range(s + 1))
+    words = s + 1 if n == 1 else (n ** (s + 1) - 1) // (n - 1)
     return words * words * (2 * n ** s + 1)
 
 
@@ -51,6 +52,10 @@ def monomial_window(params: AlgebraParams, s: int,
     """All monomials with word lengths <= s and |exponent| <= n^s."""
     if s < 0:
         raise ValueError("window parameter must be >= 0")
+    # the window holds more than n^s monomials; refuse before building n^s
+    if bounded_power(params.n, s, size_bound) is None:
+        raise ValueError(f"window size exceeds bound {size_bound}: "
+                         f"it is more than n^s = {params.n}^{s}")
     count = window_size(params, s)
     if count > size_bound:
         raise ValueError(f"window size {count} exceeds bound {size_bound}")
@@ -157,6 +162,27 @@ def _refined_row(elem: Element, level: int) -> Dict[Monomial, QQi]:
     return dict(elem.refine_to_level(level).items())
 
 
+def _refined_count(n: int, level: int, nu_lengths: Iterable[int],
+                   bound: int, start: int = 0) -> Optional[int]:
+    """start plus the terms after refining to `level`: sum of n^(level - |nu|).
+
+    Terms of equal |nu| are counted together.  None, as soon as a single
+    n^(level - |nu|) passes `bound`, so no astronomic power is built;
+    otherwise the exact count, which may still pass `bound`.
+    """
+    total = start
+    for length, terms in Counter(nu_lengths).items():
+        power = bounded_power(n, level - length, bound)
+        if power is None:
+            return None
+        total += terms * power
+    return total
+
+
+def _count_text(count: Optional[int]) -> str:
+    return "" if count is None else f" {count}"
+
+
 def span_dimension(elements: Sequence[Element],
                    term_bound: int = 2_000_000) -> int:
     """Exact dimension of the linear span of the given elements.
@@ -173,10 +199,11 @@ def span_dimension(elements: Sequence[Element],
         raise ValueError("span dimension requires n >= 2; the single-isometry "
                          "algebra admits no faithful common refinement")
     level = max(len(mon.nu) for e in elems for mon, _ in e.items())
-    cost = sum(params.n ** (level - len(mon.nu))
-               for e in elems for mon, _ in e.items())
-    if cost > term_bound:
-        raise ValueError(f"refined term count {cost} exceeds bound {term_bound}")
+    cost = _refined_count(params.n, level, (len(mon.nu) for e in elems
+                                            for mon, _ in e.items()), term_bound)
+    if cost is None or cost > term_bound:
+        raise ValueError(f"refined term count{_count_text(cost)} exceeds "
+                         f"bound {term_bound}")
     ech = _Echelon()
     for e in elems:
         ech.insert(_refined_row(e, level))
@@ -254,13 +281,14 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int,
     prev_dim: Optional[int] = None
     spent = 0
     for depth in range(1, n_max + 1):
-        cost = sum(n ** (level - len(mon.nu)) for mon in batch)
-        if spent + cost > term_bound:
+        total = _refined_count(n, level, (len(mon.nu) for mon in batch),
+                               term_bound, spent)
+        if total is None or total > term_bound:
             truncated = True
-            warning = (f"stopped at depth {depth - 1}: refined term count "
-                       f"{spent + cost} would exceed bound {term_bound}")
+            warning = (f"stopped at depth {depth - 1}: refined term "
+                       f"count{_count_text(total)} would exceed bound {term_bound}")
             break
-        spent += cost
+        spent = total
         for mon in batch:
             elem = Element.monomial(params, mon.mu, mon.k, mon.nu)
             ech.insert(_refined_row(elem, level))

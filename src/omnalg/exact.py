@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Optional, Union
 
-Rat = Fraction
 Scalar = Union[int, Fraction, "QQi"]
 
 
@@ -49,14 +48,6 @@ class QQi:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Scalar) -> "QQi":
-        o = QQi.of(other)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return QQi((self.re * o.re + self.im * o.im) / d,
-                   (self.im * o.re - self.re * o.im) / d)
-
     def __neg__(self) -> "QQi":
         return QQi(-self.re, -self.im)
 
@@ -76,7 +67,6 @@ class QQi:
 
 
 QQI_ZERO = QQi()
-QQI_ONE = QQi(Fraction(1), Fraction(0))
 
 
 def frac_str(x: Fraction) -> str:
@@ -97,6 +87,22 @@ def parse_frac(text: str) -> Fraction:
             raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), q)
     return Fraction(int(text))
+
+
+def bounded_power(base: int, exp: int, bound: int) -> Optional[int]:
+    """base ** exp if that is at most bound, else None; base >= 1.
+
+    The power is built one factor at a time and abandoned once it passes
+    bound, so for base >= 2 at most bound.bit_length() + 1 factors are
+    multiplied however large exp is, and no astronomic power is formed.
+    """
+    power = 1
+    if base > 1:
+        for _ in range(exp):
+            power *= base
+            if power > bound:
+                return None
+    return power if power <= bound else None
 
 
 def in_localization(x: Fraction, m: int) -> bool:

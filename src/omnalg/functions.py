@@ -182,8 +182,6 @@ class PiecewiseFunction:
         t = float(t) % 1.0
         return float(_poly_eval(tuple(map(float, self._piece_at(t))), t))
 
-    __call__ = evaluate_float
-
     def evaluate_lattice(self, size: int) -> List[float]:
         """``evaluate_float`` at k/size for every k < size, size a power of two.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Optional, Tuple
 
 IntMatrix = List[List[int]]
@@ -152,9 +152,6 @@ class FGAbelianGroup:
                 raise ValueError(f"divisibility chain broken: {self.torsion}")
             prev = d
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def __str__(self) -> str:
         parts = (["Z"] if self.free_rank == 1 else
                  [f"Z^{self.free_rank}"] if self.free_rank else [])
@@ -208,10 +205,6 @@ def kernel(mat: IntMatrix) -> FGAbelianGroup:
     return FGAbelianGroup(cols - rank, ())
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 def class_order(mat: IntMatrix, v: List[int]) -> Optional[int]:
     """Order of v + im(mat) in the cokernel; None when infinite."""
     rows = len(mat)
@@ -225,7 +218,7 @@ def class_order(mat: IntMatrix, v: List[int]) -> Optional[int]:
             if y[i] != 0:
                 return None
         elif y[i] % di:
-            order = _lcm(order, di // gcd(di, y[i] % di))
+            order = lcm(order, di // gcd(di, y[i] % di))
     return order
 
 

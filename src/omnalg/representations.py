@@ -21,8 +21,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .algebra import AlgebraParams, Monomial
 from .exact import in_localization, localized_denominator_exponent
 
-VARIANTS = ("A", "B")
-
 
 def _letter_offset(j: int, variant: str) -> int:
     if variant == "A":

@@ -1,10 +1,12 @@
 """Finite symmetries: rotation weights, the inversion, fixed-point rewriting."""
 
+import math
 import random
 
 import pytest
 
-from omnalg.actions import (GeneratorWord, fixed_point_rewrite, inversion_apply,
+from omnalg.actions import (GeneratorWord, _solve_residue, fixed_point_rewrite,
+                            inversion_apply,
                             is_rotation_fixed, reduce_exponent, rotation_modulus,
                             rotation_weight, subalgebra_witness_power,
                             subalgebra_witness_zk)
@@ -121,6 +123,18 @@ def test_fixed_point_rewrite_round_trip_sweep():
             assert (word.to_element()
                     - Element.monomial(params, mon.mu, mon.k, mon.nu)).is_zero()
             done += 1
+
+
+def test_solve_residue_matches_search():
+    rng = random.Random(67)
+    for _ in range(2000):
+        m, n = rng.randint(1, 40), rng.randint(1, 40)
+        mod = abs(n - m)
+        if mod < 2 or math.gcd(m, n) != 1:
+            continue
+        value = rng.randint(-10 ** 6, 10 ** 6)
+        least = next(p for p in range(mod) if (value + p * n) % mod == 0)
+        assert _solve_residue(value, n, mod) == least
 
 
 def test_reduce_exponent():

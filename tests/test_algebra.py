@@ -252,6 +252,18 @@ def test_canonical_endo():
                 - x.canonical_endo() * y.canonical_endo()).is_zero()
 
 
+def test_canonical_endo_lifts_every_term_without_merging():
+    rng = random.Random(23)
+    for params in (P12, P23, P35, AlgebraParams(5, 2)):
+        for _ in range(20):
+            x = random_element(rng, params, terms=4)
+            img = x.canonical_endo()
+            assert img.term_count() == params.n * x.term_count()
+            lifts = [(Monomial((i,) + mon.mu, mon.k, (i,) + mon.nu), c)
+                     for mon, c in x.items() for i in range(1, params.n + 1)]
+            assert img == Element(params, lifts)
+
+
 def test_gauge_expectation():
     zk = Element.unitary(P12, 3)
     assert zk.gauge_expectation() == zk
@@ -384,6 +396,30 @@ def test_is_zero_matches_refinement_and_shift_representation():
             witness = shift_witness(x, labels)
             assert verdict == (witness is None), (params, x, witness)
     assert seen[True] >= 20 and seen[False] >= 20
+
+
+def padded_refinement(x, level):
+    """Each term times every word of the missing length, summed at the end."""
+    total: dict = {}
+    for mon, c in x.items():
+        for delta in all_words(x.params.n, level - len(mon.nu)):
+            w, k2 = push_exponent(x.params, mon.k, delta)
+            key = Monomial(mon.mu + w, k2, mon.nu + delta)
+            total[key] = total.get(key, QQi()) + c
+    return Element(x.params, total)  # drops the sums that cancelled
+
+
+def test_refine_to_level_matches_all_words_padding():
+    for seed, params in enumerate((P12, P23, P35, P52)):
+        rng = random.Random(100 + seed)
+        cases = list(zero_test_cases(rng, params))
+        cases += [random_element(rng, params, terms=4) for _ in range(10)]
+        assert any(x and not x.refine_to_level(
+            max(len(mon.nu) for mon, _ in x.items())) for x in cases)
+        for x in cases:
+            deepest = max((len(mon.nu) for mon, _ in x.items()), default=0)
+            for level in (deepest, deepest + 2):
+                assert x.refine_to_level(level) == padded_refinement(x, level)
 
 
 def chain_zero(params, branches):

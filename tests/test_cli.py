@@ -374,6 +374,31 @@ def test_kgroups_at_a_mersenne_prime_answers_quickly(monkeypatch, capsys):
     assert results["computed_k0"]["torsion"] == p + p
 
 
+@pytest.mark.parametrize("argv, code, needle", [
+    # 2^(10^12) refined terms: truncated before the first row
+    (["entropy", "--m", "1", "--n", "2", "--s", "0", "--nmax", str(10 ** 12)],
+     1, "stopped at depth 0"),
+    # a window of more than 2^(10^7) monomials
+    (["entropy", "--m", "1", "--n", "2", "--s", str(10 ** 7), "--nmax", "1"],
+     2, "exceeds bound"),
+    # a residue mod 999999999, not found by search
+    (["fixed-point", "rewrite", "--m", "1", "--n", str(10 ** 9),
+      "--monomial", '{"mu":[5],"k":-4,"nu":[]}'], 0, '"round_trip":true'),
+    # the wrap z^(km) built directly, not as m products
+    (["subalgebra", "zk", "--m", str(10 ** 9 + 1), "--n", "2", "--k", "1"],
+     0, '"pass":true'),
+    # n^k refused before it is built
+    (["subalgebra", "power", "--m", "1", "--n", "2", "--k", str(10 ** 12)],
+     2, "exceeds size bound"),
+])
+def test_astronomic_sizes_answer_quickly(argv, code, needle, monkeypatch, capsys):
+    start = perf_counter()
+    got, out, err = run(argv, monkeypatch, capsys)
+    assert perf_counter() - start < 1.0
+    assert got == code and needle in out + err
+    assert "Traceback" not in err
+
+
 # -- malformed input: every case exits 2 with a message ---------------------
 #
 # Cases change the type or the shape of one value in a valid request, never

@@ -7,10 +7,11 @@ from fractions import Fraction as F
 import pytest
 
 from omnalg.algebra import AlgebraParams, Element, Monomial, mul_monomials
-from omnalg.entropy import (_Echelon, entropy_estimate, monomial_window,
+from omnalg.entropy import (_Echelon, _refined_count, entropy_estimate,
+                            monomial_window,
                             rho_matrix, span_dimension, window_size,
                             word_value)
-from omnalg.exact import QQi
+from omnalg.exact import QQi, bounded_power
 
 P12 = AlgebraParams(1, 2)
 P13 = AlgebraParams(1, 3)
@@ -38,6 +39,7 @@ def test_window_size_closed_form():
         for s in (0, 1, 2):
             geo = sum(params.n ** a for a in range(s + 1))
             assert window_size(params, s) == geo * geo * (2 * params.n ** s + 1)
+    assert window_size(AlgebraParams(1, 1), 10 ** 9) == (10 ** 9 + 1) ** 2 * 3
 
 
 def test_monomial_window_contents():
@@ -52,6 +54,31 @@ def test_monomial_window_contents():
             assert abs(mon.k) <= params.n ** s
     with pytest.raises(ValueError, match="exceeds bound"):
         monomial_window(P12, 5, size_bound=100)
+    # refused from n^s alone, without building 2^(10^7)
+    with pytest.raises(ValueError, match="exceeds bound"):
+        monomial_window(P12, 10 ** 7)
+
+
+def test_bounded_power_matches_power():
+    for base in (1, 2, 3, 7):
+        for exp in range(12):
+            for bound in (0, 1, 2, 100, 3 ** 7):
+                want = base ** exp if base ** exp <= bound else None
+                assert bounded_power(base, exp, bound) == want
+    assert bounded_power(2, 10 ** 12, 5_000_000) is None
+    assert bounded_power(1, 10 ** 12, 1) == 1
+
+
+def test_refined_count_is_exact_or_stops_at_the_bound():
+    rng = random.Random(71)
+    for _ in range(200):
+        n, level = rng.randint(1, 5), rng.randint(0, 8)
+        lengths = [rng.randint(0, level) for _ in range(rng.randint(0, 6))]
+        bound = rng.choice((1, 10, 1000, 10 ** 6))
+        powers = [n ** (level - ln) for ln in lengths]
+        want = None if any(p > bound for p in powers) else sum(powers)
+        assert _refined_count(n, level, lengths, bound) == want
+    assert _refined_count(2, 10 ** 12, [0], 5_000_000) is None
 
 
 def test_span_dimension_examples():
