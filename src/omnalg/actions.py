@@ -202,6 +202,20 @@ def _check_relations(params: AlgebraParams, unitary: Element, wrap: Element,
             "pass": all(ok for _, _, ok in checks)}
 
 
+def _check_witness_args(params: AlgebraParams, k: int, size_bound: int) -> None:
+    """Refuse a witness request before any generator is built.
+
+    The relations go through the exact zero test, which needs n >= 2, so
+    n = 1 is refused here instead of after building S_1^k.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if params.n < 2:
+        raise ValueError(f"subalgebra witnesses require n >= 2, got {params.n}")
+    if size_bound < 1:
+        raise ValueError(f"size bound {size_bound} must be >= 1")
+
+
 def subalgebra_witness_power(params: AlgebraParams, k: int,
                              size_bound: int = 81) -> dict:
     """Witness that z and S_1^k generate a copy of the (m^k, n^k) relations.
@@ -210,10 +224,7 @@ def subalgebra_witness_power(params: AlgebraParams, k: int,
     relations with z^{m^k} in the wrap, pairwise orthogonality, and
     completeness, all through the exact zero test.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if size_bound < 1:
-        raise ValueError(f"size bound {size_bound} must be >= 1")
+    _check_witness_args(params, k, size_bound)
     count = bounded_power(params.n, k, size_bound)
     if count is None:
         raise ValueError(f"n^k = {params.n}^{k} exceeds size bound {size_bound}")
@@ -232,7 +243,8 @@ def reduce_exponent(k: int, n: int) -> int:
     return k
 
 
-def subalgebra_witness_zk(params: AlgebraParams, k: int) -> dict:
+def subalgebra_witness_zk(params: AlgebraParams, k: int,
+                          size_bound: int = 81) -> dict:
     """Witness that z^k and S_1 generate the whole algebra's relations.
 
     Requires gcd(k, n) = 1; otherwise k is first reduced by stripping the
@@ -240,10 +252,13 @@ def subalgebra_witness_zk(params: AlgebraParams, k: int) -> dict:
     and the reduced exponent is reported.  Relations are the defining
     ones with w = z^k in place of z and T_q = z^{(q-1)k} S_1 in place of
     S_q; the residue table (q-1)k = l_q + n p_q must traverse all of Z_n.
+    There are n generators, refused past `size_bound` as in
+    `subalgebra_witness_power`, since orthogonality makes n^2 zero tests.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_witness_args(params, k, size_bound)
     n = params.n
+    if n > size_bound:
+        raise ValueError(f"n = {n} exceeds size bound {size_bound}")
     reduced = reduce_exponent(k, n)
     ltable = [((q - 1) * reduced) % n for q in range(1, n + 1)]
     ptable = [((q - 1) * reduced) // n for q in range(1, n + 1)]

@@ -28,6 +28,7 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from time import perf_counter
@@ -165,11 +166,10 @@ def _cmd_fixed_point(args) -> Tuple[dict, bool, str]:
 
 def _cmd_subalgebra(args) -> Tuple[dict, bool, str]:
     params = _require_params(args)
-    if args.family == "power":
-        bound = {} if args.bound is None else {"size_bound": args.bound}
-        report = actions.subalgebra_witness_power(params, args.k, **bound)
-    else:
-        report = actions.subalgebra_witness_zk(params, args.k)
+    witness = (actions.subalgebra_witness_power if args.family == "power"
+               else actions.subalgebra_witness_zk)
+    bound = {} if args.bound is None else {"size_bound": args.bound}
+    report = witness(params, args.k, **bound)
     return report, report["pass"], _compact(report)
 
 
@@ -324,7 +324,15 @@ def _add_common(parser: argparse.ArgumentParser, *, mn: bool = False,
                         help="emit a machine-readable run report")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call of a process.
+
+    Building it costs far more than parsing one argv, so every later call
+    reuses it.  It is never built at import.  Sharing it is safe: each
+    `parse_args` fills a fresh Namespace, and argparse looks up
+    `sys.stdout` and `sys.stderr` only when it writes.
+    """
     top = argparse.ArgumentParser(
         prog="omnalg",
         description="exact computations in the circle correspondence "

@@ -262,10 +262,13 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int,
     individual terms of their first N-1 endomorphism images.  Terms of
     the level-l image all share annihilation length l + s at most, so
     one refinement level serves every batch and ranks accumulate in a
-    single echelon pass.  Requires m = 1.
+    single echelon pass.  Requires m = 1 and, like `span_dimension`,
+    n >= 2.
     """
     if params.m != 1:
         raise ValueError("growth estimate requires m = 1")
+    if params.n < 2:
+        raise ValueError(f"growth estimate requires n >= 2, got {params.n}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if term_bound < 1:

@@ -22,6 +22,7 @@ below together with the published trace 7/16 and K-theory class -4.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,8 +48,14 @@ class ProjectionData:
     delta2: PiecewiseFunction
 
 
+@functools.cache
 def build_canonical_data() -> ProjectionData:
-    """Canonical bump data: a_0 as printed, b_0 reconstructed."""
+    """Canonical bump data: a_0 as printed, b_0 reconstructed.
+
+    Built once per process and shared by every caller.  That is safe
+    because the result is a frozen `ProjectionData` whose fields are
+    immutable `PiecewiseFunction`s.
+    """
     F = Fraction
     a0 = PiecewiseFunction.from_segments([
         (F(1, 2), F(3, 4), (F(-2), F(4))),
@@ -369,13 +376,17 @@ def sample_element(elem: FuncElement, grid: int) -> float:
     point x is the lattice point (2^a i + j grid) mod (grid 2^b) over
     grid 2^b, so both sides of a term are read from tables by index.
     """
-    if grid < 1 or grid & (grid - 1):
-        raise ValueError("grid must be a power of two")
+    _check_grid(grid)
     buckets: Dict[Tuple[Fraction, Fraction], List[complex]] = {}
     phases: dict = {}
     for term in elem.terms:
         _add_term(buckets, term, grid, phases)
     return max((abs(v) for acc in buckets.values() for v in acc), default=0.0)
+
+
+def _check_grid(grid: int) -> None:
+    if grid < 1 or grid & (grid - 1):
+        raise ValueError("grid must be a power of two")
 
 
 def _add_term(buckets: dict, term: FETerm, grid: int, phases: dict) -> None:
@@ -437,8 +448,10 @@ def verify(data: ProjectionData, grid: int = DEFAULT_GRID) -> dict:
     """Both verifications plus the published trace and K0-class, one verdict.
 
     On data whose boundary curves do not close up there is no winding
-    number: the report then gives `k0_class` as None and fails.
+    number: the report then gives `k0_class` as None and fails.  A grid
+    that is not a power of two is refused before any work.
     """
+    _check_grid(grid)
     conditions = check_conditions(data)
     square = assemble_and_square(data, grid=grid)
     trace = kms_trace(data)

@@ -158,6 +158,12 @@ def test_subalgebra_witness_zk():
             assert subalgebra_witness_zk(params, k)["pass"]
     with pytest.raises(ValueError):
         subalgebra_witness_zk(P12, 0)
+    # n generators, bounded like the power family's n^k
+    with pytest.raises(ValueError, match="n = 3 exceeds size bound 2"):
+        subalgebra_witness_zk(P23, 1, size_bound=2)
+    assert subalgebra_witness_zk(P23, 1, size_bound=3)["generators"] == 3
+    with pytest.raises(ValueError, match="n >= 2"):
+        subalgebra_witness_zk(AlgebraParams(2, 1), 1)
 
 
 def test_subalgebra_witness_power():
@@ -168,5 +174,8 @@ def test_subalgebra_witness_power():
         subalgebra_witness_power(P12, 7)
     with pytest.raises(ValueError):
         subalgebra_witness_power(P12, 0)
+    # n = 1 would bound nothing: S_1^k is refused, not built
+    with pytest.raises(ValueError, match="n >= 2"):
+        subalgebra_witness_power(AlgebraParams(2, 1), 10 ** 12)
     # a larger bound admits the same check
     assert subalgebra_witness_power(P12, 7, size_bound=200)["pass"]

@@ -8,7 +8,9 @@ from time import perf_counter
 
 import pytest
 
-from omnalg.cli import REP_LABEL_LIMIT, RIEFFEL_GRID_LIMIT, SCHEMA, main
+from omnalg import projection
+from omnalg.cli import (REP_LABEL_LIMIT, RIEFFEL_GRID_LIMIT, SCHEMA,
+                        _build_parser, main)
 
 RANGE_SUM_MINUS_ONE = json.dumps([
     {"mu": [1], "k": 0, "nu": [1]},
@@ -237,6 +239,12 @@ def test_subalgebra_witnesses(monkeypatch, capsys):
     code, out, _ = run(["subalgebra", "power", "--m", "1", "--n", "2",
                         "--k", "7", "--bound", "200"], monkeypatch, capsys)
     assert code == 0
+    # zk has n generators and honours --bound as well
+    zk = ["subalgebra", "zk", "--m", "1", "--n", "3", "--k", "2"]
+    code, _, err = run(zk + ["--bound", "2"], monkeypatch, capsys)
+    assert code == 2 and "n = 3 exceeds size bound 2" in err
+    code, out, _ = run(zk + ["--bound", "3"], monkeypatch, capsys)
+    assert code == 0 and json.loads(out)["generators"] == 3
 
 
 def test_rep_check(monkeypatch, capsys):
@@ -275,6 +283,17 @@ def test_solenoid_refuses_too_many_residues(m, period, monkeypatch, capsys):
         assert perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert f"{m}^{period} - 1 residues" in err and "Traceback" not in err
+
+
+def test_rieffel_verify_refuses_bad_grid_before_any_work(monkeypatch, capsys):
+    def conditions_ran(data):
+        raise AssertionError("check_conditions ran before the grid check")
+
+    monkeypatch.setattr(projection, "check_conditions", conditions_ran)
+    code, out, err = run(["rieffel", "verify", "--grid", "100"],
+                         monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert "error: grid must be a power of two" in err
 
 
 def test_rieffel_verify_refuses_too_large_grid(monkeypatch, capsys):
@@ -390,6 +409,14 @@ def test_kgroups_at_a_mersenne_prime_answers_quickly(monkeypatch, capsys):
     # n^k refused before it is built
     (["subalgebra", "power", "--m", "1", "--n", "2", "--k", str(10 ** 12)],
      2, "exceeds size bound"),
+    # n generators and n^2 orthogonality tests, refused before either
+    (["subalgebra", "zk", "--m", "1", "--n", str(10 ** 6), "--k", "1"],
+     2, "exceeds size bound"),
+    # n = 1 bounds neither n^k nor the growth table; both are refused
+    (["subalgebra", "power", "--m", "2", "--n", "1", "--k", str(10 ** 12)],
+     2, "n >= 2"),
+    (["entropy", "--m", "1", "--n", "1", "--s", "0", "--nmax", str(10 ** 12)],
+     2, "n >= 2"),
 ])
 def test_astronomic_sizes_answer_quickly(argv, code, needle, monkeypatch, capsys):
     start = perf_counter()
@@ -397,6 +424,61 @@ def test_astronomic_sizes_answer_quickly(argv, code, needle, monkeypatch, capsys
     assert perf_counter() - start < 1.0
     assert got == code and needle in out + err
     assert "Traceback" not in err
+
+
+# -- one parser per process --------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+# valid and invalid requests over several subcommands; with one shared
+# parser, each must answer the same whatever ran before it
+ORDER_CASES = (
+    (["kgroups", "--m", "1", "--n", "2"], ""),
+    (["kgroups", "--m", "2", "--n", "3", "--json"], ""),
+    (["kgroups-fixed", "--m-parity", "odd", "--n", "3", "--json"], ""),
+    (["normalize", "--m", "1", "--n", "2"], RANGE_SUM_MINUS_ONE),
+    (["iszero", "--m", "1", "--n", "2", "--json"], RANGE_SUM_MINUS_ONE),
+    (["iszero", "--m", "1", "--n", "2"], "[{"),
+    (["subalgebra", "zk", "--m", "1", "--n", "2", "--k", "3", "--json"], ""),
+    (["subalgebra", "power", "--m", "1", "--n", "2", "--k", "2",
+      "--bound", "10", "--json"], ""),
+    (["rieffel", "trace", "--json"], ""),
+    (["rieffel", "k0class"], ""),
+    (["solenoid", "points", "--m", "2", "--period", "3", "--json"], ""),
+    (["solenoid", "points", "--m", "2"], ""),
+    (["entropy", "--m", "1", "--n", "2", "--s", "0", "--nmax", "2", "--json"],
+     ""),
+    (["rep", "check", "--m", "1", "--n", "2", "--window", "8,1", "--json"], ""),
+    (["kms", "--m", "1", "--n", "3", "--json"], RANGE_SUM_MINUS_ONE),
+    (["frobnicate"], ""),
+    (["--help"], ""),
+    (["solenoid", "--help"], ""),
+)
+
+
+def _answer(argv, stdin, monkeypatch, capsys):
+    code, out, err = run(argv, monkeypatch, capsys, stdin)
+    if "--json" in argv and code in (0, 1):
+        report = json.loads(out)
+        del report["elapsed_s"]
+        out = report
+    return code, out, err
+
+
+def test_answers_do_not_depend_on_call_order(monkeypatch, capsys):
+    forward = [_answer(argv, stdin, monkeypatch, capsys)
+               for argv, stdin in ORDER_CASES]
+    backward = [_answer(argv, stdin, monkeypatch, capsys)
+                for argv, stdin in reversed(ORDER_CASES)]
+    for (argv, _), first, second in zip(ORDER_CASES, forward,
+                                        reversed(backward)):
+        assert first == second, argv
+    codes = [code for code, _, _ in forward]
+    assert codes.count(2) == 3 and codes[-2:] == [0, 0]
+    assert "usage: omnalg" in forward[-2][1]
 
 
 # -- malformed input: every case exits 2 with a message ---------------------

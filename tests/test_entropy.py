@@ -219,6 +219,8 @@ def test_entropy_growth_rate_approaches_log_n():
 def test_entropy_requires_one_dimensional_base():
     with pytest.raises(ValueError, match="m = 1"):
         entropy_estimate(AlgebraParams(2, 3), 0, 3)
+    with pytest.raises(ValueError, match="n >= 2"):
+        entropy_estimate(AlgebraParams(1, 1), 0, 10 ** 12)
 
 
 def test_entropy_truncation_is_reported():

@@ -1,6 +1,7 @@
 """The distinguished projection over (1, 2): exact identities and sampling."""
 
 import cmath
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -22,6 +23,14 @@ IDENTITY_NAMES = {
     "cross_disjoint", "a_partition", "b_partition",
     "a_sq_nonneg", "b_sq_nonneg",
 }
+
+
+def test_canonical_data_is_built_once():
+    shared = build_canonical_data()
+    assert shared is build_canonical_data()
+    fresh = build_canonical_data.__wrapped__()
+    for field in fields(ProjectionData):
+        assert getattr(fresh, field.name) == getattr(shared, field.name), field.name
 
 
 def test_canonical_data_spot_values():
