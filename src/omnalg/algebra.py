@@ -295,10 +295,10 @@ class Element:
 
     def kms_state(self) -> QQi:
         """The gauge-invariant state: S_mu z^k S_nu* -> [mu=nu][k=0] n^-|mu|."""
-        total = QQI_ZERO
+        total, n = QQI_ZERO, self.params.n
         for mon, c in self._terms.items():
             if mon.k == 0 and mon.mu == mon.nu:
-                total = total + c * Fraction(1, self.params.n ** len(mon.mu))
+                total = total + c._divided(n ** len(mon.mu))
         return total
 
     # -- zero testing ---------------------------------------------------

@@ -119,13 +119,12 @@ class _Echelon:
 
 def _integral_row(row: Dict[Monomial, QQi]) -> Dict[Monomial, GaussInt]:
     """Scale a Gaussian-rational row to primitive Gaussian-integer form."""
-    scale = math.lcm(*(part.denominator for v in row.values()
-                       for part in (v.re, v.im)))
+    parts = [(key, v.gaussian()) for key, v in row.items() if not v.is_zero()]
+    scale = math.lcm(*(d for _, (_, _, d) in parts))
     out = {}
-    for key, v in row.items():
-        if v.re or v.im:
-            out[key] = (v.re.numerator * (scale // v.re.denominator),
-                        v.im.numerator * (scale // v.im.denominator))
+    for key, (a, b, d) in parts:
+        s = scale // d
+        out[key] = (a * s, b * s)
     return _primitive(out)
 
 

@@ -1,69 +1,165 @@
 """Exact scalar arithmetic shared by the whole package.
 
-Coefficients live in Q(i), represented as a pair of `fractions.Fraction`
-values.  Index computations for the shift representations live in the
-localized ring Z[1/m]; membership there is what decides whether a partial
-isometry is defined at a basis vector.
+Coefficients live in Q(i).  A `QQi` holds three ints (a, b, d) and stands
+for (a + b*i)/d, with d > 0 and gcd(a, b, d) = 1; zero is (0, 0, 1).
+The ring operations work on those ints alone and build no `Fraction`.
+Index computations for the shift representations live in the localized
+ring Z[1/m]; membership there is what decides whether a partial isometry
+is defined at a basis vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 Scalar = Union[int, Fraction, "QQi"]
 
+_new = object.__new__
 
-@dataclass(frozen=True)
+
 class QQi:
-    """A complex rational re + im*i with exact Fraction parts."""
+    """A complex rational re + im*i, stored as (a + b*i)/d in ints.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    The form is unique: d > 0 fixes the sign, and with gcd(a, b, d) = 1
+    two triples for the same number, (a, b, d) and (a', b', d'), satisfy
+    a*d' = a'*d and b*d' = b'*d, so d divides a*d', b*d' and d*d', hence
+    their gcd d'*gcd(a, b, d) = d'; d' divides d likewise, so d = d',
+    a = a' and b = b'.  So `==` and `hash` compare the ints, and `==`
+    holds only between `QQi` values: `QQi(1) != 1`.  `re` = a/d and
+    `im` = b/d are read-only `Fraction` properties, built on each read;
+    `gaussian()` gives the ints.  As in `Fraction`, the private slots are
+    not for callers.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re: Union[int, Fraction] = 0,
+                 im: Union[int, Fraction] = 0) -> None:
+        # ints and Fractions are already in lowest terms with a positive
+        # denominator, so only other values go through Fraction(...)
+        if not isinstance(re, (int, Fraction)):
+            re = Fraction(re)
+        if not isinstance(im, (int, Fraction)):
+            im = Fraction(im)
+        p, q = re.denominator, im.denominator
+        if p == q:
+            self._a, self._b, self._d = re.numerator, im.numerator, p
+        else:
+            # d = lcm(p, q): a prime r of d divides p or q to its full
+            # power in d, say p; then r divides neither d/p nor the
+            # numerator of re (coprime to p), so not a; so gcd(a, b, d) = 1
+            d = p // gcd(p, q) * q
+            self._a, self._b, self._d = (re.numerator * (d // p),
+                                         im.numerator * (d // q), d)
 
     @staticmethod
     def of(value: Scalar) -> "QQi":
         if isinstance(value, QQi):
             return value
-        return QQi(Fraction(value), Fraction(0))
+        return QQi(value)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def gaussian(self) -> Tuple[int, int, int]:
+        """(a, b, d) with self = (a + b*i)/d, d > 0, gcd(a, b, d) = 1."""
+        return self._a, self._b, self._d
 
     def __add__(self, other: Scalar) -> "QQi":
-        o = QQi.of(other)
-        return QQi(self.re + o.re, self.im + o.im)
+        if not isinstance(other, QQi):
+            other = QQi(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * e + other._a * d,
+                        self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other: Scalar) -> "QQi":
-        o = QQi.of(other)
-        return QQi(self.re - o.re, self.im - o.im)
+        if not isinstance(other, QQi):
+            other = QQi(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * e - other._a * d,
+                        self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other: Scalar) -> "QQi":
-        return QQi.of(other) - self
+        return QQi(other) - self
 
     def __mul__(self, other: Scalar) -> "QQi":
-        o = QQi.of(other)
-        return QQi(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        if not isinstance(other, QQi):
+            other = QQi(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
+    def _divided(self, k: int) -> "QQi":
+        """self / k for an int k >= 1: only d is multiplied."""
+        return _reduced(self._a, self._b, self._d * k)
+
     def __neg__(self) -> "QQi":
-        return QQi(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def conjugate(self) -> "QQi":
-        return QQi(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QQi):
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
+
+    def __repr__(self) -> str:
+        return f"QQi(re={self.re!r}, im={self.im!r})"
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, so a/d is float(Fraction(a, d))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __str__(self) -> str:
-        if self.im == 0:
+        if self._b == 0:
             return frac_str(self.re)
         return f"{frac_str(self.re)}+{frac_str(self.im)}i"
+
+
+def _triple(a: int, b: int, d: int) -> QQi:
+    """The QQi (a + b*i)/d of a triple already in normal form."""
+    z = _new(QQi)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> QQi:
+    """The QQi (a + b*i)/d for d > 0, divided by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    # the body of _triple, repeated: a call here costs about 10 % of a
+    # product or sum
+    z = _new(QQi)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
 
 
 QQI_ZERO = QQi()

@@ -234,11 +234,19 @@ def contract_through(i: int, j: int, h: _Fn) -> _Fn:
 
 
 def _phase_table(scale: complex, size: int, phases: dict) -> List[complex]:
-    """exp(scale * k/size) for k < size, memoised in ``phases``."""
+    """exp(scale * k/size) for k < size, memoised in ``phases``.
+
+    At scale 0 every entry is exp(0j) = 1+0j exactly, so one object is
+    shared by the whole table.
+    """
     key = (scale, size)
     table = phases.get(key)
     if table is None:
-        table = phases[key] = [cmath.exp(scale * (k / size)) for k in range(size)]
+        if scale == 0:
+            table = [complex(1.0)] * size
+        else:
+            table = [cmath.exp(scale * (k / size)) for k in range(size)]
+        phases[key] = table
     return table
 
 
@@ -285,7 +293,9 @@ class FETerm:
     right: _Fn
 
 
-FnLike = Union[_Fn, PiecewiseFunction, int, float, complex]
+# the classes by name: typing caches every Union it builds, and a Union
+# holding the classes would keep each imported copy of omnalg alive
+FnLike = Union["_Fn", "PiecewiseFunction", int, float, complex]
 
 
 def _as_fn(f: FnLike) -> _Fn:

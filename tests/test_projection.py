@@ -1,6 +1,10 @@
 """The distinguished projection over (1, 2): exact identities and sampling."""
 
 import cmath
+import gc
+import importlib
+import sys
+import weakref
 from dataclasses import fields
 from fractions import Fraction
 from itertools import product
@@ -23,6 +27,27 @@ IDENTITY_NAMES = {
     "cross_disjoint", "a_partition", "b_partition",
     "a_sq_nonneg", "b_sq_nonneg",
 }
+
+
+def test_a_reimported_copy_is_freed():
+    # a module-level Union of omnalg classes sits in typing's cache and
+    # would keep every re-imported copy of the package alive
+    saved = {name: mod for name, mod in sys.modules.items()
+             if name == "omnalg" or name.startswith("omnalg.")}
+    try:
+        for name in saved:
+            del sys.modules[name]
+        fresh = importlib.import_module("omnalg.projection")
+        gone = [weakref.ref(cls) for cls in (fresh._Fn, fresh.FuncElement,
+                                             fresh.PiecewiseFunction)]
+        del fresh
+    finally:
+        for name in [n for n in sys.modules
+                     if n == "omnalg" or n.startswith("omnalg.")]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+    gc.collect()
+    assert [ref() for ref in gone] == [None, None, None]
 
 
 def test_canonical_data_is_built_once():
