@@ -52,9 +52,13 @@ SOLENOID_RESIDUE_LIMIT = 1 << 16
 # and 93 MB peak RSS (Python 3.11.7, 2 cores)
 RIEFFEL_GRID_LIMIT = 1 << 14
 # rep check --window P,Q checks up to (2P+1)(Q+1) labels (2P+1 when m = 1);
-# the default 256,4 has 2 565, and at this limit (3, 5) takes about 5 s
-# (Python 3.11.7, 2 cores)
+# the default 256,4 has 2 565
 REP_LABEL_LIMIT = 1 << 14
+# each label costs n^2 + n + 1 relation checks (n - 1 shift, 1 wrap, n^2
+# orthogonality, 1 partition); the acceptance sweep's largest window,
+# (3, 5) at 256,4, has at most 79 515, and at this limit a run takes about
+# 0.8 s while the exponents stay small (Python 3.11.7, 2 cores)
+REP_CHECK_LIMIT = 1 << 20
 
 
 class UsageError(ValueError):
@@ -213,6 +217,13 @@ def _cmd_rep(args) -> Tuple[dict, bool, str]:
         raise UsageError(f"rep check --window {num_bound},{exp_bound} would check "
                          f"up to {labels} labels, more than the limit of "
                          f"{REP_LABEL_LIMIT}")
+    n = params.n
+    checks = labels * (n * n + n + 1)
+    if checks > REP_CHECK_LIMIT:
+        raise UsageError(f"rep check --window {num_bound},{exp_bound} at n = {n} "
+                         f"would run up to {checks} relation checks ({labels} "
+                         f"labels, n^2 + n + 1 each), more than the limit of "
+                         f"{REP_CHECK_LIMIT}")
     report = representations.relation_residuals(
         params, args.variant, num_bound=num_bound, exp_bound=exp_bound)
     compact = _compact({

@@ -212,20 +212,3 @@ def in_localization(x: Fraction, m: int) -> bool:
             return False
         den //= g
     return True
-
-
-def localized_denominator_exponent(x: Fraction, m: int) -> int:
-    """Least t with x * m^t integral; requires x in Z[1/m]."""
-    if m == 1:
-        if x.denominator != 1:
-            raise ValueError(f"{x} is not in Z[1/1] = Z")
-        return 0
-    den = x.denominator
-    t = 0
-    while den > 1:
-        g = gcd(den, m)
-        if g == 1:
-            raise ValueError(f"{x} is not in Z[1/{m}]")
-        den //= g
-        t += 1
-    return t

@@ -9,17 +9,38 @@ Two families of representations drive the verification work:
   trie-refinement zero test of the core algebra is exact.
 * finite-dimensional representations attached to periodic points of the
   m-adic solenoid, built from exact root-of-unity phase matrices.
+
+Inside the shift representation a label q = p/m^e is the int pair (p, e),
+normalised so that m does not divide p unless e = 0 (so e = 0 whenever
+m = 1).  Each label has exactly one such pair, so labels compare as
+tuples, and e is the least exponent with q m^e integral.  The three maps
+act on pairs with integer arithmetic only:
+
+* S_j (p, e) = (n p + c_j m^(e+1), e + 1), except that it is the integer
+  n p/m + c_j when e = 0 and m | p.  Otherwise m does not divide p, hence
+  not n p either, since gcd(m, n) = 1; so m does not divide the new
+  numerator and the pair is normal.
+* S_j* (p, e) is defined iff n | p - c_j m^e, and is then
+  ((p - c_j m^e)/n, e - 1), or the integer m (p - c_j)/n when e = 0.
+  The label (m/n)(q - c_j) is (p - c_j m^e)/(n m^(e-1)); since gcd(m, n)
+  = 1, n leaves the denominator only by dividing the numerator, so the
+  test is exact.  When e > 0, m divides neither p - c_j m^e nor, hence,
+  its quotient by n.
+* translation by k is (p + k m^e, e): when e > 0, m does not divide
+  p + k m^e, since it does not divide p.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebra import AlgebraParams, Monomial
-from .exact import in_localization, localized_denominator_exponent
+from .exact import in_localization
+
+_Label = Tuple[int, int]  # (p, e) standing for p/m^e, normalised
 
 
 def _letter_offset(j: int, variant: str) -> int:
@@ -30,18 +51,71 @@ def _letter_offset(j: int, variant: str) -> int:
     raise ValueError(f"unknown representation variant {variant!r}")
 
 
+# The kernels below read m^t as powers[t], so that a window with large
+# exponents pays for each power once; powers has at least e + 2 entries.
+
+
+def _image(powers: List[int], n: int, c: int, p: int, e: int) -> _Label:
+    """S_j on the label (p, e), where c = c_j."""
+    m = powers[1]
+    if e == 0 and p % m == 0:
+        return n * (p // m) + c, 0
+    return n * p + c * powers[e + 1], e + 1
+
+
+def _preimage(powers: List[int], n: int, c: int, p: int, e: int) -> Optional[_Label]:
+    """S_j* on the label (p, e), where c = c_j; None where S_j* e_q = 0."""
+    r, rest = divmod(p - c * powers[e], n)
+    if rest:
+        return None
+    return (r, e - 1) if e else (r * powers[1], 0)
+
+
+def _translate(powers: List[int], k: int, p: int, e: int) -> _Label:
+    """z^k on the label (p, e)."""
+    return p + k * powers[e], e
+
+
+def _powers(m: int, top: int) -> List[int]:
+    """m^0 .. m^top."""
+    return [m ** t for t in range(top + 1)]
+
+
+def _label(m: int, q: Fraction) -> _Label:
+    """The normalised pair of q; ValueError when q is not in Z[1/m]."""
+    if not in_localization(q, m):
+        raise ValueError(f"{q} is not a basis label: it is not in Z[1/{m}]")
+    e = 0
+    while m ** e % q.denominator:
+        e += 1
+    return q.numerator * (m ** e // q.denominator), e
+
+
+def _fraction(m: int, label: _Label) -> Fraction:
+    p, e = label
+    return Fraction(p, m ** e)
+
+
 def isometry_image(params: AlgebraParams, j: int, variant: str, q: Fraction) -> Fraction:
-    """Label of S_j e_q."""
+    """Label of S_j e_q; ValueError when q is not in Z[1/m]."""
     params.check_letter(j)
-    return Fraction(params.n, params.m) * q + _letter_offset(j, variant)
+    m = params.m
+    p, e = _label(m, q)
+    image = _image(_powers(m, e + 1), params.n, _letter_offset(j, variant), p, e)
+    return _fraction(m, image)
 
 
 def isometry_preimage(params: AlgebraParams, j: int, variant: str,
                       q: Fraction) -> Optional[Fraction]:
-    """Label of S_j* e_q, or None when the partial isometry annihilates e_q."""
+    """Label of S_j* e_q, or None when the partial isometry annihilates e_q.
+
+    ValueError when q is not in Z[1/m].
+    """
     params.check_letter(j)
-    v = (q - _letter_offset(j, variant)) * Fraction(params.m, params.n)
-    return v if in_localization(v, params.m) else None
+    m = params.m
+    p, e = _label(m, q)
+    w = _preimage(_powers(m, e + 1), params.n, _letter_offset(j, variant), p, e)
+    return None if w is None else _fraction(m, w)
 
 
 @dataclass(frozen=True)
@@ -93,21 +167,26 @@ def monomial_affine_map(params: AlgebraParams, mon: Monomial,
     return PartialAffineMap(params.m, scale, offset, tuple(conditions))
 
 
-def window_labels(m: int, num_bound: int, exp_bound: int) -> List[Fraction]:
-    """All labels p/m^e with |p| <= num_bound, 0 <= e <= exp_bound, deduplicated."""
+def _window(m: int, num_bound: int, exp_bound: int) -> List[_Label]:
+    """The labels p/m^e, |p| <= num_bound, 0 <= e <= exp_bound, ascending.
+
+    At e >= 1 a numerator divisible by m names the label (p/m)/m^(e-1),
+    which the window already holds, so only the others are new.
+    """
     if m == 1:
         exp_bound = 0
-    seen = set()
-    for e in range(exp_bound + 1):
-        den = m ** e
-        for p in range(-num_bound, num_bound + 1):
-            seen.add(Fraction(p, den))
-    return sorted(seen)
+    numerators = range(-num_bound, num_bound + 1)
+    labels = [(p, e) for e in range(exp_bound + 1) for p in numerators
+              if e == 0 or p % m]
+    # p/m^e < p'/m^e' iff p m^(E-e) < p' m^(E-e'), all integers
+    scale = [m ** (exp_bound - e) for e in range(exp_bound + 1)]
+    labels.sort(key=lambda label: label[0] * scale[label[1]])
+    return labels
 
 
-def _track(grown: List[int], m: int, q: Fraction) -> None:
-    grown[0] = max(grown[0], abs(q.numerator))
-    grown[1] = max(grown[1], localized_denominator_exponent(q, m))
+def window_labels(m: int, num_bound: int, exp_bound: int) -> List[Fraction]:
+    """All labels p/m^e with |p| <= num_bound, 0 <= e <= exp_bound, deduplicated."""
+    return [_fraction(m, label) for label in _window(m, num_bound, exp_bound)]
 
 
 def relation_residuals(params: AlgebraParams, variant: str = "A",
@@ -118,71 +197,83 @@ def relation_residuals(params: AlgebraParams, variant: str = "A",
     tracked and the enclosing (numerator, exponent) bounds are reported,
     so every relation instance over the base window is checkable and the
     coverage fraction is 1.  Violations are collected, never raised.
+    The grown numerator bound is that of the reduced fraction p/m^e,
+    which for composite m can be smaller than p (2/6 = 1/3).
     """
     if num_bound < 0 or exp_bound < 0:
         raise ValueError(f"window bounds must be >= 0, got {num_bound},{exp_bound}")
     m, n = params.m, params.n
-    labels = window_labels(m, num_bound, exp_bound)
+    offsets = [_letter_offset(j, variant) for j in range(1, n + 1)]
+    labels = _window(m, num_bound, exp_bound)
     grown = [num_bound, exp_bound if m > 1 else 0]
+    # labels reach exponent E + 1 at most: images add one to e <= E
+    powers = _powers(m, grown[1] + 1)
     violations: List[dict] = []
-    counts = {"shift": 0, "wrap": 0, "orthogonality": 0, "partition": 0}
 
-    def bad(relation: str, q: Fraction, detail: str) -> None:
-        violations.append({"relation": relation, "label": str(q), "detail": detail})
+    def track(label: _Label) -> None:
+        p, e = label
+        if e > grown[1]:
+            grown[1] = e
+        if abs(p) > grown[0]:
+            grown[0] = max(grown[0], abs(p) // gcd(p, powers[e]))
+
+    def show(label: Optional[_Label]) -> str:
+        return str(None if label is None else _fraction(m, label))
+
+    def bad(relation: str, q: _Label, detail: str) -> None:
+        violations.append({"relation": relation, "label": show(q), "detail": detail})
 
     for q in labels:
+        p, e = q
+        images = [_image(powers, n, c, p, e) for c in offsets]  # S_1 q .. S_n q
         # z S_i = S_{i+1} for i < n
         for i in range(1, n):
-            lhs = isometry_image(params, i, variant, q) + 1
-            rhs = isometry_image(params, i + 1, variant, q)
-            _track(grown, m, lhs)
-            counts["shift"] += 1
-            if lhs != rhs:
-                bad("z S_i = S_{i+1}", q, f"i={i}: {lhs} != {rhs}")
+            lhs = _translate(powers, 1, *images[i - 1])
+            track(lhs)
+            if lhs != images[i]:
+                bad("z S_i = S_{i+1}", q, f"i={i}: {show(lhs)} != {show(images[i])}")
         # z S_n = S_1 z^m
-        lhs = isometry_image(params, n, variant, q) + 1
-        rhs = isometry_image(params, 1, variant, q + m)
-        _track(grown, m, lhs)
-        counts["wrap"] += 1
+        lhs = _translate(powers, 1, *images[-1])
+        rhs = _image(powers, n, offsets[0], *_translate(powers, m, p, e))
+        track(lhs)
         if lhs != rhs:
-            bad("z S_n = S_1 z^m", q, f"{lhs} != {rhs}")
+            bad("z S_n = S_1 z^m", q, f"{show(lhs)} != {show(rhs)}")
         # S_i* S_j = delta_ij
-        for j in range(1, n + 1):
-            p = isometry_image(params, j, variant, q)
-            _track(grown, m, p)
-            for i in range(1, n + 1):
-                w = isometry_preimage(params, i, variant, p)
-                counts["orthogonality"] += 1
+        for j, image in enumerate(images, 1):
+            track(image)
+            for i, c in enumerate(offsets, 1):
+                w = _preimage(powers, n, c, *image)
                 if i == j:
                     if w != q:
-                        bad("S_i* S_i = 1", q, f"i={i}: got {w}")
+                        bad("S_i* S_i = 1", q, f"i={i}: got {show(w)}")
                 elif w is not None:
-                    bad("S_i* S_j = 0", q, f"i={i}, j={j}: landed on {w}")
+                    bad("S_i* S_j = 0", q, f"i={i}, j={j}: landed on {show(w)}")
         # sum_i S_i S_i* = 1: exactly one annihilator defined, round trip exact
         hits = []
-        for i in range(1, n + 1):
-            w = isometry_preimage(params, i, variant, q)
+        for i, c in enumerate(offsets, 1):
+            w = _preimage(powers, n, c, p, e)
             if w is not None:
-                _track(grown, m, w)
+                track(w)
                 hits.append((i, w))
-        counts["partition"] += 1
         if len(hits) != 1:
             bad("sum S_i S_i* = 1", q, f"defined for letters {[i for i, _ in hits]}")
         else:
             i, w = hits[0]
-            if isometry_image(params, i, variant, w) != q:
+            if _image(powers, n, offsets[i - 1], *w) != q:
                 bad("sum S_i S_i* = 1", q, f"round trip via i={i} failed")
 
-    total = sum(counts.values())
+    count = len(labels)
+    counts = {"shift": count * (n - 1), "wrap": count,
+              "orthogonality": count * n * n, "partition": count}
     return {
         "variant": variant,
         "m": m,
         "n": n,
         "window": {"num_bound": num_bound, "exp_bound": exp_bound},
         "grown_window": {"num_bound": grown[0], "exp_bound": grown[1]},
-        "labels": len(labels),
+        "labels": count,
         "checks": counts,
-        "checked": total,
+        "checked": sum(counts.values()),
         "coverage": 1.0,
         "violations": violations,
         "pass": not violations,

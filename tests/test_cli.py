@@ -9,8 +9,8 @@ from time import perf_counter
 import pytest
 
 from omnalg import projection
-from omnalg.cli import (REP_LABEL_LIMIT, RIEFFEL_GRID_LIMIT, SCHEMA,
-                        _build_parser, main)
+from omnalg.cli import (REP_CHECK_LIMIT, REP_LABEL_LIMIT, RIEFFEL_GRID_LIMIT,
+                        SCHEMA, _build_parser, main)
 
 RANGE_SUM_MINUS_ONE = json.dumps([
     {"mu": [1], "k": 0, "nu": [1]},
@@ -323,6 +323,23 @@ def test_rep_check_refuses_too_many_labels(mn, window, labels, monkeypatch,
     assert perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert f"{labels} labels" in err and str(REP_LABEL_LIMIT) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mn, window, checks", [
+    ((1, 1_000_000), "0,0", 1_000_001_000_001),
+    ((1, 1024), "0,0", 1_049_601),  # the first n past the limit at one label
+    ((3, 8), "1600,4", 16_005 * 73),  # under the label limit, 73 checks each
+])
+def test_rep_check_refuses_too_many_checks(mn, window, checks, monkeypatch,
+                                           capsys):
+    assert checks > REP_CHECK_LIMIT
+    start = perf_counter()
+    code, out, err = run(["rep", "check", "--m", str(mn[0]), "--n", str(mn[1]),
+                          "--window", window], monkeypatch, capsys)
+    assert perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert f"{checks} relation checks" in err and str(REP_CHECK_LIMIT) in err
     assert "Traceback" not in err
 
 

@@ -7,8 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from omnalg.exact import (QQI_ZERO, QQi, bounded_power, frac_str,
-                          in_localization, localized_denominator_exponent,
-                          parse_frac)
+                          in_localization, parse_frac)
 
 
 class Pair:
@@ -178,16 +177,8 @@ def test_bounded_power():
     assert bounded_power(2, 10 ** 12, 10 ** 6) is None
 
 
-def test_localization_membership_and_exponent():
+def test_localization_membership():
     assert in_localization(F(5, 12), 6)
-    assert localized_denominator_exponent(F(5, 12), 6) == 2
     assert in_localization(F(3, 8), 2)
-    assert localized_denominator_exponent(F(3, 8), 2) == 3
     assert not in_localization(F(1, 5), 6)
     assert in_localization(F(7), 1) and not in_localization(F(1, 2), 1)
-    assert localized_denominator_exponent(F(-4), 3) == 0
-    assert localized_denominator_exponent(F(7), 1) == 0
-    with pytest.raises(ValueError):
-        localized_denominator_exponent(F(1, 5), 6)
-    with pytest.raises(ValueError):
-        localized_denominator_exponent(F(1, 2), 1)

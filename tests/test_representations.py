@@ -1,11 +1,14 @@
 """Affine-map separation on label windows and solenoid periodic-point reps."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from omnalg import representations
 from omnalg.algebra import AlgebraParams, Monomial
-from omnalg.representations import (SolenoidPeriodicPoint, coordinate_diagonal,
+from omnalg.exact import in_localization
+from omnalg.representations import (SolenoidPeriodicPoint, _label, coordinate_diagonal,
                                     exact_period, isometry_image, isometry_preimage,
                                     monomial_affine_map, precompose_shift_inverse,
                                     relation_residuals, shift_unitary,
@@ -79,6 +82,132 @@ def test_relation_residuals_both_variants():
             assert r["pass"]
             assert r["coverage"] == 1.0
             assert r["violations"] == []
+
+
+def test_labels_are_normalised_pairs():
+    assert _label(6, F(5, 12)) == (15, 2)  # 5/12 = 15/36
+    assert _label(2, F(3, 8)) == (3, 3)
+    assert _label(6, F(1, 3)) == (2, 1)  # 2/6: m does not divide 2
+    assert _label(3, F(-4)) == (-4, 0)
+    assert _label(1, F(7)) == (7, 0)
+    assert _label(4, F(0)) == (0, 0)
+    for m, q in ((6, F(1, 5)), (1, F(1, 2))):
+        with pytest.raises(ValueError):
+            _label(m, q)
+    # a label outside Z[1/m] is no basis vector of l^2(Z[1/m])
+    with pytest.raises(ValueError):
+        isometry_image(P23, 1, "A", F(1, 3))
+    with pytest.raises(ValueError):
+        isometry_preimage(P23, 1, "A", F(1, 3))
+
+
+def _fraction_relation_residuals(params, variant, num_bound, exp_bound):
+    """The label loop on `Fraction`s: an independent reference.
+
+    It reads the letter offsets from the module at call time, so a test
+    that patches `_letter_offset` changes both implementations alike.
+    """
+    m, n = params.m, params.n
+
+    def offset(j):
+        return representations._letter_offset(j, variant)
+
+    def image(j, q):
+        return F(n, m) * q + offset(j)
+
+    def preimage(j, q):
+        v = (q - offset(j)) * F(m, n)
+        return v if in_localization(v, m) else None
+
+    labels = sorted({F(p, m ** e) for e in range(exp_bound + 1 if m > 1 else 1)
+                     for p in range(-num_bound, num_bound + 1)})
+    grown = [num_bound, exp_bound if m > 1 else 0]
+    violations = []
+    counts = {"shift": 0, "wrap": 0, "orthogonality": 0, "partition": 0}
+
+    def track(q):
+        t = 0
+        while (q * m ** t).denominator != 1:
+            t += 1
+        grown[0] = max(grown[0], abs(q.numerator))
+        grown[1] = max(grown[1], t)
+
+    def bad(relation, q, detail):
+        violations.append({"relation": relation, "label": str(q), "detail": detail})
+
+    for q in labels:
+        for i in range(1, n):
+            lhs, rhs = image(i, q) + 1, image(i + 1, q)
+            track(lhs)
+            counts["shift"] += 1
+            if lhs != rhs:
+                bad("z S_i = S_{i+1}", q, f"i={i}: {lhs} != {rhs}")
+        lhs, rhs = image(n, q) + 1, image(1, q + m)
+        track(lhs)
+        counts["wrap"] += 1
+        if lhs != rhs:
+            bad("z S_n = S_1 z^m", q, f"{lhs} != {rhs}")
+        for j in range(1, n + 1):
+            p = image(j, q)
+            track(p)
+            for i in range(1, n + 1):
+                w = preimage(i, p)
+                counts["orthogonality"] += 1
+                if i == j:
+                    if w != q:
+                        bad("S_i* S_i = 1", q, f"i={i}: got {w}")
+                elif w is not None:
+                    bad("S_i* S_j = 0", q, f"i={i}, j={j}: landed on {w}")
+        hits = []
+        for i in range(1, n + 1):
+            w = preimage(i, q)
+            if w is not None:
+                track(w)
+                hits.append((i, w))
+        counts["partition"] += 1
+        if len(hits) != 1:
+            bad("sum S_i S_i* = 1", q, f"defined for letters {[i for i, _ in hits]}")
+        elif image(*hits[0]) != q:
+            bad("sum S_i S_i* = 1", q, f"round trip via i={hits[0][0]} failed")
+    return {
+        "variant": variant, "m": m, "n": n,
+        "window": {"num_bound": num_bound, "exp_bound": exp_bound},
+        "grown_window": {"num_bound": grown[0], "exp_bound": grown[1]},
+        "labels": len(labels), "checks": counts, "checked": sum(counts.values()),
+        "coverage": 1.0, "violations": violations, "pass": not violations,
+    }
+
+
+ORACLE_PARAMS = [AlgebraParams(m, n) for m in (1, 2, 3, 4, 6, 9, 10)
+                 for n in range(1, 6) if gcd(m, n) == 1]
+
+
+@pytest.mark.parametrize("window", [(0, 0), (5, 3), (16, 2)])
+def test_relation_residuals_match_the_fraction_loop(window):
+    # composite m (4, 6, 9, 10) is where the grown numerator bound is that
+    # of the reduced fraction, not the integer p of the pair
+    for params in ORACLE_PARAMS:
+        for variant in ("A", "B"):
+            want = _fraction_relation_residuals(params, variant, *window)
+            assert relation_residuals(params, variant, *window) == want
+    assert window_labels(6, 5, 3) == sorted({F(p, 6 ** e) for e in range(4)
+                                             for p in range(-5, 6)})
+
+
+def test_violations_match_the_fraction_loop(monkeypatch):
+    # c_j = j^2 - 2 breaks every relation whose violation the loop can see:
+    # the offsets are not consecutive, and for n = 3 letters 1 and 2 share
+    # a residue, so some labels have two annihilators and some none
+    monkeypatch.setattr(representations, "_letter_offset",
+                        lambda j, variant: j * j - 2)
+    seen = set()
+    for params in (AlgebraParams(1, 3), AlgebraParams(2, 3), AlgebraParams(6, 5)):
+        report = relation_residuals(params, "A", 4, 2)
+        assert report["pass"] is False
+        assert report == _fraction_relation_residuals(params, "A", 4, 2)
+        seen.update(v["relation"] for v in report["violations"])
+    assert seen == {"z S_i = S_{i+1}", "z S_n = S_1 z^m", "S_i* S_j = 0",
+                    "sum S_i S_i* = 1"}
 
 
 def test_periodic_point_counts():
