@@ -11,11 +11,11 @@ dimension-growth entropy (``entropy``), and the bundled acceptance sweep
 Every subcommand prints a compact answer on stdout and exits 0 exactly
 when its checks pass; ``--json`` wraps the same results in a
 schema-versioned run report with a command echo, parameters, a pass flag,
-and wall-clock timing.  Each pass flag, published value and size default
-is the library's, the one ``reproduce`` reads too; handlers only pick
-arguments and format.  Elements are read from stdin in the JSON term-list
-format of the algebra module, which `algebra.Element.from_json_obj`
-checks strictly.
+and wall-clock timing.  Each pass flag, published value, size default and
+size limit is the library's, the one ``reproduce`` reads too; handlers
+only pick arguments and format.  Elements are read from stdin in the JSON
+term-list format of the algebra module, which
+`algebra.Element.from_json_obj` checks strictly.
 
 Bad input has one path to exit status 2: library code raises ValueError
 for bad arguments and for nothing else, handlers raise `UsageError` (a
@@ -35,7 +35,7 @@ from time import perf_counter
 from typing import Optional, Sequence, Tuple
 
 from .algebra import AlgebraParams, Element, monomial_from_json_obj
-from .exact import bounded_power, frac_str, parse_frac
+from .exact import frac_str, parse_frac
 from . import actions
 from . import entropy as entropy_mod
 from . import ktheory
@@ -44,22 +44,6 @@ from . import representations
 from . import reproduce as reproduce_mod
 
 SCHEMA = "omnalg-report/1"
-# solenoid points|rep enumerate every residue mod m^period - 1; the
-# largest modulus the acceptance sweep and tests use is 3^4 - 1 = 80
-SOLENOID_RESIDUE_LIMIT = 1 << 16
-# rieffel verify samples on lattices of up to 16 times --grid points; the
-# acceptance sweep uses 4096, and at this limit the check takes about 7 s
-# and 93 MB peak RSS (Python 3.11.7, 2 cores)
-RIEFFEL_GRID_LIMIT = 1 << 14
-# rep check --window P,Q checks up to (2P+1)(Q+1) labels (2P+1 when m = 1);
-# the default 256,4 has 2 565
-REP_LABEL_LIMIT = 1 << 14
-# each label costs n^2 + n + 1 relation checks (n - 1 shift, 1 wrap, n^2
-# orthogonality, 1 partition); the acceptance sweep's largest window,
-# (3, 5) at 256,4, has at most 79 515, and at this limit a run takes about
-# 0.8 s while the exponents stay small (Python 3.11.7, 2 cores)
-REP_CHECK_LIMIT = 1 << 20
-
 
 class UsageError(ValueError):
     """Bad flags or malformed stdin; mapped to exit status 2 like any ValueError."""
@@ -180,9 +164,6 @@ def _cmd_subalgebra(args) -> Tuple[dict, bool, str]:
 def _cmd_rieffel(args) -> Tuple[dict, bool, str]:
     if (args.m, args.n) not in ((None, None), (1, 2)):
         raise UsageError("the projection lives in the (m, n) = (1, 2) algebra")
-    if args.action == "verify" and args.grid > RIEFFEL_GRID_LIMIT:
-        raise UsageError(f"rieffel verify --grid {args.grid} is more than the "
-                         f"limit of {RIEFFEL_GRID_LIMIT}")
     data = projection.build_canonical_data()
     if args.action == "trace":
         value = projection.kms_trace(data)
@@ -209,21 +190,6 @@ def _cmd_rep(args) -> Tuple[dict, bool, str]:
         num_bound, exp_bound = (int(part) for part in args.window.split(","))
     except ValueError:
         raise UsageError("--window expects two integers as P,Q") from None
-    # negative bounds are left to the check in `representations`
-    labels = 2 * max(num_bound, 0) + 1
-    if params.m > 1:
-        labels *= max(exp_bound, 0) + 1
-    if labels > REP_LABEL_LIMIT:
-        raise UsageError(f"rep check --window {num_bound},{exp_bound} would check "
-                         f"up to {labels} labels, more than the limit of "
-                         f"{REP_LABEL_LIMIT}")
-    n = params.n
-    checks = labels * (n * n + n + 1)
-    if checks > REP_CHECK_LIMIT:
-        raise UsageError(f"rep check --window {num_bound},{exp_bound} at n = {n} "
-                         f"would run up to {checks} relation checks ({labels} "
-                         f"labels, n^2 + n + 1 each), more than the limit of "
-                         f"{REP_CHECK_LIMIT}")
     report = representations.relation_residuals(
         params, args.variant, num_bound=num_bound, exp_bound=exp_bound)
     compact = _compact({
@@ -237,23 +203,9 @@ def _cmd_rep(args) -> Tuple[dict, bool, str]:
     return report, report["pass"], compact
 
 
-def _bound_solenoid(m: int, period: int) -> None:
-    """Refuse more than SOLENOID_RESIDUE_LIMIT residues before enumerating.
-
-    m^period is built by `bounded_power`, so for m >= 2 the check stops
-    within 17 factors however large period is; m < 2 and period < 1 are
-    left to the checks in `representations`.
-    """
-    if m >= 2 and bounded_power(m, period, SOLENOID_RESIDUE_LIMIT + 1) is None:
-        raise UsageError(f"solenoid --m {m} --period {period} would enumerate "
-                         f"m^period - 1 = {m}^{period} - 1 residues, more than "
-                         f"the limit of {SOLENOID_RESIDUE_LIMIT}")
-
-
 def _cmd_solenoid(args) -> Tuple[dict, bool, str]:
     if args.m is None:
         raise UsageError("solenoid needs --m")
-    _bound_solenoid(args.m, args.period)
     orbits = representations.solenoid_orbits(args.m, args.period)
     if args.action == "points":
         # the orbits partition the exact-period points
@@ -302,15 +254,12 @@ def _cmd_entropy(args) -> Tuple[dict, bool, str]:
 
 
 def _cmd_reproduce(args) -> Tuple[dict, bool, str]:
+    wanted = None
     if args.criteria is not None:
         try:
             wanted = sorted({int(part) for part in args.criteria.split(",")})
         except ValueError:
             raise UsageError("--criteria expects integers like 1,3,9") from None
-        if not all(1 <= c <= 9 for c in wanted):
-            raise UsageError("criteria run from 1 to 9")
-    else:
-        wanted = None
     report = reproduce_mod.run_all(seed=args.seed, criteria=wanted)
     return report, report["pass"], reproduce_mod.summary_table(report)
 

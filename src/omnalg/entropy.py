@@ -31,16 +31,6 @@ Word = Tuple[int, ...]
 GaussInt = Tuple[int, int]
 
 
-def word_value(word: Word, n: int) -> int:
-    """Base-n value of a word: sum of (letter - 1) * n^position."""
-    total = 0
-    for i, letter in enumerate(word):
-        if not 1 <= letter <= n:
-            raise ValueError(f"letter {letter} outside 1..{n}")
-        total += (letter - 1) * n ** i
-    return total
-
-
 def window_size(params: AlgebraParams, s: int) -> int:
     n = params.n
     words = s + 1 if n == 1 else (n ** (s + 1) - 1) // (n - 1)

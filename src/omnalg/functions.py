@@ -19,8 +19,6 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .exact import frac_str, parse_frac
-
 
 # -- polynomial helpers (coefficients ascending) -------------------------
 
@@ -315,16 +313,3 @@ def winding(f: PiecewiseFunction) -> int:
 def support_pieces(f: PiecewiseFunction) -> List[Tuple[Fraction, Fraction]]:
     """Intervals whose piece is not the zero polynomial."""
     return [(lo, hi) for (lo, hi), p in zip(f.piece_bounds(), f.pieces) if p]
-
-
-# -- serialization ---------------------------------------------------------
-
-
-def function_to_json_obj(f: PiecewiseFunction) -> dict:
-    return {"breakpoints": [frac_str(b) for b in f.breakpoints],
-            "pieces": [[frac_str(c) for c in p] for p in f.pieces]}
-
-
-def function_from_json_obj(obj: dict) -> PiecewiseFunction:
-    return PiecewiseFunction([parse_frac(b) for b in obj["breakpoints"]],
-                             [tuple(parse_frac(c) for c in p) for p in obj["pieces"]])

@@ -38,9 +38,26 @@ from math import gcd
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebra import AlgebraParams, Monomial
-from .exact import in_localization
+from .exact import bounded_power, in_localization
 
 _Label = Tuple[int, int]  # (p, e) standing for p/m^e, normalised
+
+# relation_residuals checks at most (2P+1)(Q+1) labels on the window P,Q
+# (2P+1 when m = 1); in fact fewer, since p/m^e with m | p and e >= 1 is
+# a label at e - 1: at (3, 5) the default 256,4 has 1 881, not 2 565
+LABEL_LIMIT = 1 << 14
+# n^2 + n + 1 checks per label; the acceptance sweep's largest window,
+# (3, 5) at 256,4, has at most 79 515, and at this limit a run on small
+# labels takes about 0.8 s (Python 3.11.7, 2 cores)
+CHECK_LIMIT = 1 << 20
+# a check costs about 1.4 us + 0.36 ns per bit of the largest label, the
+# size of m^(Q+1), so it weighs 1 + bits(m^(Q+1)) // LABEL_BITS against
+# CHECK_LIMIT; at that limit, e.g. (m, n) = (10, 7) at 1,2464, a run takes
+# about 1.2 s while m has at most 1 000 digits (Python 3.11.7, 2 cores)
+LABEL_BITS = 4096
+# `_exact_period_residues` enumerates every residue mod m^k - 1; the
+# largest modulus the acceptance sweep and tests use is 3^4 - 1 = 80
+RESIDUE_LIMIT = 1 << 16
 
 
 def _letter_offset(j: int, variant: str) -> int:
@@ -77,8 +94,11 @@ def _translate(powers: List[int], k: int, p: int, e: int) -> _Label:
 
 
 def _powers(m: int, top: int) -> List[int]:
-    """m^0 .. m^top."""
-    return [m ** t for t in range(top + 1)]
+    """m^0 .. m^top, each from the one before."""
+    powers = [1]
+    for _ in range(top):
+        powers.append(powers[-1] * m)
+    return powers
 
 
 def _label(m: int, q: Fraction) -> _Label:
@@ -179,7 +199,7 @@ def _window(m: int, num_bound: int, exp_bound: int) -> List[_Label]:
     labels = [(p, e) for e in range(exp_bound + 1) for p in numerators
               if e == 0 or p % m]
     # p/m^e < p'/m^e' iff p m^(E-e) < p' m^(E-e'), all integers
-    scale = [m ** (exp_bound - e) for e in range(exp_bound + 1)]
+    scale = _powers(m, exp_bound)[::-1]  # m^(E-e) at index e
     labels.sort(key=lambda label: label[0] * scale[label[1]])
     return labels
 
@@ -187,6 +207,41 @@ def _window(m: int, num_bound: int, exp_bound: int) -> List[_Label]:
 def window_labels(m: int, num_bound: int, exp_bound: int) -> List[Fraction]:
     """All labels p/m^e with |p| <= num_bound, 0 <= e <= exp_bound, deduplicated."""
     return [_fraction(m, label) for label in _window(m, num_bound, exp_bound)]
+
+
+def _checks_per_label(n: int) -> Dict[str, int]:
+    """Relation checks made on each label, by relation."""
+    return {"shift": n - 1, "wrap": 1, "orthogonality": n * n, "partition": 1}
+
+
+def _bound_window(m: int, n: int, num_bound: int, exp_bound: int) -> None:
+    """Refuse a window past LABEL_LIMIT labels or CHECK_LIMIT weighed checks.
+
+    Labels are counted by the bound (2P+1)(Q+1), so nothing is enumerated;
+    m^(Q+1), of more than (Q+1)(bits(m) - 1) bits, is formed only when that
+    estimate leaves the window within the limit.
+    """
+    labels = (2 * num_bound + 1) * (exp_bound + 1 if m > 1 else 1)
+    window = f"window {num_bound},{exp_bound}"
+    if labels > LABEL_LIMIT:
+        raise ValueError(f"{window} would check up to {labels} labels, more "
+                         f"than the limit of {LABEL_LIMIT}")
+    checks = labels * sum(_checks_per_label(n).values())
+    if checks > CHECK_LIMIT:
+        raise ValueError(f"{window} at n = {n} would run up to {checks} "
+                         f"relation checks ({labels} labels, n^2 + n + 1 "
+                         f"each), more than the limit of {CHECK_LIMIT}")
+    top = exp_bound + 1 if m > 1 else 0
+    bits = top * (m.bit_length() - 1) + 1
+    if checks * (1 + bits // LABEL_BITS) <= CHECK_LIMIT:
+        bits = (m ** top).bit_length()
+    weight = checks * (1 + bits // LABEL_BITS)
+    if weight > CHECK_LIMIT:
+        raise ValueError(f"{window} at m = {m}, n = {n} would run up to "
+                         f"{checks} relation checks on labels of at least "
+                         f"{bits} bits (m^{top}); at one more per {LABEL_BITS} "
+                         f"bits they weigh {weight}, more than the limit of "
+                         f"{CHECK_LIMIT}")
 
 
 def relation_residuals(params: AlgebraParams, variant: str = "A",
@@ -198,11 +253,13 @@ def relation_residuals(params: AlgebraParams, variant: str = "A",
     so every relation instance over the base window is checkable and the
     coverage fraction is 1.  Violations are collected, never raised.
     The grown numerator bound is that of the reduced fraction p/m^e,
-    which for composite m can be smaller than p (2/6 = 1/3).
+    which for composite m can be smaller than p (2/6 = 1/3).  A window
+    past the label, check or label-size limit is refused before any work.
     """
     if num_bound < 0 or exp_bound < 0:
         raise ValueError(f"window bounds must be >= 0, got {num_bound},{exp_bound}")
     m, n = params.m, params.n
+    _bound_window(m, n, num_bound, exp_bound)
     offsets = [_letter_offset(j, variant) for j in range(1, n + 1)]
     labels = _window(m, num_bound, exp_bound)
     grown = [num_bound, exp_bound if m > 1 else 0]
@@ -263,8 +320,8 @@ def relation_residuals(params: AlgebraParams, variant: str = "A",
                 bad("sum S_i S_i* = 1", q, f"round trip via i={i} failed")
 
     count = len(labels)
-    counts = {"shift": count * (n - 1), "wrap": count,
-              "orthogonality": count * n * n, "partition": count}
+    counts = {relation: count * per_label
+              for relation, per_label in _checks_per_label(n).items()}
     return {
         "variant": variant,
         "m": m,
@@ -346,9 +403,16 @@ def exact_period(m: int, k: int, r: int) -> int:
 
 
 def _exact_period_residues(m: int, k: int) -> List[int]:
-    """Residues mod m^k - 1 of exact period k, ascending."""
+    """Residues mod m^k - 1 of exact period k, ascending.
+
+    m^k is built by `bounded_power`: past RESIDUE_LIMIT within 17 factors.
+    """
     if m < 2 or k < 1:
         raise ValueError("need m >= 2 and k >= 1")
+    if bounded_power(m, k, RESIDUE_LIMIT + 1) is None:
+        raise ValueError(f"period {k} at m = {m} would enumerate m^k - 1 = "
+                         f"{m}^{k} - 1 residues, more than the limit of "
+                         f"{RESIDUE_LIMIT}")
     mod = m ** k - 1
     if mod == 1:
         return [0]

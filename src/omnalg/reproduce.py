@@ -448,7 +448,8 @@ def run_all(seed: int = DEFAULT_SEED,
     wanted = sorted(criteria) if criteria else sorted(CRITERIA)
     unknown = [c for c in wanted if c not in CRITERIA]
     if unknown:
-        raise ValueError(f"unknown criteria {unknown}")
+        raise ValueError(f"criteria run from {min(CRITERIA)} to {max(CRITERIA)}, "
+                         f"not {unknown}")
     results = []
     for cid in wanted:
         fn, name = CRITERIA[cid]

@@ -4,6 +4,8 @@ Runs the same criterion functions as ``omnalg reproduce`` at their full
 default strengths and the frozen seed, so `pytest` and the CLI agree.
 """
 
+import pytest
+
 from omnalg import reproduce
 
 SEED = reproduce.DEFAULT_SEED
@@ -51,3 +53,9 @@ def test_criterion_8_algebra_invariant_sweep():
 
 def test_criterion_9_matrix_compression_shape():
     run_criterion(9)
+
+
+@pytest.mark.parametrize("criteria", [[0], [12], [1, 10]])
+def test_run_all_refuses_unknown_criteria_before_any_work(criteria):
+    with pytest.raises(ValueError, match="criteria run from 1 to 9"):
+        reproduce.run_all(criteria=criteria)

@@ -9,8 +9,10 @@ from time import perf_counter
 import pytest
 
 from omnalg import projection
-from omnalg.cli import (REP_CHECK_LIMIT, REP_LABEL_LIMIT, RIEFFEL_GRID_LIMIT,
-                        SCHEMA, _build_parser, main)
+from omnalg.cli import SCHEMA, _build_parser, main
+from omnalg.projection import GRID_LIMIT as RIEFFEL_GRID_LIMIT
+from omnalg.representations import (CHECK_LIMIT as REP_CHECK_LIMIT,
+                                    LABEL_LIMIT as REP_LABEL_LIMIT)
 
 RANGE_SUM_MINUS_ONE = json.dumps([
     {"mu": [1], "k": 0, "nu": [1]},
@@ -434,6 +436,11 @@ def test_kgroups_at_a_mersenne_prime_answers_quickly(monkeypatch, capsys):
      2, "n >= 2"),
     (["entropy", "--m", "1", "--n", "1", "--s", "0", "--nmax", str(10 ** 12)],
      2, "n >= 2"),
+    # inside the label and check limits, refused for the size of the labels
+    (["rep", "check", "--m", "10", "--n", "7", "--window", "1,5460"],
+     2, "933831 relation checks on labels"),
+    (["rep", "check", "--m", "1000", "--n", "7", "--window", "1,5460"],
+     2, "933831 relation checks on labels"),
 ])
 def test_astronomic_sizes_answer_quickly(argv, code, needle, monkeypatch, capsys):
     start = perf_counter()

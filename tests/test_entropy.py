@@ -8,26 +8,12 @@ import pytest
 
 from omnalg.algebra import AlgebraParams, Element, Monomial, mul_monomials
 from omnalg.entropy import (_Echelon, _refined_count, entropy_estimate,
-                            monomial_window,
-                            rho_matrix, span_dimension, window_size,
-                            word_value)
+                            monomial_window, rho_matrix, span_dimension,
+                            window_size)
 from omnalg.exact import QQi, bounded_power
 
 P12 = AlgebraParams(1, 2)
 P13 = AlgebraParams(1, 3)
-
-
-def test_word_value_is_little_endian():
-    assert word_value((), 2) == 0
-    assert word_value((1,), 2) == 0
-    assert word_value((2,), 2) == 1
-    assert word_value((1, 1), 2) == 0
-    assert word_value((2, 1), 3) == 1
-    assert word_value((1, 2), 3) == 3
-    assert word_value((3,), 3) == 2
-    # every r-letter word hits a distinct value in range(n^r)
-    vals = {word_value((a, b), 2) for a in (1, 2) for b in (1, 2)}
-    assert vals == {0, 1, 2, 3}
 
 
 def test_window_size_closed_form():

@@ -1,14 +1,12 @@
 """Piecewise polynomial functions on the circle: arithmetic, dilation, transfer."""
 
-import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from omnalg.functions import (PiecewiseFunction, dilate, function_from_json_obj,
-                              function_to_json_obj, integrate, support_pieces,
-                              transfer, winding)
+from omnalg.functions import (PiecewiseFunction, dilate, integrate,
+                              support_pieces, transfer, winding)
 
 F = Fraction
 
@@ -169,10 +167,3 @@ def test_is_zero_and_partition():
     assert (halves - PiecewiseFunction.one()).is_zero
     assert not (halves - PiecewiseFunction.constant(F(4, 5))).is_zero
 
-
-def test_serialization_round_trip_exact():
-    rng = random.Random(43)
-    for _ in range(10):
-        f = random_function(rng)
-        blob = json.dumps(function_to_json_obj(f))
-        assert function_from_json_obj(json.loads(blob)) == f

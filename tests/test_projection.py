@@ -8,12 +8,15 @@ import weakref
 from dataclasses import fields
 from fractions import Fraction
 from itertools import product
+from time import perf_counter
 
 import pytest
 
 from omnalg.functions import (PiecewiseFunction, dilate, support_pieces,
                               transfer)
-from omnalg.projection import (FuncElement, ProjectionData, _Fn, _sample,
+from omnalg import projection
+from omnalg.projection import (FuncElement, ProjectionData, _Fn,
+                               _first_nonzero_point, _sample,
                                assemble_and_square, build_canonical_data,
                                check_conditions, contract_through, k0_class,
                                kms_trace, sample_element, telescoping_identity,
@@ -98,6 +101,35 @@ def test_check_conditions_detects_broken_bump():
     # identities still hold
     assert report["identities"]["a_unit_on_support"]["pass"]
     assert report["identities"]["a_partition"]["pass"]
+
+
+def vanishing_at(points):
+    """The polynomial prod (t - p) over points, on all of [0, 1)."""
+    f = PiecewiseFunction.one()
+    for p in points:
+        f = f * PiecewiseFunction.polynomial((-p, F(1)))
+    return f
+
+
+def test_nonzero_point_of_a_piece_vanishing_at_eight_probes():
+    f = vanishing_at([F(j, 8) for j in range(8)])
+    assert not f.is_zero
+    point = _first_nonzero_point(f)
+    assert f.evaluate(point) != 0
+
+
+def test_check_conditions_detects_a_degree_eight_failure():
+    # a0 changed on [3/4, 7/8) by a polynomial vanishing at 3/4 + j/64,
+    # j < 8: a_partition's difference is that polynomial there and zero
+    # elsewhere, so it passes any test that looks at those 8 points only
+    d = build_canonical_data()
+    bump = vanishing_at([F(3, 4) + F(j, 64) for j in range(8)])
+    bad_a0 = d.a0 + bump * d.delta1
+    report = check_conditions(ProjectionData(bad_a0, d.b0, d.a1sq, d.b1sq,
+                                             d.delta1, d.delta2))
+    entry = report["identities"]["a_partition"]
+    assert not entry["pass"]
+    assert bump.evaluate(F(entry["first_failure"])) != 0
 
 
 def test_check_conditions_detects_negative_square():
@@ -234,3 +266,15 @@ def test_contraction_phase_sign_matches_pointwise_formula():
             want = sum(cmath.exp(2j * cmath.pi * float(s)) * float(h.evaluate(s))
                        for s in (t / 2, (t + 1) / 2)) / 2
             assert abs(table[k] - want) < 1e-12, (k, table[k], want)
+
+
+def test_verify_refuses_a_grid_past_its_limit_before_any_work(monkeypatch):
+    def conditions_ran(data):
+        raise AssertionError("check_conditions ran before the grid check")
+
+    monkeypatch.setattr(projection, "check_conditions", conditions_ran)
+    for grid in (2 * projection.GRID_LIMIT, 1 << 40):
+        start = perf_counter()
+        with pytest.raises(ValueError, match=f"grid {grid} .* {projection.GRID_LIMIT}"):
+            verify(build_canonical_data(), grid=grid)
+        assert perf_counter() - start < 1.0

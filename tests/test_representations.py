@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import gcd
+from time import perf_counter
 
 import pytest
 
@@ -208,6 +209,62 @@ def test_violations_match_the_fraction_loop(monkeypatch):
         seen.update(v["relation"] for v in report["violations"])
     assert seen == {"z S_i = S_{i+1}", "z S_n = S_1 z^m", "S_i* S_j = 0",
                     "sum S_i S_i* = 1"}
+
+
+def refused_quickly(fn, *args, **kwargs) -> str:
+    """The message of the ValueError fn raises, asserting it comes within 1 s."""
+    start = perf_counter()
+    with pytest.raises(ValueError) as info:
+        fn(*args, **kwargs)
+    assert perf_counter() - start < 1.0
+    return str(info.value)
+
+
+LABELS, CHECKS = representations.LABEL_LIMIT, representations.CHECK_LIMIT
+
+
+@pytest.mark.parametrize("m, n, window, needle, limit", [
+    # past LABEL_LIMIT: (2P+1)(Q+1) labels by the bound
+    (1, 2, (8192, 0), "16385 labels", LABELS),
+    (2, 3, (10 ** 30, 10 ** 30),
+     f"{(2 * 10 ** 30 + 1) * (10 ** 30 + 1)} labels", LABELS),
+    # past CHECK_LIMIT: n^2 + n + 1 checks per label
+    (1, 1024, (0, 0), "1049601 relation checks", CHECKS),
+    (2, 255, (0, 16), "1109777 relation checks", CHECKS),
+    # past CHECK_LIMIT once each check weighs 1 + bits(m^(Q+1)) // 4096
+    (10, 7, (0, 4599), "they weigh 1048800", CHECKS),
+    (10, 7, (1, 5460), "933831 relation checks on labels", CHECKS),
+    (1000, 7, (1, 5460), "933831 relation checks on labels", CHECKS),
+    pytest.param(10 ** 4000, 1, (0, 16383), "49152 relation checks on labels",
+                 CHECKS, id="m=10^4000"),
+])
+def test_relation_residuals_refuses_past_its_limits(m, n, window, needle, limit):
+    message = refused_quickly(relation_residuals, AlgebraParams(m, n), "A",
+                              *window)
+    assert needle in message and str(limit) in message
+
+
+@pytest.mark.parametrize("m, n, window, labels", [
+    (1, 2, (8191, 0), 16383),  # 16 383 labels by the bound, the most allowed
+    (2, 255, (0, 15), 1),  # 1 044 496 checks by the bound
+    (10, 7, (0, 4598), 1),  # weighs 1 048 572: 262 143 checks, 15 278 bits
+])
+def test_relation_residuals_runs_at_its_limits(m, n, window, labels):
+    report = relation_residuals(AlgebraParams(m, n), "A", *window)
+    assert report["pass"] and report["labels"] == labels
+
+
+@pytest.mark.parametrize("m, k", [(2, 17), (2, 10 ** 9), (65538, 1), (10 ** 6, 2)])
+def test_solenoid_enumeration_refuses_past_its_limit(m, k):
+    for fn in (solenoid_orbits, solenoid_periodic_points):
+        message = refused_quickly(fn, m, k)
+        assert f"{m}^{k} - 1 residues" in message
+        assert str(representations.RESIDUE_LIMIT) in message
+
+
+def test_solenoid_enumeration_runs_at_its_limit():
+    # m = 1 mod 2^16: all 2^16 residues have exact period 1
+    assert len(solenoid_orbits(65537, 1)) == representations.RESIDUE_LIMIT
 
 
 def test_periodic_point_counts():
