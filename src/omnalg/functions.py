@@ -83,10 +83,26 @@ class PiecewiseFunction:
         if len(pieces) != len(bps):
             raise ValueError("need exactly one piece per breakpoint")
         norm = [_poly_trim(tuple(Fraction(c) for c in p)) for p in pieces]
+        self._set_merged(bps, norm)
+
+    @classmethod
+    def _from_normal(cls, breakpoints: Sequence[Fraction],
+                     pieces: Sequence[tuple]) -> "PiecewiseFunction":
+        """Build from data that is normal but for merging, checking nothing.
+
+        The breakpoints are Fractions from 0, strictly increasing in [0, 1),
+        with one trimmed tuple of Fractions each: what the public
+        constructor keeps as it is, apart from merging equal neighbours.
+        """
+        self = object.__new__(cls)
+        self._set_merged(breakpoints, pieces)
+        return self
+
+    def _set_merged(self, bps: Sequence[Fraction], pieces: Sequence[tuple]) -> None:
         # merge adjacent identical pieces
         mb: List[Fraction] = []
         mp: List[tuple] = []
-        for b, p in zip(bps, norm):
+        for b, p in zip(bps, pieces):
             if mp and mp[-1] == p:
                 continue
             mb.append(b)
@@ -199,9 +215,30 @@ class PiecewiseFunction:
     # -- ring operations ----------------------------------------------------
 
     def _zip_with(self, other: "PiecewiseFunction", combine) -> "PiecewiseFunction":
-        bps = sorted(set(self.breakpoints) | set(other.breakpoints))
-        pieces = [combine(self._piece_at(b), other._piece_at(b)) for b in bps]
-        return PiecewiseFunction(bps, pieces)
+        """Combine piece by piece over the union of both breakpoint tuples.
+
+        Both tuples are sorted and start at 0, so one merging walk finds
+        the union and the piece of each side in force at each point.
+        """
+        a_bps, a_pieces = self.breakpoints, self.pieces
+        b_bps, b_pieces = other.breakpoints, other.pieces
+        last_a, last_b = len(a_bps) - 1, len(b_bps) - 1
+        i = j = 0
+        bps = [a_bps[0]]
+        pieces = [combine(a_pieces[0], b_pieces[0])]
+        while i < last_a or j < last_b:
+            if j == last_b or (i < last_a and a_bps[i + 1] < b_bps[j + 1]):
+                i += 1
+                bps.append(a_bps[i])
+            elif i == last_a or b_bps[j + 1] < a_bps[i + 1]:
+                j += 1
+                bps.append(b_bps[j])
+            else:
+                i += 1
+                j += 1
+                bps.append(a_bps[i])
+            pieces.append(combine(a_pieces[i], b_pieces[j]))
+        return PiecewiseFunction._from_normal(bps, pieces)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -235,7 +272,7 @@ class PiecewiseFunction:
             raise ValueError("cannot scale by a float: pieces stay exact")
         s = Fraction(s)
         pieces = [_poly_trim(tuple(c * s for c in p)) for p in self.pieces]
-        return PiecewiseFunction(self.breakpoints, pieces)
+        return PiecewiseFunction._from_normal(self.breakpoints, pieces)
 
 
 def dilate(f: PiecewiseFunction, d: int) -> PiecewiseFunction:
@@ -250,7 +287,7 @@ def dilate(f: PiecewiseFunction, d: int) -> PiecewiseFunction:
         for (lo, _hi), piece in zip(f.piece_bounds(), f.pieces):
             bps.append((lo + j) / d)
             pieces.append(_poly_compose_affine(piece, Fraction(d), Fraction(-j)))
-    return PiecewiseFunction(bps, pieces)
+    return PiecewiseFunction._from_normal(bps, pieces)
 
 
 def _pullback_half(f: PiecewiseFunction, shift: int) -> PiecewiseFunction:

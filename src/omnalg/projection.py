@@ -13,6 +13,21 @@ Every point it touches is dyadic, so each function is sampled on a
 power-of-two lattice in one sweep, and dilation and contraction become
 index arithmetic on those tables.
 
+The sampler folds constants and skips multiplying by the constant 1
+(see the numeric engine below), and these shortcuts leave every float it
+reports unchanged.  For finite x, x*(1+0j) = x, x*(1-0j) = x (the
+conjugated constant 1) and (-1+0j)*x = -x hold exactly except, perhaps,
+for the sign of a zero component; and a product of two constants is the
+same float operation whether it is made once when a node is built or
+once per table entry.  A zero of either sign adds, multiplies and
+conjugates to a zero, so every component of every table and bucket
+equals the unfolded one or both are zeros: no magnitude, no sum of
+nonzero terms and no `abs` moves.  Strided slices read the very entries
+that index arithmetic read.  The terms are still summed into each
+bucket in the same order, since a reordered sum may round differently,
+and the exact self_adjoint_defect == 0.0 of `assemble_and_square` rests
+on that order.
+
 The printed form of b_0 in the source material is internally
 inconsistent; ``build_canonical_data`` returns the unique
 piecewise-linear completion that satisfies every verification identity
@@ -35,7 +50,7 @@ PUBLISHED_TRACE = Fraction(7, 16)
 PUBLISHED_K0_CLASS = -4
 DEFAULT_GRID = 4096
 # verify samples on lattices of up to 16 times the grid; at this limit it
-# takes about 7 s and 93 MB peak RSS (Python 3.11.7, 2 cores)
+# takes about 3 to 4 s and 89 MB peak RSS (Python 3.11.7, 2 cores)
 GRID_LIMIT = 1 << 14
 
 # -- exact data and conditions -------------------------------------------
@@ -195,6 +210,15 @@ def telescoping_identity(data: ProjectionData, power: int) -> dict:
 # the same float operations, in the same order, as evaluating the node's
 # formula at the float k/size, and those points are exact.  So a table
 # does not depend on the path by which its points were reached.
+#
+# Constants fold when a node is built: a product of two constants, or a
+# dilated or conjugated constant, is a constant, and a product with the
+# constant 1 is its other factor.  So no table of a constant is built to
+# be multiplied in, and a term whose right side is the constant 1 skips
+# that multiply.  Since d and size are powers of two, index (d*k) mod size
+# runs through a strided slice of the table, repeated; so dilation, and
+# the reads of `_add_term` along a term's affine line, copy slices and
+# build no list of indices.
 
 
 class _Fn:
@@ -204,6 +228,9 @@ class _Fn:
     A leaf over a PiecewiseFunction (exact, sqrt) keeps its table on the
     finest lattice sampled so far and serves coarser lattices from it;
     every other table is built when asked for and dropped by the caller.
+    The node builders fold constants (see the numeric engine above), so a
+    const node is never the child of a conj or dilate node, and a mul node
+    has at most one const factor, never the constant 1.
     """
 
     __slots__ = ("kind", "args", "table")
@@ -225,19 +252,46 @@ class _Fn:
     def sqrt_of(cls, pw: PiecewiseFunction) -> "_Fn":
         return cls("sqrt", pw)
 
+    def is_one(self) -> bool:
+        return self.kind == "const" and self.args[0] == 1
+
     def __mul__(self, other: "_Fn") -> "_Fn":
+        if self.kind == "const" and other.kind == "const":
+            return _Fn.const(self.args[0] * other.args[0])
+        if other.is_one():
+            return self
+        if self.is_one():
+            return other
         return _Fn("mul", self, other)
 
     def conjugate(self) -> "_Fn":
+        if self.kind == "const":
+            return _Fn.const(self.args[0].conjugate())
         return _Fn("conj", self)
 
     def dilated(self, d: int) -> "_Fn":
-        return self if d == 1 else _Fn("dilate", self, d)
+        return self if d == 1 or self.kind == "const" else _Fn("dilate", self, d)
 
 
 def contract_through(i: int, j: int, h: _Fn) -> _Fn:
     """S_i* h S_j as a function: average of h over halved points with phase."""
     return _Fn("contract", h, j - i)
+
+
+def _strided(table: List[complex], start: int, step: int, count: int) -> List[complex]:
+    """table[(start + step*i) % len(table)] for i < count.
+
+    len(table), step and count are powers of two, except that step may be
+    0; start < len(table).  Past the end the reads wrap round the residue
+    class of start mod step, one period of two slices, repeated.
+    """
+    if not step:
+        return [table[start]] * count
+    run = table[start:start + step * count:step]
+    if len(run) < count:
+        run += table[start % step:start:step]
+        run = run[:count] if len(run) >= count else run * (count // len(run))
+    return run
 
 
 def _phase_table(scale: complex, size: int, phases: dict) -> List[complex]:
@@ -274,21 +328,26 @@ def _sample(fn: _Fn, size: int, phases: dict) -> List[complex]:
             fn.table = [complex(v) for v in values]
         return fn.table
     if kind == "mul":
-        f = _sample(args[0], size, phases)
-        g = _sample(args[1], size, phases)
-        return [x * y for x, y in zip(f, g)]
+        f, g = args
+        if f.kind == "const":
+            c = f.args[0]
+            return [c * y for y in _sample(g, size, phases)]
+        if g.kind == "const":
+            c = g.args[0]
+            return [x * c for x in _sample(f, size, phases)]
+        return [x * y for x, y in zip(_sample(f, size, phases),
+                                      _sample(g, size, phases))]
     if kind == "conj":
         return [z.conjugate() for z in _sample(args[0], size, phases)]
     if kind == "dilate":
-        child, d = _sample(args[0], size, phases), args[1]
-        return [child[(d * k) % size] for k in range(size)]
+        return _strided(_sample(args[0], size, phases), 0, args[1] % size, size)
     # contract: at t = k/size, h is read at t/2 = k/(2 size) and at
     # (t+1)/2 = (k+size)/(2 size), each times exp(2 pi i d s)
     h, d = args
     child = _sample(h, 2 * size, phases)
     phase = _phase_table(2j * cmath.pi * d, 2 * size, phases)
-    return [0.5 * (phase[k] * child[k] + phase[k + size] * child[k + size])
-            for k in range(size)]
+    return [0.5 * (p * x + q * y) for p, x, q, y
+            in zip(phase, child, phase[size:], child[size:])]
 
 
 @dataclass(frozen=True)
@@ -367,18 +426,24 @@ def _term_product(s: FETerm, t: FETerm) -> FETerm:
     return FETerm(s.left, s.mu, t.nu + tuple(nu), right)
 
 
-def _word_phase(word: Tuple[int, ...], size: int, phases: dict) -> List[complex]:
-    """Phase of S_word at k/size: exp(2 pi i 2^l t) for each letter 2 at l."""
-    key = (word, size)
+def _word_phase(word: Tuple[int, ...], size: int, phases: dict,
+                conj: bool = False) -> List[complex]:
+    """Phase of S_word at k/size: exp(2 pi i 2^l t) for each letter 2 at l.
+
+    With ``conj``, its conjugate, the phase of S_word^adj that `_add_term`
+    reads on the right; each is memoised under its own key.
+    """
+    key = (word, size, conj)
     table = phases.get(key)
     if table is None:
         base = _phase_table(2j * cmath.pi, size, phases)
         table = [complex(1.0)] * size
         for l, letter in enumerate(word):
             if letter == 2:
-                step = 2 ** l
-                table = [acc * base[(step * k) % size]
-                         for k, acc in enumerate(table)]
+                dilated = _strided(base, 0, 2 ** l % size, size)
+                table = [acc * b for acc, b in zip(table, dilated)]
+        if conj:
+            table = [p.conjugate() for p in table]
         phases[key] = table
     return table
 
@@ -398,7 +463,7 @@ def sample_element(elem: FuncElement, grid: int) -> float:
     phases: dict = {}
     for term in elem.terms:
         _add_term(buckets, term, grid, phases)
-    return max((abs(v) for acc in buckets.values() for v in acc), default=0.0)
+    return max((max(map(abs, acc)) for acc in buckets.values()), default=0.0)
 
 
 def _check_grid(grid: int) -> None:
@@ -406,19 +471,34 @@ def _check_grid(grid: int) -> None:
         raise ValueError("grid must be a power of two")
 
 
+def _line_keys(pow_a: int, pow_b: int, phases: dict) -> List[tuple]:
+    """Bucket keys (pow_a/pow_b, j/pow_b) of the lines j < pow_b; memoised."""
+    key = ("lines", pow_a, pow_b)
+    keys = phases.get(key)
+    if keys is None:
+        scale = Fraction(pow_a, pow_b)
+        keys = [(scale, Fraction(j, pow_b)) for j in range(pow_b)]
+        phases[key] = keys
+    return keys
+
+
 def _add_term(buckets: dict, term: FETerm, grid: int, phases: dict) -> None:
     pow_a, pow_b = 2 ** len(term.mu), 2 ** len(term.nu)
     size = grid * pow_b
     head = [f * p / pow_b for f, p in zip(_sample(term.left, grid, phases),
                                           _word_phase(term.mu, grid, phases))]
-    nu_phase = [p.conjugate() for p in _word_phase(term.nu, size, phases)]
-    right = _sample(term.right, size, phases)
-    for j in range(pow_b):
-        key = (Fraction(pow_a, pow_b), Fraction(j, pow_b) % 1)
+    nu_phase = _word_phase(term.nu, size, phases, conj=True)
+    right = None if term.right.is_one() else _sample(term.right, size, phases)
+    step = pow_a % size
+    for j, key in enumerate(_line_keys(pow_a, pow_b, phases)):
         acc = buckets.setdefault(key, [0j] * grid)
-        xs = [(pow_a * i + j * grid) % size for i in range(grid)]
-        acc[:] = [s + h * nu_phase[x] * right[x]
-                  for s, h, x in zip(acc, head, xs)]
+        # t = i/grid reads both tables at (pow_a i + j grid) mod size
+        phase = _strided(nu_phase, j * grid, step, grid)
+        if right is None:
+            acc[:] = [s + h * p for s, h, p in zip(acc, head, phase)]
+        else:
+            acc[:] = [s + h * p * r for s, h, p, r
+                      in zip(acc, head, phase, _strided(right, j * grid, step, grid))]
 
 
 def _matrix_of(data: ProjectionData) -> List[List[FuncElement]]:

@@ -55,6 +55,12 @@ CHECK_LIMIT = 1 << 20
 # CHECK_LIMIT; at that limit, e.g. (m, n) = (10, 7) at 1,2464, a run takes
 # about 1.2 s while m has at most 1 000 digits (Python 3.11.7, 2 cores)
 LABEL_BITS = 4096
+# building the powers m^0 .. m^(Q+1) by multiplying by m costs about
+# bits(m) * bits(m^k) bit products for m^k, at most b^2 (Q+1)(Q+2)/2 in
+# all for b = bits(m); the largest one-label windows within every limit
+# take at most about 0.25 s for m of 32 to 13 288 bits (Python 3.11.7,
+# 2 cores)
+POWER_LIMIT = 1 << 37
 # `_exact_period_residues` enumerates every residue mod m^k - 1; the
 # largest modulus the acceptance sweep and tests use is 3^4 - 1 = 80
 RESIDUE_LIMIT = 1 << 16
@@ -187,11 +193,13 @@ def monomial_affine_map(params: AlgebraParams, mon: Monomial,
     return PartialAffineMap(params.m, scale, offset, tuple(conditions))
 
 
-def _window(m: int, num_bound: int, exp_bound: int) -> List[_Label]:
+def _window(m: int, num_bound: int, exp_bound: int,
+            powers: List[int]) -> List[_Label]:
     """The labels p/m^e, |p| <= num_bound, 0 <= e <= exp_bound, ascending.
 
-    At e >= 1 a numerator divisible by m names the label (p/m)/m^(e-1),
-    which the window already holds, so only the others are new.
+    ``powers`` holds m^0 .. m^exp_bound at least.  At e >= 1 a numerator
+    divisible by m names the label (p/m)/m^(e-1), which the window already
+    holds, so only the others are new.
     """
     if m == 1:
         exp_bound = 0
@@ -199,14 +207,15 @@ def _window(m: int, num_bound: int, exp_bound: int) -> List[_Label]:
     labels = [(p, e) for e in range(exp_bound + 1) for p in numerators
               if e == 0 or p % m]
     # p/m^e < p'/m^e' iff p m^(E-e) < p' m^(E-e'), all integers
-    scale = _powers(m, exp_bound)[::-1]  # m^(E-e) at index e
+    scale = powers[exp_bound::-1]  # m^(E-e) at index e
     labels.sort(key=lambda label: label[0] * scale[label[1]])
     return labels
 
 
 def window_labels(m: int, num_bound: int, exp_bound: int) -> List[Fraction]:
     """All labels p/m^e with |p| <= num_bound, 0 <= e <= exp_bound, deduplicated."""
-    return [_fraction(m, label) for label in _window(m, num_bound, exp_bound)]
+    labels = _window(m, num_bound, exp_bound, _powers(m, exp_bound))
+    return [_fraction(m, label) for label in labels]
 
 
 def _checks_per_label(n: int) -> Dict[str, int]:
@@ -215,11 +224,13 @@ def _checks_per_label(n: int) -> Dict[str, int]:
 
 
 def _bound_window(m: int, n: int, num_bound: int, exp_bound: int) -> None:
-    """Refuse a window past LABEL_LIMIT labels or CHECK_LIMIT weighed checks.
+    """Refuse a window past LABEL_LIMIT labels, CHECK_LIMIT weighed checks
+    or POWER_LIMIT bit products to build m^0 .. m^(Q+1).
 
     Labels are counted by the bound (2P+1)(Q+1), so nothing is enumerated;
     m^(Q+1), of more than (Q+1)(bits(m) - 1) bits, is formed only when that
-    estimate leaves the window within the limit.
+    estimate leaves the window within the limit, and the table of powers
+    that it tops is weighed first.
     """
     labels = (2 * num_bound + 1) * (exp_bound + 1 if m > 1 else 1)
     window = f"window {num_bound},{exp_bound}"
@@ -234,6 +245,7 @@ def _bound_window(m: int, n: int, num_bound: int, exp_bound: int) -> None:
     top = exp_bound + 1 if m > 1 else 0
     bits = top * (m.bit_length() - 1) + 1
     if checks * (1 + bits // LABEL_BITS) <= CHECK_LIMIT:
+        _bound_powers(m, top, window)
         bits = (m ** top).bit_length()
     weight = checks * (1 + bits // LABEL_BITS)
     if weight > CHECK_LIMIT:
@@ -242,6 +254,16 @@ def _bound_window(m: int, n: int, num_bound: int, exp_bound: int) -> None:
                          f"{bits} bits (m^{top}); at one more per {LABEL_BITS} "
                          f"bits they weigh {weight}, more than the limit of "
                          f"{CHECK_LIMIT}")
+
+
+def _bound_powers(m: int, top: int, window: str) -> None:
+    """Refuse a table m^0 .. m^top past POWER_LIMIT bit products."""
+    b = m.bit_length()
+    products = b * b * top * (top + 1) // 2
+    if products > POWER_LIMIT:
+        raise ValueError(f"{window} would build the powers m^0 .. m^{top} of "
+                         f"an m of {b} bits, up to {products} bit products, "
+                         f"more than the limit of {POWER_LIMIT}")
 
 
 def relation_residuals(params: AlgebraParams, variant: str = "A",
@@ -261,10 +283,10 @@ def relation_residuals(params: AlgebraParams, variant: str = "A",
     m, n = params.m, params.n
     _bound_window(m, n, num_bound, exp_bound)
     offsets = [_letter_offset(j, variant) for j in range(1, n + 1)]
-    labels = _window(m, num_bound, exp_bound)
     grown = [num_bound, exp_bound if m > 1 else 0]
     # labels reach exponent E + 1 at most: images add one to e <= E
     powers = _powers(m, grown[1] + 1)
+    labels = _window(m, num_bound, exp_bound, powers)
     violations: List[dict] = []
 
     def track(label: _Label) -> None:

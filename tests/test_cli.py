@@ -2,12 +2,15 @@
 
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 from time import perf_counter
 
 import pytest
 
+import omnalg
 from omnalg import projection
 from omnalg.cli import SCHEMA, _build_parser, main
 from omnalg.projection import GRID_LIMIT as RIEFFEL_GRID_LIMIT
@@ -448,6 +451,22 @@ def test_astronomic_sizes_answer_quickly(argv, code, needle, monkeypatch, capsys
     assert perf_counter() - start < 1.0
     assert got == code and needle in out + err
     assert "Traceback" not in err
+
+
+def test_rep_check_refuses_a_huge_m_in_a_fresh_process():
+    # every label and check limit passes; the powers m^0 .. m^328 of this
+    # 13 288-bit m are refused before any is built, and the 4 001 digits
+    # are parsed within the same second
+    src = os.path.dirname(os.path.dirname(omnalg.__file__))
+    argv = ["rep", "check", "--m", str(10 ** 4000), "--n", "1",
+            "--window", "0,327"]
+    start = perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "omnalg.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert perf_counter() - start < 1.0
+    assert proc.returncode == 2 and "bit products" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # -- one parser per process --------------------------------------------------

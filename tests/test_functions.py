@@ -1,6 +1,7 @@
 """Piecewise polynomial functions on the circle: arithmetic, dilation, transfer."""
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,91 @@ def test_pointwise_arithmetic():
                 assert abs(h.evaluate_float(float(t)) - float(h.evaluate(t))) <= 1e-12
     with pytest.raises(ValueError):
         sawtooth().scale(0.5)  # floats stay out of the pieces
+
+
+# -- ring operations against a bisecting reference --------------------------
+
+
+def ref_trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(p)
+
+
+def ref_add(p, q):
+    n = max(len(p), len(q))
+    return ref_trim(tuple((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+                          for i in range(n)))
+
+
+def ref_mul(p, q):
+    out = [F(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return ref_trim(out)
+
+
+def ref_neg(p):
+    return tuple(-c for c in p)
+
+
+def ref_zip(f, g, combine):
+    """Sorted union of the breakpoints, each piece found by bisection."""
+    bps = sorted(set(f.breakpoints) | set(g.breakpoints))
+    pieces = [combine(f.pieces[bisect_right(f.breakpoints, b) - 1],
+                      g.pieces[bisect_right(g.breakpoints, b) - 1]) for b in bps]
+    return bps, pieces
+
+
+def ref_merged(bps, pieces):
+    """The (breakpoints, pieces) left after merging adjacent equal pieces."""
+    out_b, out_p = [], []
+    for b, p in zip(bps, pieces):
+        if not out_p or out_p[-1] != p:
+            out_b.append(b)
+            out_p.append(p)
+    return tuple(out_b), tuple(out_p)
+
+
+def random_rational_function(rng):
+    # breakpoints over mixed denominators, so the two sides of an operation
+    # interleave, share points and differ; few coefficient values, so equal
+    # neighbouring pieces, and results that merge, are common
+    cuts = sorted({F(rng.randint(0, d - 1), d)
+                   for d in rng.sample((2, 3, 4, 5, 8, 12), 3)} | {F(0)})
+    cuts = cuts[:rng.randint(1, len(cuts))]
+    pieces = [tuple(F(rng.randint(-2, 2), rng.choice((1, 1, 2, 3)))
+                    for _ in range(rng.randint(0, 3))) for _ in cuts]
+    return PiecewiseFunction(cuts, pieces)
+
+
+def assert_normal(h):
+    """h is what the validating constructor makes of its own data."""
+    assert PiecewiseFunction(h.breakpoints, h.pieces) == h
+    assert all(type(b) is Fraction for b in h.breakpoints)
+    assert all(type(c) is Fraction for p in h.pieces for c in p)
+    assert all(p == ref_trim(p) for p in h.pieces)
+    assert all(p != q for p, q in zip(h.pieces, h.pieces[1:]))
+
+
+def test_ring_operations_match_a_bisecting_reference():
+    rng = random.Random(13)
+    for _ in range(300):
+        f = random_rational_function(rng)
+        g = rng.choice((f, random_rational_function(rng)))
+        for got, combine in ((f + g, ref_add),
+                             (f - g, lambda p, q: ref_add(p, ref_neg(q))),
+                             (f * g, ref_mul)):
+            want = ref_merged(*ref_zip(f, g, combine))
+            assert (got.breakpoints, got.pieces) == want
+            assert_normal(got)
+        for s in (0, -1, F(2, 3)):
+            assert_normal(f.scale(s))
+        for d in (2, 3):
+            assert_normal(dilate(f, d))
+    assert (f - f).pieces == ((),)
 
 
 def test_evaluate_lattice_matches_pointwise():

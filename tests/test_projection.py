@@ -3,6 +3,8 @@
 import cmath
 import gc
 import importlib
+import math
+import random
 import sys
 import weakref
 from dataclasses import fields
@@ -278,3 +280,178 @@ def test_verify_refuses_a_grid_past_its_limit_before_any_work(monkeypatch):
         with pytest.raises(ValueError, match=f"grid {grid} .* {projection.GRID_LIMIT}"):
             verify(build_canonical_data(), grid=grid)
         assert perf_counter() - start < 1.0
+
+
+# -- the sampler against the one it replaced ---------------------------------
+#
+# The reference below is the sampler as it stood before constant folding
+# and sliced sweeps: node builders that fold nothing, a table for every
+# node, constants included, and a list of indices for every bucket.  The
+# folded sampler has to give the very same floats.
+
+
+def ref_mul(self, other):
+    return _Fn("mul", self, other)
+
+
+def ref_conjugate(self):
+    return _Fn("conj", self)
+
+
+def ref_dilated(self, d):
+    return self if d == 1 else _Fn("dilate", self, d)
+
+
+def unfolded(monkeypatch):
+    """Make the node builders fold nothing while the test runs."""
+    monkeypatch.setattr(_Fn, "__mul__", ref_mul)
+    monkeypatch.setattr(_Fn, "conjugate", ref_conjugate)
+    monkeypatch.setattr(_Fn, "dilated", ref_dilated)
+
+
+def ref_sample(fn, size, phases):
+    kind, args = fn.kind, fn.args
+    if kind == "const":
+        return [args[0]] * size
+    if kind == "exact" or kind == "sqrt":
+        if fn.table is not None and len(fn.table) >= size:
+            return fn.table[::len(fn.table) // size]
+        values = args[0].evaluate_lattice(size)
+        if kind == "sqrt":
+            fn.table = [complex(math.sqrt(max(v, 0.0))) for v in values]
+        else:
+            fn.table = [complex(v) for v in values]
+        return fn.table
+    if kind == "mul":
+        f = ref_sample(args[0], size, phases)
+        g = ref_sample(args[1], size, phases)
+        return [x * y for x, y in zip(f, g)]
+    if kind == "conj":
+        return [z.conjugate() for z in ref_sample(args[0], size, phases)]
+    if kind == "dilate":
+        child, d = ref_sample(args[0], size, phases), args[1]
+        return [child[(d * k) % size] for k in range(size)]
+    h, d = args
+    child = ref_sample(h, 2 * size, phases)
+    phase = ref_phase_table(2j * cmath.pi * d, 2 * size, phases)
+    return [0.5 * (phase[k] * child[k] + phase[k + size] * child[k + size])
+            for k in range(size)]
+
+
+def ref_phase_table(scale, size, phases):
+    key = (scale, size)
+    if key not in phases:
+        phases[key] = ([complex(1.0)] * size if scale == 0 else
+                       [cmath.exp(scale * (k / size)) for k in range(size)])
+    return phases[key]
+
+
+def ref_word_phase(word, size, phases):
+    key = (word, size)
+    if key not in phases:
+        base = ref_phase_table(2j * cmath.pi, size, phases)
+        table = [complex(1.0)] * size
+        for l, letter in enumerate(word):
+            if letter == 2:
+                step = 2 ** l
+                table = [acc * base[(step * k) % size]
+                         for k, acc in enumerate(table)]
+        phases[key] = table
+    return phases[key]
+
+
+def ref_add_term(buckets, term, grid, phases):
+    pow_a, pow_b = 2 ** len(term.mu), 2 ** len(term.nu)
+    size = grid * pow_b
+    head = [f * p / pow_b for f, p in zip(ref_sample(term.left, grid, phases),
+                                          ref_word_phase(term.mu, grid, phases))]
+    nu_phase = [p.conjugate() for p in ref_word_phase(term.nu, size, phases)]
+    right = ref_sample(term.right, size, phases)
+    for j in range(pow_b):
+        key = (Fraction(pow_a, pow_b), Fraction(j, pow_b) % 1)
+        acc = buckets.setdefault(key, [0j] * grid)
+        xs = [(pow_a * i + j * grid) % size for i in range(grid)]
+        acc[:] = [s + h * nu_phase[x] * right[x]
+                  for s, h, x in zip(acc, head, xs)]
+
+
+def buckets_of(add_term, elem, grid):
+    buckets, phases = {}, {}
+    for term in elem.terms:
+        add_term(buckets, term, grid, phases)
+    return buckets
+
+
+def ref_sample_element(elem, grid):
+    buckets = buckets_of(ref_add_term, elem, grid)
+    return max((abs(v) for acc in buckets.values() for v in acc), default=0.0)
+
+
+def random_element(seed):
+    """Sandwiches of a0, b0, sqrt(b1sq) and the constants +-1, 0.5, 2j,
+    combined by +, -, * and adjoint; the same element for the same seed."""
+    d = build_canonical_data()
+    leaves = (lambda: d.a0, lambda: d.b0, lambda: _Fn.sqrt_of(d.b1sq),
+              lambda: 1, lambda: -1, lambda: 0.5, lambda: 2j)
+    rng = random.Random(seed)
+
+    def word():
+        return tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 2)))
+
+    def build(depth):
+        if depth == 0 or rng.random() < 0.25:
+            return FuncElement.sandwich(word(), rng.choice(leaves)(), word())
+        op = rng.choice("+-*a")
+        x = build(depth - 1)
+        if op == "a":
+            return x.adjoint()
+        y = build(depth - 1)
+        return x + y if op == "+" else x - y if op == "-" else x * y
+
+    return build(3)
+
+
+ORACLE_GRIDS = [2 ** k for k in range(8)]  # 1 .. 128
+
+
+def test_sample_element_matches_the_unfolded_reference(monkeypatch):
+    folded = [random_element(seed) for seed in range(100)]
+    with monkeypatch.context() as patch:
+        unfolded(patch)
+        plain = [random_element(seed) for seed in range(100)]
+    for seed, (elem, ref) in enumerate(zip(folded, plain)):
+        assert len(elem.terms) == len(ref.terms)
+        for grid in ORACLE_GRIDS:
+            got, want = sample_element(elem, grid), ref_sample_element(ref, grid)
+            assert got == want and repr(got) == repr(want), (seed, grid)
+            # every summed amplitude, not only the sup; == lets the sign
+            # of a zero differ, as multiplying by 1+0j may flip it
+            assert (buckets_of(projection._add_term, elem, grid)
+                    == buckets_of(ref_add_term, ref, grid)), (seed, grid)
+
+
+@pytest.mark.parametrize("grid", [8, 64, 256])
+def test_assemble_and_square_matches_the_unfolded_reference(grid, monkeypatch):
+    def recorded(log, sampler):
+        def sample(*args, **kwargs):
+            log.append((len(args), kwargs, len(args[0].terms), args[1]))
+            return sampler(*args, **kwargs)
+        return sample
+
+    data = build_canonical_data()
+    calls, ref_calls = [], []
+    with monkeypatch.context() as patch:
+        patch.setattr(projection, "sample_element",
+                      recorded(calls, projection.sample_element))
+        got = assemble_and_square(data, grid=grid)
+    with monkeypatch.context() as patch:
+        unfolded(patch)
+        patch.setattr(projection, "sample_element",
+                      recorded(ref_calls, ref_sample_element))
+        want = assemble_and_square(data, grid=grid)
+    assert got == want and repr(got) == repr(want)
+    # 12 calls of the module's sampler, each (elem, grid) by position:
+    # residual at the grid, then at twice the grid, then self-adjointness
+    assert calls == ref_calls
+    assert [(nargs, kwargs, g) for nargs, kwargs, _, g in calls] == \
+        [(2, {}, grid)] * 4 + [(2, {}, 2 * grid)] * 4 + [(2, {}, grid)] * 4

@@ -221,6 +221,7 @@ def refused_quickly(fn, *args, **kwargs) -> str:
 
 
 LABELS, CHECKS = representations.LABEL_LIMIT, representations.CHECK_LIMIT
+POWERS = representations.POWER_LIMIT
 
 
 @pytest.mark.parametrize("m, n, window, needle, limit", [
@@ -237,6 +238,12 @@ LABELS, CHECKS = representations.LABEL_LIMIT, representations.CHECK_LIMIT
     (1000, 7, (1, 5460), "933831 relation checks on labels", CHECKS),
     pytest.param(10 ** 4000, 1, (0, 16383), "49152 relation checks on labels",
                  CHECKS, id="m=10^4000"),
+    # past POWER_LIMIT: the table m^0 .. m^(Q+1) weighs b^2 (Q+1)(Q+2)/2 bit
+    # products for b = bits(m), though the checks are within their limit
+    pytest.param(10 ** 4000, 1, (0, 327), "up to 9527061854464 bit products",
+                 POWERS, id="m=10^4000 at 0,327"),
+    pytest.param(10 ** 4000, 1, (0, 38), "up to 137725336320 bit products",
+                 POWERS, id="m=10^4000 at 0,38"),
 ])
 def test_relation_residuals_refuses_past_its_limits(m, n, window, needle, limit):
     message = refused_quickly(relation_residuals, AlgebraParams(m, n), "A",
@@ -248,6 +255,8 @@ def test_relation_residuals_refuses_past_its_limits(m, n, window, needle, limit)
     (1, 2, (8191, 0), 16383),  # 16 383 labels by the bound, the most allowed
     (2, 255, (0, 15), 1),  # 1 044 496 checks by the bound
     (10, 7, (0, 4598), 1),  # weighs 1 048 572: 262 143 checks, 15 278 bits
+    # 130 839 069 504 bit products to build m^0 .. m^38
+    pytest.param(10 ** 4000, 1, (0, 37), 1, id="m=10^4000"),
 ])
 def test_relation_residuals_runs_at_its_limits(m, n, window, labels):
     report = relation_residuals(AlgebraParams(m, n), "A", *window)
