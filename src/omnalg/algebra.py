@@ -143,11 +143,16 @@ def _expand(params: AlgebraParams,
 
     S_mu z^k S_nu* = sum over letters d of S_mu S_j z^k' S_(nu d)*, with
     (j, k') = shift_through(k, d); each child keeps the term's coefficient.
+    The closed form of `shift_through` is inlined: with t = (d - 1) + k,
+    j = t mod n + 1 and k' = m * floor(t / n).  The letters d and j run
+    over 1..n by construction, so no letter is checked.
     """
-    for mon, c in terms:
-        for d in range(1, params.n + 1):
-            j, k2 = shift_through(params, mon.k, d)
-            yield Monomial(mon.mu + (j,), k2, mon.nu + (d,)), c
+    m, n = params.m, params.n
+    letters = [(d,) for d in range(1, n + 1)]
+    for (mu, k, nu), c in terms:
+        for t, d in enumerate(letters, k):
+            q, r = divmod(t, n)
+            yield Monomial(mu + letters[r], m * q, nu + d), c
 
 
 class Element:

@@ -13,7 +13,8 @@ length-r words; for admissible inputs each entry collapses to a single
 partial-isometry monomial, only two consecutive unitary exponents occur
 across the whole matrix, and each monomial's positions form a partial
 permutation pattern, which is the structure theorem verified by
-``rho_matrix``.
+``rho_matrix``.  Most entries are zero, and the lexicographic order of
+the words tells which ones before any product is formed.
 """
 
 from __future__ import annotations
@@ -152,14 +153,14 @@ def _refined_row(elem: Element, level: int) -> Dict[Monomial, QQi]:
 
 
 def _refined_count(n: int, level: int, nu_lengths: Iterable[int],
-                   bound: int, start: int = 0) -> Optional[int]:
-    """start plus the terms after refining to `level`: sum of n^(level - |nu|).
+                   bound: int) -> Optional[int]:
+    """The terms after refining to `level`: sum of n^(level - |nu|).
 
     Terms of equal |nu| are counted together.  None, as soon as a single
     n^(level - |nu|) passes `bound`, so no astronomic power is built;
     otherwise the exact count, which may still pass `bound`.
     """
-    total = start
+    total = 0
     for length, terms in Counter(nu_lengths).items():
         power = bounded_power(n, level - length, bound)
         if power is None:
@@ -200,6 +201,16 @@ def span_dimension(elements: Sequence[Element],
 
 
 # -- growth table -----------------------------------------------------------
+
+# `entropy_estimate` refuses a request whose echelon work estimate, rows
+# inserted x terms of the longest refined row + _REFINE_WEIGHT x refined
+# terms, passes this limit.  A row reduced against a pivot updates at most
+# the entries of both, and building a refined term level by level, then
+# scaling it to Gaussian integers, costs about as much as 64 such updates.
+# Near the limit a request takes at most about 1.4 s and 115 MB peak RSS
+# (Python 3.11.7, 2 cores); at n = 2, s = 0 it admits n_max <= 10.
+ECHELON_WORK_LIMIT = 1 << 23
+_REFINE_WEIGHT = 64
 
 
 @dataclass(frozen=True)
@@ -253,6 +264,14 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int,
     one refinement level serves every batch and ranks accumulate in a
     single echelon pass.  Requires m = 1 and, like `span_dimension`,
     n >= 2.
+
+    Every depth refines the same number of terms: the batch one depth
+    deeper puts each of n letters in front of the nu of each monomial,
+    so it holds n times as many monomials whose refinements are n times
+    shorter.  The depths that `term_bound` admits, and so the echelon
+    work estimate (the longest refined row is that of a window monomial
+    with nu = ()), are known before any row is built; an estimate past
+    `ECHELON_WORK_LIMIT` raises ValueError.
     """
     if params.m != 1:
         raise ValueError("growth estimate requires m = 1")
@@ -265,22 +284,24 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int,
     n = params.n
     window = monomial_window(params, s)
     level = (n_max - 1) + s
+    per_depth = _refined_count(n, level, (len(mon.nu) for mon in window),
+                               term_bound)
+    if per_depth is None or per_depth > term_bound:
+        depths = 0
+    else:
+        depths = min(n_max, term_bound // per_depth)
+        inserted = len(window) * (n ** depths - 1) // (n - 1)
+        refined = depths * per_depth
+        work = inserted * n ** level + _REFINE_WEIGHT * refined
+        if work > ECHELON_WORK_LIMIT:
+            raise ValueError(f"echelon work estimate {work} ({inserted} rows, "
+                             f"{refined} refined terms) exceeds the limit "
+                             f"{ECHELON_WORK_LIMIT}")
     ech = _Echelon()
     rows: List[EntropyRow] = []
     batch = window
-    truncated = False
-    warning = None
     prev_dim: Optional[int] = None
-    spent = 0
-    for depth in range(1, n_max + 1):
-        total = _refined_count(n, level, (len(mon.nu) for mon in batch),
-                               term_bound, spent)
-        if total is None or total > term_bound:
-            truncated = True
-            warning = (f"stopped at depth {depth - 1}: refined term "
-                       f"count{_count_text(total)} would exceed bound {term_bound}")
-            break
-        spent = total
+    for depth in range(1, depths + 1):
         for mon in batch:
             elem = Element.monomial(params, mon.mu, mon.k, mon.nu)
             ech.insert(_refined_row(elem, level))
@@ -292,10 +313,35 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int,
                  for mon in batch for i in range(1, n + 1)]
     for earlier, later in zip(rows, rows[1:]):
         assert later.dimension >= earlier.dimension
+    truncated = depths < n_max
+    warning = None
+    if truncated:
+        total = None if per_depth is None else (depths + 1) * per_depth
+        warning = (f"stopped at depth {depths}: refined term "
+                   f"count{_count_text(total)} would exceed bound {term_bound}")
     return EntropyTable(params.m, params.n, s, tuple(rows), truncated, warning)
 
 
 # -- matrix compression map -------------------------------------------------
+
+
+def _comparable_indices(n: int, r: int, words: Iterable[Word]) -> List[int]:
+    """Sorted indices into all_words(n, r) of the words comparable with one of `words`.
+
+    `all_words` lists the words in lexicographic order, so the index of w
+    is its base-n value sum_t (w_t - 1) n^(r - 1 - t).  The words of length
+    r that extend a word b with |b| <= r are therefore one block: the
+    n^(r - |b|) consecutive indices from value(b) n^(r - |b|) on.  A word b
+    longer than r extends exactly one of them, b[:r], the block of b[:r].
+    """
+    out = set()
+    for b in {b[:r] for b in words}:
+        width = n ** (r - len(b))
+        start = 0
+        for letter in b:
+            start = start * n + letter - 1
+        out.update(range(start * width, (start + 1) * width))
+    return sorted(out)
 
 
 def _iterate_endo(elem: Element, times: int) -> Element:
@@ -315,6 +361,18 @@ def rho_matrix(params: AlgebraParams, mon: Monomial, r: int, l: int,
     exponents occur across the matrix, the base exponent respects the
     window bound, and the positions carrying any fixed monomial form a
     partial permutation.
+
+    Only the entries that can survive are formed.  By `mul_monomials`,
+    S_a* S_b is zero unless one of the words a, b is a prefix of the other
+    (they are comparable).  Here Phi^l(S_mu z^k S_nu*) is the sum over
+    |w| = l of S_(w mu) z^k S_(w nu)*, so row i, S_(w_i)* Phi^l(x), is
+    zero unless w_i is comparable with the creation word of some term;
+    and entry (i, j), row_i S_(w_j), is zero unless w_j is comparable with
+    the annihilation word of some term of row_i.  `_comparable_indices`
+    lists those i and j; every other entry is the product that the dense
+    double loop would form with no surviving term, the zero element.
+    The formed entries are the same products in the same order, so the
+    matrix and the report are equal to those of the dense loop.
     """
     if params.m != 1:
         raise ValueError("matrix compression requires m = 1")
@@ -335,16 +393,19 @@ def rho_matrix(params: AlgebraParams, mon: Monomial, r: int, l: int,
     # surplus letters survive into each entry as a word of this length
     surplus = len(mon.mu) - len(mon.nu)
     want_mu, want_nu = max(surplus, 0), max(-surplus, 0)
-    matrix: List[List[Element]] = []
+    # an entry no surviving product reaches is the zero element; elements
+    # are never mutated, so one zero instance fills all of them
+    zero = Element.zero(params)
+    matrix = [[zero] * len(words) for _ in words]
     groups: Dict[Monomial, List[Tuple[int, int]]] = {}
     entries_ok = True
     nonzero = 0
-    for i in range(len(words)):
-        row: List[Element] = []
+    for i in _comparable_indices(params.n, r, (t.mu for t, _ in x.items())):
+        row = matrix[i]
         left = lifts[i].adjoint() * x
-        for j in range(len(words)):
+        for j in _comparable_indices(params.n, r, (t.nu for t, _ in left.items())):
             entry = left * lifts[j]
-            row.append(entry)
+            row[j] = entry
             if not entry:
                 continue
             nonzero += 1
@@ -358,7 +419,6 @@ def rho_matrix(params: AlgebraParams, mon: Monomial, r: int, l: int,
                 entries_ok = False
                 continue
             groups.setdefault(emon, []).append((i, j))
-        matrix.append(row)
 
     exps = sorted({g.k for g in groups})
     consecutive = (len(exps) <= 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 # -- polynomial helpers (coefficients ascending) -------------------------
@@ -54,6 +54,22 @@ def _poly_eval(p: tuple, t):
     for c in reversed(p):
         acc = acc * t + c
     return acc
+
+
+def _poly_derivative(p: tuple) -> tuple:
+    return tuple(i * c for i, c in enumerate(p))[1:]
+
+
+def _poly_divmod(p: tuple, q: tuple) -> Tuple[tuple, tuple]:
+    """Quotient and remainder of p by the non-zero q, exactly."""
+    rem = list(p)
+    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    for shift in range(len(p) - len(q), -1, -1):
+        c = Fraction(rem[shift + len(q) - 1]) / q[-1]
+        quot[shift] = c
+        for i, b in enumerate(q):
+            rem[shift + i] -= c * b
+    return _poly_trim(tuple(quot)), _poly_trim(tuple(rem[:len(q) - 1]))
 
 
 def _poly_compose_affine(p: tuple, a, b) -> tuple:
@@ -350,3 +366,73 @@ def winding(f: PiecewiseFunction) -> int:
 def support_pieces(f: PiecewiseFunction) -> List[Tuple[Fraction, Fraction]]:
     """Intervals whose piece is not the zero polynomial."""
     return [(lo, hi) for (lo, hi), p in zip(f.piece_bounds(), f.pieces) if p]
+
+
+def _sturm_sequence(g: tuple) -> List[tuple]:
+    """g, g', then the negated remainders, down to the last non-zero one."""
+    seq = [g, _poly_derivative(g)]
+    while seq[-1]:
+        seq.append(tuple(-c for c in _poly_divmod(seq[-2], seq[-1])[1]))
+    return seq[:-1]
+
+
+def _sign_changes(seq: List[tuple], t: Fraction) -> int:
+    signs = [v > 0 for v in (_poly_eval(q, t) for q in seq) if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _negative_point_on(p: tuple, lo: Fraction,
+                       hi: Fraction) -> Optional[Fraction]:
+    """A rational t in [lo, hi) with p(t) < 0, or None if p >= 0 there.
+
+    Decided exactly by Sturm's theorem on the square-free part g of p,
+    which has the distinct roots of p: for a < b, the number of them in
+    (a, b] is V(a) - V(b), V the sign changes along the Sturm sequence
+    of g (zeros skipped).  The Sturm sequence of p is Euclid's algorithm
+    on p and p' up to signs, so it ends in gcd(p, p') up to a constant,
+    and p is its own square-free part when that end is a constant.
+
+    (lo, hi) is bisected, each midpoint tested, until every open part
+    (a, b) is settled.  With no root in it, p has one sign there, that of
+    the midpoint.  With one root r and p(a), p(b) > 0, p keeps the sign
+    of p(a) on (a, r) and of p(b) on (r, b), so p >= 0.  Otherwise the
+    part is split.  Roots are finitely many and lie apart, so each ends
+    in a settled part; if p dips below zero somewhere, some midpoint
+    lands in that open stretch.
+    """
+    if _poly_eval(p, lo) < 0:
+        return lo
+    g, seq = p, _sturm_sequence(p)
+    if len(seq[-1]) > 1:
+        g = _poly_divmod(p, seq[-1])[0]
+        seq = _sturm_sequence(g)
+
+    def roots_inside(a, b):
+        return (_sign_changes(seq, a) - _sign_changes(seq, b)
+                - (_poly_eval(g, b) == 0))
+
+    parts = [(lo, hi)]
+    while parts:
+        a, b = parts.pop()
+        mid = (a + b) / 2
+        if _poly_eval(p, mid) < 0:
+            return mid
+        count = roots_inside(a, b)
+        if count == 0 or (count == 1 and _poly_eval(p, a) > 0
+                          and _poly_eval(p, b) > 0):
+            continue
+        parts += [(mid, b), (a, mid)]
+    return None
+
+
+def negative_point(f: PiecewiseFunction) -> Optional[Fraction]:
+    """A rational t with f(t) < 0, or None when f >= 0 on all of [0, 1).
+
+    Exact for pieces of any degree; see `_negative_point_on`.
+    """
+    for (lo, hi), piece in zip(f.piece_bounds(), f.pieces):
+        if piece:
+            t = _negative_point_on(piece, lo, hi)
+            if t is not None:
+                return t
+    return None

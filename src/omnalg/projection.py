@@ -44,7 +44,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exact import frac_str
-from .functions import PiecewiseFunction, dilate, integrate, winding
+from .functions import (PiecewiseFunction, dilate, integrate, negative_point,
+                        winding)
 
 PUBLISHED_TRACE = Fraction(7, 16)
 PUBLISHED_K0_CLASS = -4
@@ -106,27 +107,14 @@ def _first_nonzero_point(f: PiecewiseFunction) -> Fraction:
     raise ValueError("the zero function has no nonzero point")
 
 
-def _first_negative_point(f: PiecewiseFunction) -> Optional[Fraction]:
-    # quadratic pieces: check endpoints and the interior critical point
-    for (lo, hi), piece in zip(f.piece_bounds(), f.pieces):
-        candidates = [lo, lo + (hi - lo) * Fraction(1, 2)]
-        if len(piece) == 3 and piece[2] != 0:
-            crit = -piece[1] / (2 * piece[2])
-            if lo < crit < hi:
-                candidates.append(crit)
-        for t in candidates:
-            if f.evaluate(t) < 0:
-                return t
-    return None
-
-
 def check_conditions(data: ProjectionData) -> dict:
     """Exact verification of the identities that make P a projection.
 
     Identities involving the bare square roots are checked at the squared
     level, which is equivalent for nonnegative data.  Each entry reports
     pass/fail plus a witness point for the first failure; a zero identity
-    is decided by the exact `is_zero` of its difference.
+    is decided by the exact `is_zero` of its difference, and nonnegativity
+    by `negative_point`, exact for pieces of any degree.
     """
     d = data
     phi_a0 = dilate(d.a0, 2)
@@ -153,7 +141,7 @@ def check_conditions(data: ProjectionData) -> dict:
         identities[name] = {"pass": point is None,
                             "first_failure": None if point is None else str(point)}
     for name, f in (("a_sq_nonneg", d.a1sq), ("b_sq_nonneg", d.b1sq)):
-        point = _first_negative_point(f)
+        point = negative_point(f)
         identities[name] = {"pass": point is None,
                             "first_failure": None if point is None else str(point)}
     return {"identities": identities,

@@ -1,14 +1,15 @@
 """Normal-form arithmetic: generator relations, states, and the zero test."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from omnalg.algebra import (AlgebraParams, Element, Monomial, all_words,
-                            monomial_from_json_obj, mul_monomials, push_exponent,
-                            shift_through)
+from omnalg.algebra import (AlgebraParams, Element, Monomial, _expand,
+                            all_words, monomial_from_json_obj, mul_monomials,
+                            push_exponent, shift_through)
 from omnalg.exact import QQi
 from omnalg.representations import monomial_affine_map, window_labels
 
@@ -83,6 +84,25 @@ def test_shift_through_rejects_bad_letter():
         shift_through(P12, 1, 3)
     with pytest.raises(ValueError):
         shift_through(P12, 1, 0)
+
+
+def test_expand_gives_the_children_shift_through_gives():
+    coeff = QQi(Fraction(2, 3), Fraction(-1, 5))
+    checked = 0
+    for m in range(1, 5):
+        for n in range(1, 6):
+            if math.gcd(m, n) != 1:
+                continue
+            params = AlgebraParams(m, n)
+            for k in range(-40, 41):
+                mon = Monomial((n,), k, (1,) * (k % 3))
+                want = []
+                for d in range(1, n + 1):
+                    j, k2 = shift_through(params, k, d)
+                    want.append((Monomial(mon.mu + (j,), k2, mon.nu + (d,)), coeff))
+                assert list(_expand(params, [(mon, coeff)])) == want
+                checked += 1
+    assert checked == 15 * 81
 
 
 def test_push_exponent_is_letterwise():

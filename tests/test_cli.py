@@ -453,6 +453,22 @@ def test_astronomic_sizes_answer_quickly(argv, code, needle, monkeypatch, capsys
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("nmax", ["14", "20"])
+def test_entropy_refuses_past_the_work_limit_in_a_fresh_process(nmax):
+    # --nmax 14 passes the refined-term bound and --nmax 20 stops at depth
+    # 3 by it; both ran past 60 s before the work estimate was checked
+    src = os.path.dirname(os.path.dirname(omnalg.__file__))
+    argv = ["entropy", "--m", "1", "--n", "2", "--s", "0", "--nmax", nmax]
+    start = perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "omnalg.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert perf_counter() - start < 2.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "echelon work estimate" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_rep_check_refuses_a_huge_m_in_a_fresh_process():
     # every label and check limit passes; the powers m^0 .. m^328 of this
     # 13 288-bit m are refused before any is built, and the 4 001 digits

@@ -3,13 +3,15 @@
 import math
 import random
 from fractions import Fraction as F
+from time import perf_counter
 
 import pytest
 
-from omnalg.algebra import AlgebraParams, Element, Monomial, mul_monomials
-from omnalg.entropy import (_Echelon, _refined_count, entropy_estimate,
-                            monomial_window, rho_matrix, span_dimension,
-                            window_size)
+from omnalg.algebra import (AlgebraParams, Element, Monomial, all_words,
+                            mul_monomials)
+from omnalg.entropy import (ECHELON_WORK_LIMIT, _comparable_indices, _Echelon,
+                            _refined_count, entropy_estimate, monomial_window,
+                            rho_matrix, span_dimension, window_size)
 from omnalg.exact import QQi, bounded_power
 
 P12 = AlgebraParams(1, 2)
@@ -224,6 +226,61 @@ def test_entropy_truncation_before_any_row():
     assert t.to_json_obj()["growth_rate"] is None
 
 
+def ref_depths(params, s, n_max, term_bound):
+    """Depths and warning by counting each batch's refined terms in turn."""
+    n = params.n
+    level = n_max - 1 + s
+    batch = monomial_window(params, s)
+    spent = 0
+    for depth in range(1, n_max + 1):
+        count = _refined_count(n, level, (len(mon.nu) for mon in batch),
+                               term_bound)
+        total = None if count is None else spent + count
+        if total is None or total > term_bound:
+            text = "" if total is None else f" {total}"
+            return depth - 1, (f"stopped at depth {depth - 1}: refined term "
+                               f"count{text} would exceed bound {term_bound}")
+        spent = total
+        batch = [Monomial((i,) + mon.mu, mon.k, (i,) + mon.nu)
+                 for mon in batch for i in range(1, n + 1)]
+    return n_max, None
+
+
+def test_entropy_depths_match_counting_each_batch():
+    checked = 0
+    for n in (2, 3, 5):
+        params = AlgebraParams(1, n)
+        for s in (0, 1):
+            for n_max in (1, 2, 3, 9, 10 ** 12):
+                for bound in (1, 7, 100, 1000, 30_000):
+                    depth, warning = ref_depths(params, s, n_max, bound)
+                    try:
+                        t = entropy_estimate(params, s, n_max, term_bound=bound)
+                    except ValueError as exc:
+                        assert "echelon work estimate" in str(exc)
+                        continue
+                    assert len(t.rows) == depth and t.warning == warning
+                    assert t.truncated is (depth < n_max)
+                    checked += 1
+    assert checked > 120
+
+
+@pytest.mark.parametrize("n, s, n_max", [(2, 0, 14), (2, 0, 20), (2, 0, 12),
+                                         (3, 0, 9), (2, 3, 4)])
+def test_entropy_refuses_past_the_work_limit_before_any_row(n, s, n_max):
+    start = perf_counter()
+    with pytest.raises(ValueError, match="echelon work estimate") as info:
+        entropy_estimate(AlgebraParams(1, n), s, n_max)
+    assert perf_counter() - start < 1.0
+    assert str(ECHELON_WORK_LIMIT) in str(info.value)
+
+
+def test_entropy_work_limit_admits_depth_ten_at_n_two():
+    # the largest depth admitted at n = 2, s = 0 (estimate 2 554 368);
+    # criterion 7's sizes are in test_entropy_dimensions_frozen
+    assert entropy_estimate(P12, 0, 10).dimensions()[-1] == 2558
+
+
 def rho_mul(A, B, params):
     size = len(A)
     out = []
@@ -286,3 +343,111 @@ def test_rho_matrix_validates_window_bounds():
         rho_matrix(P12, Monomial((1,), 0, ()), 3, 3, s=1)
     with pytest.raises(ValueError, match="m = 1"):
         rho_matrix(AlgebraParams(2, 3), Monomial((1,), 0, ()), 3, 1, s=1)
+
+
+def ref_rho_matrix(params, mon, r, l, s):
+    """`rho_matrix` as a dense double loop that forms every entry."""
+    x = Element.monomial(params, mon.mu, mon.k, mon.nu)
+    for _ in range(l):
+        x = x.canonical_endo()
+    words = list(all_words(params.n, r))
+    lifts = [Element.monomial(params, w, 0, ()) for w in words]
+    surplus = len(mon.mu) - len(mon.nu)
+    want_mu, want_nu = max(surplus, 0), max(-surplus, 0)
+    matrix, groups, entries_ok, nonzero = [], {}, True, 0
+    for i in range(len(words)):
+        row = []
+        left = lifts[i].adjoint() * x
+        for j in range(len(words)):
+            entry = left * lifts[j]
+            row.append(entry)
+            if not entry:
+                continue
+            nonzero += 1
+            terms = list(entry.items())
+            if len(terms) != 1:
+                entries_ok = False
+                continue
+            emon, coeff = terms[0]
+            if (len(emon.mu) != want_mu or len(emon.nu) != want_nu
+                    or coeff != QQi.of(1)):
+                entries_ok = False
+                continue
+            groups.setdefault(emon, []).append((i, j))
+        matrix.append(row)
+    exps = sorted({g.k for g in groups})
+    consecutive = (len(exps) <= 1
+                   or (len(exps) == 2 and exps[1] == exps[0] + 1))
+    kbound = params.n ** s
+    if not exps:
+        q_bound_ok = True
+    elif len(exps) == 2:
+        q_bound_ok = abs(exps[0]) <= kbound
+    else:
+        q_bound_ok = abs(exps[0]) <= kbound or abs(exps[0] - 1) <= kbound
+    partial_perm = all(
+        len({i for i, _ in pos}) == len(pos) == len({j for _, j in pos})
+        for pos in groups.values())
+    report = {
+        "size": len(words),
+        "nonzero_entries": nonzero,
+        "surplus_word_length": surplus,
+        "entries_well_formed": entries_ok,
+        "exponents": exps,
+        "consecutive": consecutive,
+        "base_exponent_bounded": q_bound_ok,
+        "partial_permutations": partial_perm,
+        "pass": entries_ok and consecutive and q_bound_ok and partial_perm,
+    }
+    return matrix, report
+
+
+def assert_rho_matches_reference(params, mon, r, l, s):
+    got = rho_matrix(params, mon, r, l, s=s)
+    assert got == ref_rho_matrix(params, mon, r, l, s)
+    return got[1]
+
+
+def test_rho_matrix_matches_the_dense_loop():
+    rng = random.Random(919)
+    shapes = set()
+    for params in (P12, P13):
+        n = params.n
+        for _ in range(40 if n == 2 else 24):
+            s = rng.randint(1, 2)
+            # |mu| > |nu| and |mu| < |nu| both occur, and so do equal ones
+            mu = tuple(rng.randint(1, n) for _ in range(rng.randint(0, s)))
+            nu = tuple(rng.randint(1, n) for _ in range(rng.randint(0, s)))
+            k = rng.randint(-(n ** s), n ** s)
+            r = s + rng.randint(1, 3 if n == 2 else 2) + rng.randint(0, 1)
+            l = rng.randint(1, r - s)
+            assert_rho_matches_reference(params, Monomial(mu, k, nu), r, l, s)
+            shapes.add((n, (len(mu) > len(nu)) - (len(mu) < len(nu)), r - s - l))
+    assert {(n, sign, e) for n in (2, 3) for sign in (-1, 0, 1)
+            for e in (0, 1)} <= shapes
+
+
+def test_rho_matrix_matches_the_dense_loop_on_the_benchmark_shapes():
+    # (s, l, r) with r = s + l and s + l + 1, |mu| = s, |nu| = s - 1
+    rng = random.Random(1401)
+    for s in (1, 2):
+        for l in (1, 2, 3):
+            for r in (s + l, s + l + 1):
+                mu = tuple(rng.randint(1, 2) for _ in range(s))
+                nu = tuple(rng.randint(1, 2) for _ in range(s - 1))
+                k = rng.randint(-(2 ** s), 2 ** s)
+                report = assert_rho_matches_reference(
+                    P12, Monomial(mu, k, nu), r, l, s)
+                assert report["pass"]
+
+
+def test_comparable_indices_are_the_comparable_words():
+    rng = random.Random(17)
+    for n, r in ((2, 1), (2, 4), (3, 3), (5, 2)):
+        words = list(all_words(n, r))
+        for _ in range(30):
+            given = [tuple(rng.randint(1, n) for _ in range(rng.randint(0, r + 2)))
+                     for _ in range(rng.randint(0, 3))]
+            want = [i for i, w in enumerate(words)
+                    if any(w[:len(b)] == b or b[:r] == w for b in given)]
+            assert _comparable_indices(n, r, given) == want

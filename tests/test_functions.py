@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from omnalg.functions import (PiecewiseFunction, dilate, integrate,
-                              support_pieces, transfer, winding)
+                              negative_point, support_pieces, transfer,
+                              winding)
 
 F = Fraction
 
@@ -173,6 +174,62 @@ def test_ring_operations_match_a_bisecting_reference():
         for d in (2, 3):
             assert_normal(dilate(f, d))
     assert (f - f).pieces == ((),)
+
+
+def factored(scale, roots):
+    """Coefficients of scale * prod (t - r)^e over the (r, e) pairs."""
+    p = (scale,)
+    for r, e in roots:
+        for _ in range(e):
+            p = tuple(a - r * b for a, b in zip((F(0),) + p, p + (F(0),)))
+    return p
+
+
+def test_negative_point_matches_the_factored_signs():
+    # each piece is c * prod (t - r)^e with known rational roots, so the
+    # sign on every stretch between them is that of its midpoint: the
+    # reference needs no root finding
+    rng = random.Random(29)
+    negative = 0
+    for _ in range(300):
+        cuts = sorted({F(0)} | {F(rng.randint(1, 15), 16)
+                                for _ in range(rng.randint(0, 2))})
+        ends = cuts[1:] + [F(1)]
+        pieces, want = [], False
+        for lo, hi in zip(cuts, ends):
+            roots = [(F(rng.randint(-2, 34), 32) + F(rng.randint(0, 1), 97),
+                      rng.choice((1, 2, 2, 3)))
+                     for _ in range(rng.randint(0, 3))]
+            scale = F(rng.choice((-1, 1, 1, 1)), rng.randint(1, 4))
+            piece = factored(scale, roots)
+            pieces.append(piece)
+            marks = sorted({lo, hi} | {r for r, _ in roots if lo < r < hi})
+            probes = [lo] + [(a + b) / 2 for a, b in zip(marks, marks[1:])]
+            want = want or any(sum(c * t ** i for i, c in enumerate(piece)) < 0
+                               for t in probes)
+        f = PiecewiseFunction(cuts, pieces)
+        t = negative_point(f)
+        assert (t is not None) is want, (cuts, pieces)
+        if want:
+            negative += 1
+            assert 0 <= t < 1 and f.evaluate(t) < 0
+    assert 60 < negative < 240
+
+
+def test_negative_point_finds_dips_of_any_degree():
+    one = PiecewiseFunction.one()
+    for degree in (2, 4, 6, 8):
+        roots = [(F(j + 1, degree + 2), 2) for j in range(degree // 2)]
+        square = PiecewiseFunction.polynomial(factored(F(1), roots))
+        assert negative_point(square) is None
+        dipped = square - one.scale(F(1, 10 ** 15))
+        t = negative_point(dipped)
+        assert t is not None and dipped.evaluate(t) < 0
+    assert negative_point(PiecewiseFunction.zero()) is None
+    # a linear piece below zero only next to its right end
+    f = PiecewiseFunction.from_segments([(F(0), F(1, 2), (F(1), F(-3)))])
+    t = negative_point(f)
+    assert F(1, 3) < t < F(1, 2) and f.evaluate(t) < 0
 
 
 def test_evaluate_lattice_matches_pointwise():

@@ -144,6 +144,47 @@ def test_check_conditions_detects_negative_square():
     assert entry["first_failure"] is not None
 
 
+def dipping(roots, depth, delta):
+    """(prod (t - r)^2 - depth) on the support of delta."""
+    return (vanishing_at(roots) * vanishing_at(roots)
+            - PiecewiseFunction.constant(depth)) * delta
+
+
+def test_check_conditions_detects_a_dip_between_the_old_probes():
+    # positive at 3/4, at the midpoint 13/16 and at the interior ends, but
+    # -10^-9 at 25/32 and 27/32: degree 4 on [3/4, 7/8)
+    d = build_canonical_data()
+    dip = dipping([F(25, 32), F(27, 32)], F(1, 10 ** 9), d.delta1)
+    assert dip.evaluate(F(13, 16)) > 0 and dip.evaluate(F(3, 4)) > 0
+    report = check_conditions(ProjectionData(d.a0, d.b0, dip, d.b1sq,
+                                             d.delta1, d.delta2))
+    entry = report["identities"]["a_sq_nonneg"]
+    assert not entry["pass"] and not report["pass"]
+    t = F(entry["first_failure"])
+    assert F(3, 4) <= t < F(7, 8) and dip.evaluate(t) < 0
+    assert report["identities"]["b_sq_nonneg"]["pass"]
+
+
+def test_check_conditions_decides_a_degree_six_piece():
+    d = build_canonical_data()
+    roots = [F(49, 64), F(51, 64), F(53, 64)]
+    # touching zero three times from above: nonnegative
+    touching = dipping(roots, F(0), d.delta1)
+    report = check_conditions(ProjectionData(d.a0, d.b0, touching, d.b1sq,
+                                             d.delta1, d.delta2))
+    assert max(len(p) for p in touching.pieces) == 7
+    assert report["identities"]["a_sq_nonneg"] == {"pass": True,
+                                                    "first_failure": None}
+    # lowered by 10^-12, below the square of the smallest gap product at
+    # the midpoint 13/16, so only the stretches round the roots dip
+    dip = dipping(roots, F(1, 10 ** 12), d.delta1)
+    assert dip.evaluate(F(13, 16)) > 0
+    report = check_conditions(ProjectionData(d.a0, d.b0, dip, d.b1sq,
+                                             d.delta1, d.delta2))
+    entry = report["identities"]["a_sq_nonneg"]
+    assert not entry["pass"] and dip.evaluate(F(entry["first_failure"])) < 0
+
+
 def test_trace_value():
     assert kms_trace(build_canonical_data()) == F(7, 16)
 
