@@ -18,6 +18,7 @@ Use `Element.is_zero` for the latter.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -347,12 +348,12 @@ class Element:
           scaling by m^|mu| the offset of S_mu z^k is a base-n digit
           expansion whose digits, read mod n with m invertible because
           gcd(m, n) = 1, recover mu letter by letter and then k; a
-          different |mu| changes the slope.  `entropy.span_dimension`
-          relies on the same fact.  A basis label in the range of S_nu
-          away from the finitely many points where two of these maps agree
-          is annihilated by every other surviving nu and sent to distinct
-          labels by the terms under nu, so a surviving term makes the
-          element nonzero.
+          different |mu| changes the slope.  `entropy.entropy_estimate`
+          relies on the same fact when it ranks refined rows.  A basis
+          label in the range of S_nu away from the finitely many points
+          where two of these maps agree is annihilated by every other
+          surviving nu and sent to distinct labels by the terms under nu,
+          so a surviving term makes the element nonzero.
         * Conversely, an element whose refinement cancels is a sum of
           instances of the unit relation, hence zero.
 
@@ -365,7 +366,15 @@ class Element:
             raise ValueError(
                 "zero test requires n >= 2: the shift representation used "
                 "for separation is not guaranteed faithful when n = 1")
-        internal = {mon.nu[:i] for mon in self._terms for i in range(len(mon.nu))}
+        # the words extending nu follow nu at once in lexicographic order,
+        # so nu is a proper prefix of another term's nu iff the first
+        # word after it starts with nu; no prefix set is built
+        nus = sorted({mon.nu for mon in self._terms})
+
+        def internal(nu: Word) -> bool:
+            i = bisect_right(nus, nu)
+            return i < len(nus) and nus[i][:len(nu)] == nu
+
         levels: dict = {}
         for mon, c in self._terms.items():
             levels.setdefault(len(mon.nu), {})[mon] = c
@@ -373,7 +382,7 @@ class Element:
             here = levels.get(level, {})
             # every term at this level is merged and no later level
             # reaches it, so a leaf that is still here survives
-            if any(mon.nu not in internal for mon in here):
+            if not all(internal(mon.nu) for mon in here):
                 return False
             _merge(_expand(self.params, here.items()), levels.setdefault(level + 1, {}))
         return True

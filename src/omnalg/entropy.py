@@ -20,9 +20,8 @@ the words tells which ones before any product is formed.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebra import AlgebraParams, Element, Monomial, all_words
 from .exact import QQi, bounded_power
@@ -38,18 +37,21 @@ def window_size(params: AlgebraParams, s: int) -> int:
     return words * words * (2 * n ** s + 1)
 
 
-def monomial_window(params: AlgebraParams, s: int,
-                    size_bound: int = 200_000) -> List[Monomial]:
+# `monomial_window` refuses a window of more monomials than this
+WINDOW_LIMIT = 200_000
+
+
+def monomial_window(params: AlgebraParams, s: int) -> List[Monomial]:
     """All monomials with word lengths <= s and |exponent| <= n^s."""
     if s < 0:
         raise ValueError("window parameter must be >= 0")
     # the window holds more than n^s monomials; refuse before building n^s
-    if bounded_power(params.n, s, size_bound) is None:
-        raise ValueError(f"window size exceeds bound {size_bound}: "
+    if bounded_power(params.n, s, WINDOW_LIMIT) is None:
+        raise ValueError(f"window size exceeds bound {WINDOW_LIMIT}: "
                          f"it is more than n^s = {params.n}^{s}")
     count = window_size(params, s)
-    if count > size_bound:
-        raise ValueError(f"window size {count} exceeds bound {size_bound}")
+    if count > WINDOW_LIMIT:
+        raise ValueError(f"window size {count} exceeds bound {WINDOW_LIMIT}")
     words: List[Word] = []
     for length in range(s + 1):
         words.extend(all_words(params.n, length))
@@ -148,58 +150,6 @@ def _primitive(row: Dict[Monomial, GaussInt]) -> Dict[Monomial, GaussInt]:
     return row
 
 
-def _refined_row(elem: Element, level: int) -> Dict[Monomial, QQi]:
-    return dict(elem.refine_to_level(level).items())
-
-
-def _refined_count(n: int, level: int, nu_lengths: Iterable[int],
-                   bound: int) -> Optional[int]:
-    """The terms after refining to `level`: sum of n^(level - |nu|).
-
-    Terms of equal |nu| are counted together.  None, as soon as a single
-    n^(level - |nu|) passes `bound`, so no astronomic power is built;
-    otherwise the exact count, which may still pass `bound`.
-    """
-    total = 0
-    for length, terms in Counter(nu_lengths).items():
-        power = bounded_power(n, level - length, bound)
-        if power is None:
-            return None
-        total += terms * power
-    return total
-
-
-def _count_text(count: Optional[int]) -> str:
-    return "" if count is None else f" {count}"
-
-
-def span_dimension(elements: Sequence[Element],
-                   term_bound: int = 2_000_000) -> int:
-    """Exact dimension of the linear span of the given elements.
-
-    Refines everything to a common annihilation-word length; at that
-    level distinct monomials are linearly independent, so the dimension
-    is the rank of the sparse coefficient matrix.
-    """
-    elems = [e for e in elements if e]
-    if not elems:
-        return 0
-    params = elems[0].params
-    if params.n < 2:
-        raise ValueError("span dimension requires n >= 2; the single-isometry "
-                         "algebra admits no faithful common refinement")
-    level = max(len(mon.nu) for e in elems for mon, _ in e.items())
-    cost = _refined_count(params.n, level, (len(mon.nu) for e in elems
-                                            for mon, _ in e.items()), term_bound)
-    if cost is None or cost > term_bound:
-        raise ValueError(f"refined term count{_count_text(cost)} exceeds "
-                         f"bound {term_bound}")
-    ech = _Echelon()
-    for e in elems:
-        ech.insert(_refined_row(e, level))
-    return ech.rank
-
-
 # -- growth table -----------------------------------------------------------
 
 # `entropy_estimate` refuses a request whose echelon work estimate, rows
@@ -254,6 +204,25 @@ class EntropyTable:
         }
 
 
+def _terms_per_depth(n: int, s: int, level: int, bound: int) -> Optional[int]:
+    """Terms one depth of the growth table refines to `level` (n >= 2).
+
+    The window of `monomial_window` pairs W = 1 + n + ... + n^s words mu
+    and 2n^s + 1 exponents with the n^L words nu of each length L <= s,
+    so it holds W (2n^s + 1) n^L monomials with |nu| = L.  Each refines
+    to n^(level - L) terms, so the window refines to (s + 1) W (2n^s + 1)
+    n^level terms, and so does every later batch (see `entropy_estimate`).
+    None, as soon as n^level, the largest single power, passes `bound`,
+    so no astronomic power is built; otherwise the exact count, which
+    may still pass `bound`.
+    """
+    power = bounded_power(n, level, bound)
+    if power is None:
+        return None
+    words = (n ** (s + 1) - 1) // (n - 1)
+    return (s + 1) * words * (2 * n ** s + 1) * power
+
+
 def entropy_estimate(params: AlgebraParams, s: int, n_max: int,
                      term_bound: int = 5_000_000) -> EntropyTable:
     """Dimension growth of the window under the canonical endomorphism.
@@ -262,8 +231,7 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int,
     individual terms of their first N-1 endomorphism images.  Terms of
     the level-l image all share annihilation length l + s at most, so
     one refinement level serves every batch and ranks accumulate in a
-    single echelon pass.  Requires m = 1 and, like `span_dimension`,
-    n >= 2.
+    single echelon pass.  Requires m = 1 and n >= 2.
 
     Every depth refines the same number of terms: the batch one depth
     deeper puts each of n letters in front of the nu of each monomial,
@@ -284,8 +252,7 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int,
     n = params.n
     window = monomial_window(params, s)
     level = (n_max - 1) + s
-    per_depth = _refined_count(n, level, (len(mon.nu) for mon in window),
-                               term_bound)
+    per_depth = _terms_per_depth(n, s, level, term_bound)
     if per_depth is None or per_depth > term_bound:
         depths = 0
     else:
@@ -304,7 +271,7 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int,
     for depth in range(1, depths + 1):
         for mon in batch:
             elem = Element.monomial(params, mon.mu, mon.k, mon.nu)
-            ech.insert(_refined_row(elem, level))
+            ech.insert(dict(elem.refine_to_level(level).items()))
         dim = ech.rank
         slope = None if prev_dim is None else math.log(dim) - math.log(prev_dim)
         rows.append(EntropyRow(depth, dim, slope, math.log(dim) / depth))
@@ -316,9 +283,9 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int,
     truncated = depths < n_max
     warning = None
     if truncated:
-        total = None if per_depth is None else (depths + 1) * per_depth
+        total = "" if per_depth is None else f" {(depths + 1) * per_depth}"
         warning = (f"stopped at depth {depths}: refined term "
-                   f"count{_count_text(total)} would exceed bound {term_bound}")
+                   f"count{total} would exceed bound {term_bound}")
     return EntropyTable(params.m, params.n, s, tuple(rows), truncated, warning)
 
 
@@ -344,14 +311,8 @@ def _comparable_indices(n: int, r: int, words: Iterable[Word]) -> List[int]:
     return sorted(out)
 
 
-def _iterate_endo(elem: Element, times: int) -> Element:
-    for _ in range(times):
-        elem = elem.canonical_endo()
-    return elem
-
-
 def rho_matrix(params: AlgebraParams, mon: Monomial, r: int, l: int,
-               s: Optional[int] = None) -> Tuple[List[List[Element]], dict]:
+               s: int) -> Tuple[List[List[Element]], dict]:
     """Compress the l-th endomorphism image of a monomial to matrix form.
 
     Returns the n^r x n^r matrix with entry (mu, nu) = S_mu^* Phi^l(x) S_nu
@@ -376,8 +337,6 @@ def rho_matrix(params: AlgebraParams, mon: Monomial, r: int, l: int,
     """
     if params.m != 1:
         raise ValueError("matrix compression requires m = 1")
-    if s is None:
-        s = max(len(mon.mu), len(mon.nu))
     if len(mon.mu) > s or len(mon.nu) > s:
         raise ValueError(f"word length {max(len(mon.mu), len(mon.nu))} "
                          f"violates the window bound s = {s}")
@@ -387,7 +346,9 @@ def rho_matrix(params: AlgebraParams, mon: Monomial, r: int, l: int,
     if not 1 <= l <= r - s:
         raise ValueError(f"iteration depth {l} violates 1 <= l <= r - s = {r - s}")
 
-    x = _iterate_endo(Element.monomial(params, mon.mu, mon.k, mon.nu), l)
+    x = Element.monomial(params, mon.mu, mon.k, mon.nu)
+    for _ in range(l):
+        x = x.canonical_endo()
     words = list(all_words(params.n, r))
     lifts = [Element.monomial(params, w, 0, ()) for w in words]
     # surplus letters survive into each entry as a word of this length

@@ -163,30 +163,6 @@ def k0_class(data: ProjectionData) -> int:
             + winding(dilate(data.b0 * data.delta2, 2)))
 
 
-def telescoping_identity(data: ProjectionData, power: int) -> dict:
-    """Check sum_{j<power-1} x0^j * x1sq = (x0 - x0^power) * delta, both blocks.
-
-    Holds for every power >= 1 because x1sq = (x0 - x0^2) * delta on its
-    support; the corresponding printed display mixes the two blocks, so
-    both consistent versions are verified here.
-    """
-    if power < 1:
-        raise ValueError("power must be >= 1")
-    report = {"power": power}
-    for key, x0, x1sq, delta in (("a_version", data.a0, data.a1sq, data.delta1),
-                                 ("b_version", data.b0, data.b1sq, data.delta2)):
-        lhs = PiecewiseFunction.zero()
-        x_pow = PiecewiseFunction.one()
-        for _ in range(power - 1):
-            lhs = lhs + x_pow * x1sq
-            x_pow = x_pow * x0
-        x_pow = x_pow * x0  # now x0^power
-        rhs = (x0 - x_pow) * delta
-        report[key] = (lhs - rhs).is_zero
-    report["pass"] = report["a_version"] and report["b_version"]
-    return report
-
-
 # -- numeric engine --------------------------------------------------------
 #
 # Every point the engine touches is dyadic: the grid i/G, dilation by 2^a,

@@ -75,10 +75,9 @@ def criterion_1(seed: int = DEFAULT_SEED) -> dict:
 # -- criterion 2: the projection ------------------------------------------
 
 
-def criterion_2(seed: int = DEFAULT_SEED,
-                grid: int = projection.DEFAULT_GRID) -> dict:
+def criterion_2(seed: int = DEFAULT_SEED) -> dict:
     """Exact projection identities plus the numeric squaring residual."""
-    report = projection.verify(projection.build_canonical_data(), grid=grid)
+    report = projection.verify(projection.build_canonical_data())
     conditions, square = report["conditions"], report["square"]
     return {
         "pass": report["pass"],
@@ -111,14 +110,14 @@ def _random_fixed_monomial(rng: random.Random, params: AlgebraParams) -> Monomia
     return Monomial(mu, k + (-weight) % mod, nu)  # push the weight to 0
 
 
-def criterion_3(seed: int = DEFAULT_SEED, per_pair: int = 1000) -> dict:
+def criterion_3(seed: int = DEFAULT_SEED) -> dict:
     """Seeded weight-zero monomials rewrite over the fixed-point generators."""
     rng = random.Random(seed)
     checked = 0
     failures: List[str] = []
     for m, n in ((1, 3), (2, 5), (3, 5)):
         params = AlgebraParams(m, n)
-        for _ in range(per_pair):
+        for _ in range(1000):
             mon = _random_fixed_monomial(rng, params)
             checked += 1
             word = actions.fixed_point_rewrite(params, mon)
@@ -360,7 +359,7 @@ def _random_monomial_element(rng: random.Random,
     return elem, mon
 
 
-def criterion_8(seed: int = DEFAULT_SEED, instances: int = 10_000) -> dict:
+def criterion_8(seed: int = DEFAULT_SEED) -> dict:
     """Associativity, involution, the KMS identity, endomorphism invariance
     of the state, and idempotence of the gauge expectation, per instance."""
     rng = random.Random(seed)
@@ -372,7 +371,7 @@ def criterion_8(seed: int = DEFAULT_SEED, instances: int = 10_000) -> dict:
     def fail(i: int, what: str) -> None:
         failures.append(f"instance {i}: {what}")
 
-    for i in range(instances):
+    for i in range(10_000):
         params = pool[rng.randrange(len(pool))]
         a, _ = _random_monomial_element(rng, params)
         b, _ = _random_monomial_element(rng, params)
@@ -403,13 +402,13 @@ def criterion_8(seed: int = DEFAULT_SEED, instances: int = 10_000) -> dict:
 # -- criterion 9: matrix compression shape ---------------------------------
 
 
-def criterion_9(seed: int = DEFAULT_SEED, sweeps: int = 200) -> dict:
+def criterion_9(seed: int = DEFAULT_SEED) -> dict:
     """Compressed endomorphism images keep the two-consecutive-exponent shape."""
     rng = random.Random(seed)
     params = AlgebraParams(1, 2)
     checked = 0
     failures: List[str] = []
-    for i in range(sweeps):
+    for i in range(200):
         s = rng.randint(1, 2)
         mu = tuple(rng.randint(1, 2) for _ in range(rng.randint(0, s)))
         nu = tuple(rng.randint(1, 2) for _ in range(rng.randint(0, s)))

@@ -1,7 +1,7 @@
 """Acceptance sweep: every headline claim, one test and one verdict line each.
 
-Runs the same criterion functions as ``omnalg reproduce`` at their full
-default strengths and the frozen seed, so `pytest` and the CLI agree.
+Runs the same criterion functions as ``omnalg reproduce`` at full
+strength and the frozen seed, so `pytest` and the CLI agree.
 """
 
 import pytest

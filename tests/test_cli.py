@@ -145,6 +145,28 @@ def test_iszero_deep_nu_answers_quickly(monkeypatch, capsys):
     assert (code, out) == (1, "false")
 
 
+def test_iszero_long_nu_answers_in_a_small_fresh_process():
+    # 150 KB of stdin; a set of every proper prefix of every nu would hold
+    # 1.25e9 letters, and ran out of memory under this limit
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(omnalg.__file__))
+    stdin = json.dumps([{"mu": [], "k": 0, "nu": [1] * 50_000},
+                        {"mu": [2], "k": 3, "nu": [2]}])
+    start = perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "omnalg.cli", "iszero",
+                           "--m", "1", "--n", "2"], input=stdin,
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src},
+                          preexec_fn=limit_memory)
+    assert perf_counter() - start < 2.0
+    assert (proc.returncode, proc.stdout) == (1, "false\n")
+    assert "Traceback" not in proc.stderr
+
+
 def test_normalize_merges_terms(monkeypatch, capsys):
     stdin = json.dumps([{"mu": [1], "k": 0, "nu": []},
                         {"mu": [1], "k": 0, "nu": []}])

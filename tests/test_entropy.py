@@ -9,9 +9,10 @@ import pytest
 
 from omnalg.algebra import (AlgebraParams, Element, Monomial, all_words,
                             mul_monomials)
-from omnalg.entropy import (ECHELON_WORK_LIMIT, _comparable_indices, _Echelon,
-                            _refined_count, entropy_estimate, monomial_window,
-                            rho_matrix, span_dimension, window_size)
+from omnalg.entropy import (ECHELON_WORK_LIMIT, WINDOW_LIMIT,
+                            _comparable_indices, _Echelon, _terms_per_depth,
+                            entropy_estimate, monomial_window, rho_matrix,
+                            window_size)
 from omnalg.exact import QQi, bounded_power
 
 P12 = AlgebraParams(1, 2)
@@ -40,8 +41,9 @@ def test_monomial_window_contents():
         for mon in window:
             assert len(mon.mu) <= s and len(mon.nu) <= s
             assert abs(mon.k) <= params.n ** s
-    with pytest.raises(ValueError, match="exceeds bound"):
-        monomial_window(P12, 5, size_bound=100)
+    assert window_size(P12, 5) == 257_985 > WINDOW_LIMIT == 200_000
+    with pytest.raises(ValueError, match="window size 257985 exceeds bound 200000"):
+        monomial_window(P12, 5)
     # refused from n^s alone, without building 2^(10^7)
     with pytest.raises(ValueError, match="exceeds bound"):
         monomial_window(P12, 10 ** 7)
@@ -57,31 +59,24 @@ def test_bounded_power_matches_power():
     assert bounded_power(1, 10 ** 12, 1) == 1
 
 
-def test_refined_count_is_exact_or_stops_at_the_bound():
-    rng = random.Random(71)
-    for _ in range(200):
-        n, level = rng.randint(1, 5), rng.randint(0, 8)
-        lengths = [rng.randint(0, level) for _ in range(rng.randint(0, 6))]
-        bound = rng.choice((1, 10, 1000, 10 ** 6))
-        powers = [n ** (level - ln) for ln in lengths]
-        want = None if any(p > bound for p in powers) else sum(powers)
-        assert _refined_count(n, level, lengths, bound) == want
-    assert _refined_count(2, 10 ** 12, [0], 5_000_000) is None
-
-
-def test_span_dimension_examples():
-    assert span_dimension([]) == 0
-    assert span_dimension([Element.unit(P12)]) == 1
-    assert span_dimension([Element.unit(P12),
-                           Element.unit(P12).scaled(3)]) == 1
-    # the two range projections sum to 1: rank 2, not 3
-    assert span_dimension([Element.monomial(P12, (1,), 0, (1,)),
-                           Element.monomial(P12, (2,), 0, (2,)),
-                           Element.unit(P12)]) == 2
-    assert span_dimension([Element.monomial(P12, (1,), 0, (1,)),
-                           Element.monomial(P12, (1,), 1, (1,))]) == 2
-    with pytest.raises(ValueError):
-        span_dimension([Element.unit(AlgebraParams(2, 1))])
+def test_terms_per_depth_is_the_sum_over_the_window():
+    # every grid point whose window fits: 300 minus the 20 with n = 7,
+    # s = 2, whose window of 321 651 monomials passes WINDOW_LIMIT
+    checked = 0
+    for n in (2, 3, 4, 5, 7):
+        for s in (0, 1, 2):
+            if window_size(AlgebraParams(1, n), s) > WINDOW_LIMIT:
+                continue
+            window = monomial_window(AlgebraParams(1, n), s)
+            for n_max in (1, 2, 5, 9, 30):
+                level = n_max - 1 + s
+                powers = [n ** (level - len(mon.nu)) for mon in window]
+                for bound in (1, 50, 10 ** 4, 5 * 10 ** 6):
+                    want = None if max(powers) > bound else sum(powers)
+                    assert _terms_per_depth(n, s, level, bound) == want
+                    checked += 1
+    assert checked == 280
+    assert _terms_per_depth(2, 0, 10 ** 12, 5_000_000) is None
 
 
 # -- reference rank: dense elimination over Q(i) on Fraction pairs ----------
@@ -158,32 +153,6 @@ def test_echelon_matches_fraction_elimination():
     assert checked > 300 and dependent > 100
 
 
-def test_span_dimension_matches_fraction_elimination():
-    rng = random.Random(4243)
-    deficient = 0
-    for params in (P12, P13):
-        def word():
-            return tuple(rng.randint(1, params.n)
-                         for _ in range(rng.randint(0, 2)))
-        for _ in range(25):
-            elems = []
-            for _ in range(rng.randint(2, 7)):
-                if len(elems) >= 2 and rng.random() < 0.35:
-                    a, b = rng.sample(elems, 2)
-                    elems.append(a.scaled(random_qqi(rng))
-                                 + b.scaled(random_qqi(rng)))
-                else:
-                    elems.append(Element(params, {
-                        Monomial(word(), rng.randint(-2, 2), word()):
-                            random_qqi(rng) for _ in range(rng.randint(1, 3))}))
-            level = max(len(mon.nu) for e in elems for mon, _ in e.items())
-            rows = [dict(e.refine_to_level(level).items()) for e in elems]
-            dim = span_dimension(elems)
-            assert dim == fraction_rank(rows)
-            deficient += dim < len(elems)
-    assert deficient > 10
-
-
 def test_entropy_dimensions_frozen():
     # criterion 7's sizes
     t2 = entropy_estimate(P12, 0, 8)
@@ -233,9 +202,9 @@ def ref_depths(params, s, n_max, term_bound):
     batch = monomial_window(params, s)
     spent = 0
     for depth in range(1, n_max + 1):
-        count = _refined_count(n, level, (len(mon.nu) for mon in batch),
-                               term_bound)
-        total = None if count is None else spent + count
+        powers = [bounded_power(n, level - len(mon.nu), term_bound)
+                  for mon in batch]
+        total = None if None in powers else spent + sum(powers)
         if total is None or total > term_bound:
             text = "" if total is None else f" {total}"
             return depth - 1, (f"stopped at depth {depth - 1}: refined term "

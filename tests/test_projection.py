@@ -21,8 +21,7 @@ from omnalg.projection import (FuncElement, ProjectionData, _Fn,
                                _first_nonzero_point, _sample,
                                assemble_and_square, build_canonical_data,
                                check_conditions, contract_through, k0_class,
-                               kms_trace, sample_element, telescoping_identity,
-                               verify)
+                               kms_trace, sample_element, verify)
 
 F = Fraction
 
@@ -191,16 +190,6 @@ def test_trace_value():
 
 def test_k0_class_value():
     assert k0_class(build_canonical_data()) == -4
-
-
-def test_telescoping_identity():
-    d = build_canonical_data()
-    for power in range(1, 7):
-        report = telescoping_identity(d, power)
-        assert report["pass"]
-        assert report["a_version"] and report["b_version"]
-    with pytest.raises(ValueError):
-        telescoping_identity(d, 0)
 
 
 def test_sampler_sees_the_relations():
