@@ -91,15 +91,33 @@ class GeneratorWord:
         return [tok[1] for tok in self.tokens if tok[0] == "z"]
 
     def to_element(self) -> Element:
-        acc = Element.unit(self.params)
-        s1 = Element.isometry(self.params, 1)
-        for tok in self.tokens:
+        """The product of the tokens, multiplied in a balanced tree.
+
+        A left-to-right product would copy the growing word once per
+        token, quadratic in the word length L.  Here the stack holds the
+        products of consecutive segments of strictly decreasing length, as
+        the bits of a binary counter: after the i-th token its last two
+        entries are merged once for each trailing zero bit of i, so a
+        product only ever joins two segments of equal length.  Each letter
+        is then copied O(log L) times, the work is O(L log L), and a word
+        of L tokens still takes L products of elements.
+        """
+        params = self.params
+        s1 = Element.isometry(params, 1)
+        s1_adj = s1.adjoint()
+        stack: List[Element] = []
+        for i, tok in enumerate(self.tokens, 1):
             if tok[0] == "z":
-                acc = acc * Element.unitary(self.params, tok[1])
-            elif tok[0] == "create":
-                acc = acc * s1
+                stack.append(Element.unitary(params, tok[1]))
             else:
-                acc = acc * s1.adjoint()
+                stack.append(s1 if tok[0] == "create" else s1_adj)
+            while not i & 1:
+                right = stack.pop()
+                stack[-1] = stack[-1] * right
+                i >>= 1
+        acc = Element.unit(params)
+        for factor in stack:
+            acc = acc * factor
         return acc
 
     def represents(self, mon: Monomial) -> bool:

@@ -3,9 +3,12 @@
 The growth estimate tracks the exact linear dimension of the span of a
 monomial window together with its images under the canonical
 endomorphism, term by term.  Dimensions are ranks of exact coefficient
-matrices: every element is refined so all annihilation words share one
-length, at which point distinct triples are linearly independent and a
-fraction-free sparse echelon pass over Gaussian-integer rows gives the
+matrices: every monomial is refined so all annihilation words share one
+length, at which point distinct triples are linearly independent.  A
+single monomial's refinement needs no merge and has unit coefficients
+(its terms never meet; see `_refined_row`), so every row is a 0/1
+integer row, and the rank of a real matrix is the same over Q as over
+Q(i); a fraction-free sparse echelon pass over the integers gives the
 rank with no sampling involved.
 
 The compression map sends x to the matrix (S_mu^* x S_nu) over all
@@ -21,14 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
-from .algebra import AlgebraParams, Element, Monomial, all_words
+from .algebra import AlgebraParams, Element, Monomial, _expand, all_words
 from .exact import QQi, bounded_power
 
 Word = Tuple[int, ...]
-# a Gaussian integer re + im*i as the pair (re, im)
-GaussInt = Tuple[int, int]
 
 
 def window_size(params: AlgebraParams, s: int) -> int:
@@ -65,44 +66,75 @@ def monomial_window(params: AlgebraParams, s: int) -> List[Monomial]:
 # -- exact rank over refined rows ----------------------------------------
 
 
-class _Echelon:
-    """Incremental sparse echelon over the Gaussian integers Z[i].
+def _refined_row(params: AlgebraParams, mon: Monomial, level: int) -> Dict[Monomial, int]:
+    """The monomial refined to |nu| = level, as the integer row {term: 1}.
 
-    A Gaussian-rational row is scaled once by the lcm L of the
-    denominators of all its real and imaginary parts, so its entries
-    become Gaussian integers, stored as (re, im) pairs of ints.  A row
+    `level - |nu|` rounds of `algebra._expand` rewrite each term by the
+    unit relation sum_d S_d S_d* = 1 into its n children.  The children of
+    one term are pairwise distinct, since each child's nu gains a
+    different letter d; and two distinct terms of one round have distinct
+    children, since their nu differ in a prefix, or their nu agree and
+    (mu, k) -> (mu j, k') is injective for each letter d (`shift_through`
+    recovers t = (d - 1) + k from j and k' as t = n k'/m + j - 1).  So no
+    two terms of the refinement ever meet, nothing needs to be merged, and
+    every coefficient stays the monomial's own, 1.  This is the row that
+    `Element.monomial(...).refine_to_level(level)` gives, with no Element
+    and no QQi built.
+    """
+    terms: Iterable = ((mon, 1),)
+    for _ in range(level - len(mon.nu)):
+        terms = _expand(params, terms)
+    return dict(terms)
+
+
+class _Echelon:
+    """Incremental sparse echelon over the integers.
+
+    Rows map keys to non-zero ints; the keys are hashable and totally
+    ordered, and `entropy_estimate` numbers its refined terms.  A row
     whose leading key already has a pivot is reduced by
 
         row <- p * row - c * pivot,
 
-    with p the pivot's and c the row's leading entry, which cancels the
-    leading key; the row is then divided by the integer gcd of all its
-    parts, and pivots are stored in that same primitive form.
+    with p the pivot's and c the row's leading entry, each first divided
+    by gcd(p, c), which cancels the leading key; the row is then divided
+    by the gcd of all its entries, and pivots are stored as they come out
+    of that reduction.
 
-    Why the rank is the rank over Q(i): Z[i] is an integral domain whose
-    field of fractions is Q(i), so each step is invertible over Q(i).
-    Scaling by L or dividing by a gcd multiplies by a non-zero rational,
-    and as p != 0 the old row is (new row + c * pivot) / p, so every step
-    leaves the Q(i)-span of the rows inserted so far unchanged.  A row
-    reduces to nothing exactly when it lies in the span of the pivots,
-    and pivots with distinct leading keys are linearly independent, so
-    `rank` counts the dimension of that span.  No Fraction or QQi is
-    built inside the elimination loop.
+    Why the rank is the rank over Q: Z is an integral domain whose field
+    of fractions is Q.  Dividing by a gcd multiplies by a non-zero
+    rational, and as p != 0 the old row is (new row + c * pivot) / p, so
+    every step leaves the Q-span of the rows inserted so far unchanged.
+    A row reduces to nothing exactly when it lies in the span of the
+    pivots, and pivots with distinct leading (least) keys are linearly
+    independent, so `rank` counts the dimension of that span.
+
+    Why that is the rank the growth table needs: the rows of
+    `entropy_estimate` are the refinements of single monomials, whose
+    coefficients are all 1 (`_refined_row`), and the rank of a real
+    matrix is the same over Q and over Q(i): if real rows r_j satisfy
+    sum (a_j + b_j i) r_j = 0 with a_j, b_j rational, the real and
+    imaginary parts give sum a_j r_j = 0 and sum b_j r_j = 0, so a
+    dependency over Q(i) has a non-trivial one over Q.  No Fraction, QQi
+    or float is built anywhere in the elimination.
     """
 
     def __init__(self) -> None:
-        self.pivots: Dict[Monomial, Dict[Monomial, GaussInt]] = {}
+        self.pivots: Dict[Hashable, Dict[Hashable, int]] = {}
 
-    def insert(self, row: Dict[Monomial, QQi]) -> bool:
-        """Reduce row against the basis; returns True if rank grew."""
-        work = _integral_row(row)
-        while work:
-            key = min(work)
+    def insert(self, row: Dict[Hashable, int]) -> bool:
+        """Reduce row against the basis; returns True if rank grew.
+
+        The row is not copied: if it becomes a pivot as it is, the echelon
+        keeps the caller's dict.
+        """
+        while row:
+            key = min(row)
             piv = self.pivots.get(key)
             if piv is None:
-                self.pivots[key] = work
+                self.pivots[key] = row
                 return True
-            work = _eliminate(work, piv, key)
+            row = _eliminate(row, piv, key)
         return False
 
     @property
@@ -110,43 +142,28 @@ class _Echelon:
         return len(self.pivots)
 
 
-def _integral_row(row: Dict[Monomial, QQi]) -> Dict[Monomial, GaussInt]:
-    """Scale a Gaussian-rational row to primitive Gaussian-integer form."""
-    parts = [(key, v.gaussian()) for key, v in row.items() if not v.is_zero()]
-    scale = math.lcm(*(d for _, (_, _, d) in parts))
-    out = {}
-    for key, (a, b, d) in parts:
-        s = scale // d
-        out[key] = (a * s, b * s)
-    return _primitive(out)
-
-
-def _eliminate(row: Dict[Monomial, GaussInt], piv: Dict[Monomial, GaussInt],
-               key: Monomial) -> Dict[Monomial, GaussInt]:
+def _eliminate(row: Dict[Hashable, int], piv: Dict[Hashable, int],
+               key: Hashable) -> Dict[Hashable, int]:
     """p * row - c * piv in primitive form, p and c the entries at key."""
-    pr, pi = piv[key]
-    cr, ci = row[key]
-    if pi == 0 and pr == 1:  # about half the growth-table pivots lead with 1
-        out = dict(row)
-    else:
-        out = {k: (pr * a - pi * b, pr * b + pi * a)
-               for k, (a, b) in row.items()}
-    for k, (a, b) in piv.items():
-        x, y = out.get(k, (0, 0))
-        x -= cr * a - ci * b
-        y -= cr * b + ci * a
-        if x or y:
-            out[k] = (x, y)
+    p, c = piv[key], row[key]
+    g = math.gcd(p, c)
+    p, c = p // g, c // g
+    # the growth-table rows have unit entries, so p = 1 is the common case
+    out = dict(row) if p == 1 else {k: p * a for k, a in row.items()}
+    for k, a in piv.items():
+        x = out.get(k, 0) - c * a
+        if x:
+            out[k] = x
         else:
-            out.pop(k, None)
+            del out[k]
     return _primitive(out)
 
 
-def _primitive(row: Dict[Monomial, GaussInt]) -> Dict[Monomial, GaussInt]:
-    """Divide out the integer gcd of every real and imaginary part."""
-    g = math.gcd(*(part for pair in row.values() for part in pair))
+def _primitive(row: Dict[Hashable, int]) -> Dict[Hashable, int]:
+    """Divide out the gcd of every entry."""
+    g = math.gcd(*row.values())
     if g > 1:
-        return {k: (a // g, b // g) for k, (a, b) in row.items()}
+        return {k: a // g for k, a in row.items()}
     return row
 
 
@@ -155,10 +172,14 @@ def _primitive(row: Dict[Monomial, GaussInt]) -> Dict[Monomial, GaussInt]:
 # `entropy_estimate` refuses a request whose echelon work estimate, rows
 # inserted x terms of the longest refined row + _REFINE_WEIGHT x refined
 # terms, passes this limit.  A row reduced against a pivot updates at most
-# the entries of both, and building a refined term level by level, then
-# scaling it to Gaussian integers, costs about as much as 64 such updates.
-# Near the limit a request takes at most about 1.4 s and 115 MB peak RSS
-# (Python 3.11.7, 2 cores); at n = 2, s = 0 it admits n_max <= 10.
+# the entries of both.  The weight 64 was set when a refined term was built
+# through `Element` and `QQi` arithmetic; `_refined_row` builds one for
+# less, and the weight is kept so that the same requests are refused.  Of
+# the 31 admitted requests with an estimate from 3 000 000 to the limit, the
+# slowest (n = 2, s = 3, n_max = 3) takes about 0.5-0.8 s and the largest
+# (n = 39, s = 0, n_max = 3) 64 MB peak RSS, each `omnalg entropy` in a
+# fresh interpreter (Python 3.11.7, 2 cores, shared host); at n = 2,
+# s = 0 the limit admits n_max <= 10.
 ECHELON_WORK_LIMIT = 1 << 23
 _REFINE_WEIGHT = 64
 
@@ -233,6 +254,13 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int,
     one refinement level serves every batch and ranks accumulate in a
     single echelon pass.  Requires m = 1 and n >= 2.
 
+    Each row is one monomial refined to that level.  Its terms are
+    pairwise distinct and each has coefficient 1, so it needs no merge and
+    is the integer row {term: 1} (`_refined_row`).  The matrix of these
+    rows is real, and a real matrix has the same rank over Q as over
+    Q(i), so `_Echelon` ranks it over the integers and every dimension is
+    the dimension of the complex span.
+
     Every depth refines the same number of terms: the batch one depth
     deeper puts each of n letters in front of the nu of each monomial,
     so it holds n times as many monomials whose refinements are n times
@@ -265,19 +293,23 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int,
                              f"{refined} refined terms) exceeds the limit "
                              f"{ECHELON_WORK_LIMIT}")
     ech = _Echelon()
+    # each refined term is numbered when it first appears, so the echelon
+    # hashes and compares ints instead of the words of a Monomial
+    index: Dict[Monomial, int] = {}
     rows: List[EntropyRow] = []
     batch = window
     prev_dim: Optional[int] = None
     for depth in range(1, depths + 1):
         for mon in batch:
-            elem = Element.monomial(params, mon.mu, mon.k, mon.nu)
-            ech.insert(dict(elem.refine_to_level(level).items()))
+            ech.insert({index.setdefault(term, len(index)): 1
+                        for term in _refined_row(params, mon, level)})
         dim = ech.rank
         slope = None if prev_dim is None else math.log(dim) - math.log(prev_dim)
         rows.append(EntropyRow(depth, dim, slope, math.log(dim) / depth))
         prev_dim = dim
-        batch = [Monomial((i,) + mon.mu, mon.k, (i,) + mon.nu)
-                 for mon in batch for i in range(1, n + 1)]
+        if depth < depths:  # no batch is built past the last depth
+            batch = [Monomial((i,) + mon.mu, mon.k, (i,) + mon.nu)
+                     for mon in batch for i in range(1, n + 1)]
     for earlier, later in zip(rows, rows[1:]):
         assert later.dimension >= earlier.dimension
     truncated = depths < n_max

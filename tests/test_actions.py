@@ -125,6 +125,42 @@ def test_fixed_point_rewrite_round_trip_sweep():
             done += 1
 
 
+def token_product(word):
+    """`GeneratorWord.to_element` as one Element product per token."""
+    acc = Element.unit(word.params)
+    s1 = Element.isometry(word.params, 1)
+    for tok in word.tokens:
+        if tok[0] == "z":
+            acc = acc * Element.unitary(word.params, tok[1])
+        elif tok[0] == "create":
+            acc = acc * s1
+        else:
+            acc = acc * s1.adjoint()
+    return acc
+
+
+def test_to_element_matches_the_token_products():
+    # any interleaving of the three tokens, not only the two runs that
+    # fixed_point_rewrite makes; some words multiply out to zero
+    rng = random.Random(1602)
+    checked = zeros = 0
+    for params in (P13, P25, P35, AlgebraParams(1, 4), AlgebraParams(5, 2)):
+        mod = rotation_modulus(params)
+        for _ in range(200):
+            tokens = []
+            for _ in range(rng.randint(0, 12)):
+                r = rng.random()
+                tokens.append(("z", mod * rng.randint(-4, 4)) if r < 0.4
+                              else ("create",) if r < 0.75 else ("annihilate",))
+            word = GeneratorWord(params, tuple(tokens))
+            got = word.to_element()
+            assert got == token_product(word), tokens
+            assert got.term_count() <= 1
+            checked += 1
+            zeros += not got
+    assert checked == 1000 and zeros > 100
+
+
 def test_solve_residue_matches_search():
     rng = random.Random(67)
     for _ in range(2000):

@@ -167,6 +167,23 @@ def test_iszero_long_nu_answers_in_a_small_fresh_process():
     assert "Traceback" not in proc.stderr
 
 
+def test_fixed_point_rewrite_of_a_long_mu_answers_in_a_fresh_process():
+    # 32 000 letters: a left-to-right product of the tokens is quadratic
+    # in |mu| and takes over 10 s; `to_element`'s balanced product does not
+    src = os.path.dirname(os.path.dirname(omnalg.__file__))
+    monomial = json.dumps({"mu": [1] * 32_000, "k": 0, "nu": []})
+    start = perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "omnalg.cli", "fixed-point",
+                           "rewrite", "--m", "1", "--n", "3", "--monomial",
+                           monomial], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert perf_counter() - start < 2.0
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"word": "z^0 S1 " * 32_000 + "z^0",
+                                       "round_trip": True}
+    assert "Traceback" not in proc.stderr
+
+
 def test_normalize_merges_terms(monkeypatch, capsys):
     stdin = json.dumps([{"mu": [1], "k": 0, "nu": []},
                         {"mu": [1], "k": 0, "nu": []}])

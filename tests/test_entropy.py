@@ -10,9 +10,9 @@ import pytest
 from omnalg.algebra import (AlgebraParams, Element, Monomial, all_words,
                             mul_monomials)
 from omnalg.entropy import (ECHELON_WORK_LIMIT, WINDOW_LIMIT,
-                            _comparable_indices, _Echelon, _terms_per_depth,
-                            entropy_estimate, monomial_window, rho_matrix,
-                            window_size)
+                            _comparable_indices, _Echelon, _refined_row,
+                            _terms_per_depth, entropy_estimate,
+                            monomial_window, rho_matrix, window_size)
 from omnalg.exact import QQi, bounded_power
 
 P12 = AlgebraParams(1, 2)
@@ -79,60 +79,55 @@ def test_terms_per_depth_is_the_sum_over_the_window():
     assert _terms_per_depth(2, 0, 10 ** 12, 5_000_000) is None
 
 
-# -- reference rank: dense elimination over Q(i) on Fraction pairs ----------
-
-
-def _cmul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+# -- reference rank: dense elimination over Q on Fractions -----------------
 
 
 def fraction_rank(rows):
-    """Rank over Q(i) of sparse rows {key: QQi}, by Gauss-Jordan on pairs."""
+    """Rank over Q of sparse rows {key: Fraction}, by Gauss-Jordan."""
     keys = sorted({key for row in rows for key in row})
-    zero = (F(0), F(0))
-    mat = [[(F(row[key].re), F(row[key].im)) if key in row else zero
-            for key in keys] for row in rows]
+    mat = [[F(row.get(key, 0)) for key in keys] for row in rows]
     rank = 0
     for col in range(len(keys)):
-        pick = next((r for r in range(rank, len(mat)) if mat[r][col] != zero),
-                    None)
+        pick = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pick is None:
             continue
         mat[rank], mat[pick] = mat[pick], mat[rank]
-        a, b = mat[rank][col]
-        inv = (a / (a * a + b * b), -b / (a * a + b * b))
+        lead = mat[rank][col]
         for r in range(len(mat)):
-            if r != rank and mat[r][col] != zero:
-                f = _cmul(mat[r][col], inv)
-                mat[r] = [(x[0] - g[0], x[1] - g[1])
-                          for x, g in zip(mat[r], (_cmul(f, y)
-                                                   for y in mat[rank]))]
+            if r != rank and mat[r][col]:
+                f = mat[r][col] / lead
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
         rank += 1
     return rank
 
 
-def random_qqi(rng):
-    # non-trivial denominators and, mostly, a non-zero imaginary part
-    return QQi(F(rng.randint(-9, 9), rng.randint(1, 12)),
-               F(rng.randint(-9, 9), rng.randint(1, 12)))
+def random_fraction(rng):
+    # non-trivial denominators, never zero
+    return F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 12))
 
 
 def random_rows(rng, keys, count):
-    """Sparse rows, about a third of them combinations of earlier rows."""
+    """Sparse rational rows, about a third of them combinations of earlier rows."""
     rows = []
     for _ in range(count):
         if len(rows) >= 2 and rng.random() < 0.35:
             row = {}
             for earlier in rng.sample(rows, rng.randint(1, min(3, len(rows)))):
-                c = random_qqi(rng)
+                c = random_fraction(rng)
                 for key, v in earlier.items():
-                    row[key] = row.get(key, QQi()) + c * v
-            row = {key: v for key, v in row.items() if not v.is_zero()}
+                    row[key] = row.get(key, 0) + c * v
+            row = {key: v for key, v in row.items() if v}
         else:
-            row = {key: random_qqi(rng)
+            row = {key: random_fraction(rng)
                    for key in rng.sample(keys, rng.randint(1, 4))}
         rows.append(row)
     return rows
+
+
+def integral(row):
+    """A rational row scaled by the lcm of its denominators."""
+    scale = math.lcm(*(v.denominator for v in row.values()))
+    return {key: int(v * scale) for key, v in row.items()}
 
 
 def test_echelon_matches_fraction_elimination():
@@ -146,11 +141,35 @@ def test_echelon_matches_fraction_elimination():
         ech = _Echelon()
         for i, row in enumerate(rows):
             grew = ranks[i + 1] > ranks[i]
-            assert ech.insert(row) is grew, rows[:i + 1]
+            assert ech.insert(integral(row)) is grew, rows[:i + 1]
             checked += 1
             dependent += not grew
         assert ech.rank == ranks[-1]
     assert checked > 300 and dependent > 100
+
+
+def test_refined_row_is_the_unit_row_of_the_element_refinement():
+    rng = random.Random(1616)
+    checked = 0
+    for n in (2, 3, 5):
+        params = AlgebraParams(1, n)
+        for s in (0, 1):
+            window = monomial_window(params, s)
+            for level in (s, s + 1, s + 2, s + 3):
+                for mon in rng.sample(window, min(len(window), 12)):
+                    # a deeper batch monomial, as entropy_estimate forms it
+                    mu, nu = mon.mu, mon.nu
+                    for _ in range(rng.randint(0, level - len(nu))):
+                        i = rng.randint(1, n)
+                        mu, nu = (i,) + mu, (i,) + nu
+                    want = Element.monomial(params, mu, mon.k, nu).refine_to_level(level)
+                    row = _refined_row(params, Monomial(mu, mon.k, nu), level)
+                    assert row.keys() == dict(want.items()).keys()
+                    assert set(row.values()) == {1}
+                    assert all(c == QQi.of(1) for _, c in want.items())
+                    assert len(row) == n ** (level - len(nu))
+                    checked += 1
+    assert checked == 3 * (4 * 3 + 4 * 12)
 
 
 def test_entropy_dimensions_frozen():
