@@ -11,11 +11,10 @@ embeddings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import List, Tuple
 
 from .algebra import AlgebraParams, Element, Monomial
-from .exact import bounded_power
+from .exact import bounded_power, reduce_exponent
 
 
 def rotation_modulus(params: AlgebraParams) -> int:
@@ -252,13 +251,6 @@ def subalgebra_witness_power(params: AlgebraParams, k: int,
                               Element.unitary(params, params.m ** k), gens)
     report.update({"kind": "power", "k": k, "generators": count})
     return report
-
-
-def reduce_exponent(k: int, n: int) -> int:
-    """Strip from k every prime factor it shares with n."""
-    while (g := gcd(k, n)) > 1:
-        k //= g
-    return k
 
 
 def subalgebra_witness_zk(params: AlgebraParams, k: int,

@@ -201,14 +201,22 @@ def bounded_power(base: int, exp: int, bound: int) -> Optional[int]:
     return power if power <= bound else None
 
 
+def reduce_exponent(k: int, d: int) -> int:
+    """k >= 1 stripped of every prime it shares with d.
+
+    That is the largest divisor of k coprime to d: each round divides k
+    by g = gcd(k, d) > 1, so the loop ends; at the end no prime of d
+    divides k, and only primes of d were removed.
+    """
+    while (g := gcd(k, d)) > 1:
+        k //= g
+    return k
+
+
 def in_localization(x: Fraction, m: int) -> bool:
-    """True iff x lies in Z[1/m], i.e. its reduced denominator divides m^t."""
-    den = x.denominator
-    if m == 1:
-        return den == 1
-    while den > 1:
-        g = gcd(den, m)
-        if g == 1:
-            return False
-        den //= g
-    return True
+    """True iff x lies in Z[1/m], i.e. its reduced denominator divides m^t.
+
+    That holds iff every prime of the denominator divides m, i.e. iff
+    stripping the primes it shares with m leaves 1.
+    """
+    return reduce_exponent(x.denominator, m) == 1

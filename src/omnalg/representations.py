@@ -61,8 +61,9 @@ LABEL_BITS = 4096
 # take at most about 0.25 s for m of 32 to 13 288 bits (Python 3.11.7,
 # 2 cores)
 POWER_LIMIT = 1 << 37
-# `_exact_period_residues` enumerates every residue mod m^k - 1; the
-# largest modulus the acceptance sweep and tests use is 3^4 - 1 = 80
+# `solenoid_orbits` visits every residue mod m^k - 1 once; at this limit
+# `solenoid_periodic_points(2, 16)` takes about 0.2 s and
+# `solenoid_orbits(2, 16)` about 0.013 s (Python 3.11.7, 2 cores)
 RESIDUE_LIMIT = 1 << 16
 
 
@@ -379,7 +380,7 @@ class SolenoidPeriodicPoint:
         if self.m < 2 or self.period < 1:
             raise ValueError("need m >= 2 and period >= 1")
         mod = self.modulus
-        if not 0 <= self.residue < max(mod, 1):
+        if not 0 <= self.residue < mod:
             raise ValueError("residue out of range")
         if exact_period(self.m, self.period, self.residue) != self.period:
             raise ValueError(f"residue {self.residue} does not have exact period "
@@ -391,8 +392,6 @@ class SolenoidPeriodicPoint:
 
     def coordinates(self) -> List[int]:
         mod = self.modulus
-        if mod == 1:
-            return [0] * self.period
         step = pow(self.m, self.period - 1, mod)
         c, out = self.residue % mod, []
         for _ in range(self.period):
@@ -402,18 +401,12 @@ class SolenoidPeriodicPoint:
 
     def coordinate_phase(self, i: int) -> Fraction:
         """Phase of x_i as a fraction of a full turn."""
-        mod = self.modulus
-        if mod == 1:
-            return Fraction(0)
-        coords = self.coordinates()
-        return Fraction(coords[i % self.period], mod)
+        return Fraction(self.coordinates()[i % self.period], self.modulus)
 
 
 def exact_period(m: int, k: int, r: int) -> int:
     """Least t >= 1 with r*m^t = r mod (m^k - 1)."""
     mod = m ** k - 1
-    if mod == 1:
-        return 1
     r %= mod
     c, t = (r * m) % mod, 1
     while c != r:
@@ -424,10 +417,17 @@ def exact_period(m: int, k: int, r: int) -> int:
     return t
 
 
-def _exact_period_residues(m: int, k: int) -> List[int]:
-    """Residues mod m^k - 1 of exact period k, ascending.
+def solenoid_orbits(m: int, k: int) -> List[List[int]]:
+    """Exact-period-k residues grouped into backward-shift orbits.
 
-    m^k is built by `bounded_power`: past RESIDUE_LIMIT within 17 factors.
+    The residues mod m^k - 1 are walked once in ascending order, and each
+    one not yet visited has its orbit under r -> r m^(k-1) walked.  As
+    m^k = 1 mod m^k - 1, m^(k-1) is the inverse of m there, so that map
+    permutes the residues, the walk closes where it began, and the
+    orbit's length is the residue's exact period; it is kept when that
+    is k.  So every orbit starts at its least residue, and the orbits
+    come in ascending order of their starts.  m^k is built by
+    `bounded_power`: past RESIDUE_LIMIT within 17 factors.
     """
     if m < 2 or k < 1:
         raise ValueError("need m >= 2 and k >= 1")
@@ -436,39 +436,27 @@ def _exact_period_residues(m: int, k: int) -> List[int]:
                          f"{m}^{k} - 1 residues, more than the limit of "
                          f"{RESIDUE_LIMIT}")
     mod = m ** k - 1
-    if mod == 1:
-        return [0]
-    return [r for r in range(mod) if exact_period(m, k, r) == k]
+    step = pow(m, k - 1, mod)
+    visited = bytearray(mod)
+    orbits = []
+    for r in range(mod):
+        if visited[r]:
+            continue
+        orbit = []
+        c = r
+        while not visited[c]:
+            orbit.append(c)
+            visited[c] = 1
+            c = c * step % mod
+        if len(orbit) == k:
+            orbits.append(orbit)
+    return orbits
 
 
 def solenoid_periodic_points(m: int, k: int) -> List[SolenoidPeriodicPoint]:
     """All exact-period-k points, sorted by residue."""
-    return [SolenoidPeriodicPoint(m, k, r) for r in _exact_period_residues(m, k)]
-
-
-def solenoid_orbits(m: int, k: int) -> List[List[int]]:
-    """Exact-period-k residues grouped into backward-shift orbits.
-
-    The residues are walked once in ascending order, and each one not yet
-    visited starts an orbit; so every orbit starts at its least residue,
-    and the orbits come in ascending order of their starts.
-    """
-    residues = _exact_period_residues(m, k)
-    mod = m ** k - 1
-    step = pow(m, k - 1, mod) if mod > 1 else 0
-    visited = set()
-    orbits = []
-    for r in residues:
-        if r in visited:
-            continue
-        orbit = []
-        c = r
-        for _ in range(k):
-            orbit.append(c)
-            visited.add(c)
-            c = (c * step) % mod if mod > 1 else 0
-        orbits.append(orbit)
-    return orbits
+    residues = sorted(r for orbit in solenoid_orbits(m, k) for r in orbit)
+    return [SolenoidPeriodicPoint(m, k, r) for r in residues]
 
 
 class PhaseMatrix:

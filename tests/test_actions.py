@@ -7,7 +7,7 @@ import pytest
 
 from omnalg.actions import (GeneratorWord, _solve_residue, fixed_point_rewrite,
                             inversion_apply,
-                            is_rotation_fixed, reduce_exponent, rotation_modulus,
+                            is_rotation_fixed, rotation_modulus,
                             rotation_weight, subalgebra_witness_power,
                             subalgebra_witness_zk)
 from omnalg.algebra import AlgebraParams, Element, Monomial
@@ -171,13 +171,6 @@ def test_solve_residue_matches_search():
         value = rng.randint(-10 ** 6, 10 ** 6)
         least = next(p for p in range(mod) if (value + p * n) % mod == 0)
         assert _solve_residue(value, n, mod) == least
-
-
-def test_reduce_exponent():
-    assert reduce_exponent(6, 2) == 3
-    assert reduce_exponent(12, 2) == 3
-    assert reduce_exponent(9, 3) == 1
-    assert reduce_exponent(5, 3) == 5
 
 
 def test_subalgebra_witness_zk():

@@ -308,6 +308,13 @@ def test_solenoid_points_and_rep(monkeypatch, capsys):
                        monkeypatch, capsys)
     assert code == 0
     assert json.loads(out) == {"count": 2, "orbit_count": 1}
+    # (m, k) = (2, 1): modulus 1, whose one residue 0 is its own orbit
+    code, out, _ = run(["solenoid", "points", "--m", "2", "--period", "1",
+                        "--json"], monkeypatch, capsys)
+    assert code == 0
+    assert json.loads(out)["results"] == {
+        "m": 2, "period": 1, "modulus": 1, "count": 1, "residues": [0],
+        "orbit_count": 1, "orbits": [[0]]}
     code, out, _ = run(["solenoid", "rep", "--m", "2", "--period", "3",
                         "--phase", "1/3"], monkeypatch, capsys)
     assert code == 0

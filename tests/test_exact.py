@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from omnalg.exact import (QQI_ZERO, QQi, bounded_power, frac_str,
-                          in_localization, parse_frac)
+                          in_localization, parse_frac, reduce_exponent)
 
 
 class Pair:
@@ -182,3 +182,22 @@ def test_localization_membership():
     assert in_localization(F(3, 8), 2)
     assert not in_localization(F(1, 5), 6)
     assert in_localization(F(7), 1) and not in_localization(F(1, 2), 1)
+    # x = a/b in lowest terms lies in Z[1/m] iff b | m^t for some t, and
+    # t = b suffices: no prime divides b more than log2(b) < b times
+    for m in range(1, 13):
+        for b in range(1, 201):
+            for a in (1, -1, b + 1, 2 * b - 1):
+                assert in_localization(F(a, b), m) == (m ** b % b == 0)
+
+
+def test_reduce_exponent():
+    assert reduce_exponent(6, 2) == 3
+    assert reduce_exponent(12, 2) == 3
+    assert reduce_exponent(9, 3) == 1
+    assert reduce_exponent(5, 3) == 5
+    # the largest divisor of k coprime to d, by brute force
+    for k in range(1, 301):
+        for d in range(1, 31):
+            expect = max(t for t in range(1, k + 1)
+                         if k % t == 0 and math.gcd(t, d) == 1)
+            assert reduce_exponent(k, d) == expect

@@ -3,14 +3,12 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
-from omnalg.ktheory import (FGAbelianGroup, LocalizedGroup, LocalizedMap,
-                            class_order, cokernel, determinant, direct_sum,
-                            invariant_factors, kernel, kgroups_by_method,
-                            localized_coker_ker, mat_mul, pv_dual_action_kgroups,
+from omnalg.ktheory import (FGAbelianGroup, class_order, cokernel, determinant,
+                            direct_sum, invariant_factors, kernel,
+                            kgroups_by_method, mat_mul, pv_dual_action_kgroups,
                             six_term_kgroups, smith_normal_form,
                             symmetry_fixed_kgroups)
 
@@ -132,45 +130,9 @@ def test_six_term_rejects_bad_params():
         six_term_kgroups(0, 1)
 
 
-def in_localization(q: Fraction, d: int) -> bool:
-    den = q.denominator
-    while (g := math.gcd(den, d)) > 1:
-        den //= g
-    return den == 1
-
-
-def test_localized_coker_matches_coset_oracle():
-    # order of 1 in Z[1/d]/(1-c): smallest k with k/(1-c) in Z[1/d]
-    for d in range(1, 7):
-        for c in range(-6, 7):
-            if c == 1:
-                continue
-            coker, ker = localized_coker_ker(LocalizedMap(d, c))
-            expect = next(k for k in range(1, abs(1 - c) + 1)
-                          if in_localization(Fraction(k, 1 - c), d))
-            got = coker.finite.torsion[0] if coker.finite.torsion else 1
-            assert not coker.localized_free
-            assert got == expect
-            assert ker == LocalizedGroup(False, d)
-
-
-def test_localized_examples():
-    free, _ = localized_coker_ker(LocalizedMap(2, 1))
-    assert free.localized_free and str(free) == "Z[1/2]"
-    with pytest.raises(ValueError):
-        free.as_fg()
-    assert str(LocalizedGroup(True, 1)) == "Z"
-    coker, _ = localized_coker_ker(LocalizedMap(3, 3))
-    assert coker.finite == FGAbelianGroup(0, (2,))
-    coker, _ = localized_coker_ker(LocalizedMap(2, 5))
-    assert coker.finite == FGAbelianGroup(0, ())  # 4 is invertible in Z[1/2]
-    with pytest.raises(ValueError):
-        LocalizedMap(0, 2)
-
-
 def test_dual_action_agrees_with_six_term():
-    for m in range(1, 13):
-        for n in range(2, 13):
+    for m in range(1, 40):
+        for n in range(2, 40):
             if math.gcd(m, n) != 1:
                 continue
             assert pv_dual_action_kgroups(m, n) == six_term_kgroups(m, n)

@@ -300,14 +300,21 @@ def test_exact_period():
 
 
 def test_orbits_partition_the_points():
-    for m, k in ((2, 2), (2, 3), (3, 2), (2, 4)):
-        orbits = solenoid_orbits(m, k)
-        residues = sorted(p.residue for p in solenoid_periodic_points(m, k))
-        flat = sorted(r for orbit in orbits for r in orbit)
-        assert flat == residues
+    # against an oracle that runs exact_period on every residue
+    cases = [(m, k) for m in range(2, 8) for k in range(1, 6)
+             if m ** k - 1 <= representations.RESIDUE_LIMIT]
+    assert (2, 1) in cases and len(cases) == 30
+    for m, k in cases:
         mod = m ** k - 1
+        residues = [r for r in range(mod) if exact_period(m, k, r) == k]
+        orbits = solenoid_orbits(m, k)
+        assert [p.residue for p in solenoid_periodic_points(m, k)] == residues
+        assert sorted(r for orbit in orbits for r in orbit) == residues
+        starts = [orbit[0] for orbit in orbits]
+        assert starts == sorted(starts)
         for orbit in orbits:
-            assert len(orbit) == k
+            assert orbit[0] == min(orbit)
+            assert orbit == SolenoidPeriodicPoint(m, k, orbit[0]).coordinates()
             assert set((r * m) % mod for r in orbit) == set(orbit)
 
 
