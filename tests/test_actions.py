@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from omnalg.actions import (GeneratorWord, _solve_residue, fixed_point_rewrite,
+from omnalg.actions import (GENERATOR_LIMIT, GeneratorWord, _solve_residue,
+                            fixed_point_rewrite,
                             inversion_apply,
                             is_rotation_fixed, rotation_modulus,
                             rotation_weight, subalgebra_witness_power,
@@ -187,10 +188,11 @@ def test_subalgebra_witness_zk():
             assert subalgebra_witness_zk(params, k)["pass"]
     with pytest.raises(ValueError):
         subalgebra_witness_zk(P12, 0)
-    # n generators, bounded like the power family's n^k
-    with pytest.raises(ValueError, match="n = 3 exceeds size bound 2"):
-        subalgebra_witness_zk(P23, 1, size_bound=2)
-    assert subalgebra_witness_zk(P23, 1, size_bound=3)["generators"] == 3
+    # n generators, limited like the power family's n^k
+    assert subalgebra_witness_zk(AlgebraParams(1, 81), 1)["generators"] == 81
+    for n in (82, 83):
+        with pytest.raises(ValueError, match=f"n = {n} exceeds size bound 81"):
+            subalgebra_witness_zk(AlgebraParams(1, n), 2)
     with pytest.raises(ValueError, match="n >= 2"):
         subalgebra_witness_zk(AlgebraParams(2, 1), 1)
 
@@ -199,12 +201,18 @@ def test_subalgebra_witness_power():
     for params, k in ((P12, 1), (P12, 2), (P12, 3), (P23, 1)):
         r = subalgebra_witness_power(params, k)
         assert r["pass"] and r["kind"] == "power" and r["k"] == k
-    with pytest.raises(ValueError, match="size bound"):
+    with pytest.raises(ValueError, match="n\\^k = 2\\^7 exceeds size bound 81"):
         subalgebra_witness_power(P12, 7)
     with pytest.raises(ValueError):
         subalgebra_witness_power(P12, 0)
     # n = 1 would bound nothing: S_1^k is refused, not built
     with pytest.raises(ValueError, match="n >= 2"):
         subalgebra_witness_power(AlgebraParams(2, 1), 10 ** 12)
-    # a larger bound admits the same check
-    assert subalgebra_witness_power(P12, 7, size_bound=200)["pass"]
+    # n^k generators: GENERATOR_LIMIT = 81 answers, 82 and more are refused
+    # before any generator is built
+    assert GENERATOR_LIMIT == 81
+    assert subalgebra_witness_power(AlgebraParams(1, 3), 4)["generators"] == 81
+    assert subalgebra_witness_power(AlgebraParams(1, 81), 1)["generators"] == 81
+    for n in (82, 83):
+        with pytest.raises(ValueError, match=f"n\\^k = {n}\\^1 exceeds size bound 81"):
+            subalgebra_witness_power(AlgebraParams(1, n), 1)

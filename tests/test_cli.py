@@ -280,15 +280,18 @@ def test_subalgebra_witnesses(monkeypatch, capsys):
     code, _, err = run(["subalgebra", "power", "--m", "1", "--n", "2",
                         "--k", "7"], monkeypatch, capsys)
     assert code == 2 and "size bound" in err
+    # the generator limit is the library's; no flag moves it
     code, out, _ = run(["subalgebra", "power", "--m", "1", "--n", "2",
                         "--k", "7", "--bound", "200"], monkeypatch, capsys)
-    assert code == 0
-    # zk has n generators and honours --bound as well
-    zk = ["subalgebra", "zk", "--m", "1", "--n", "3", "--k", "2"]
-    code, _, err = run(zk + ["--bound", "2"], monkeypatch, capsys)
-    assert code == 2 and "n = 3 exceeds size bound 2" in err
-    code, out, _ = run(zk + ["--bound", "3"], monkeypatch, capsys)
-    assert code == 0 and json.loads(out)["generators"] == 3
+    assert code == 2 and out == ""
+    # zk has n generators, refused past the same limit
+    code, out, err = run(["subalgebra", "zk", "--m", "1", "--n", "83",
+                          "--k", "2"], monkeypatch, capsys)
+    assert code == 2 and out == ""
+    assert "n = 83 exceeds size bound 81" in err
+    code, out, _ = run(["subalgebra", "zk", "--m", "1", "--n", "81",
+                        "--k", "2"], monkeypatch, capsys)
+    assert code == 0 and json.loads(out)["generators"] == 81
 
 
 def test_rep_check(monkeypatch, capsys):
@@ -400,22 +403,9 @@ def test_entropy_table_output(monkeypatch, capsys):
     assert code == 0
     assert "growth rate" in out
     assert any(line.split()[:2] == ["3", "18"] for line in out.splitlines())
-    code, out, _ = run(["entropy", "--m", "1", "--n", "2", "--s", "0",
-                        "--nmax", "8", "--bound", "1000", "--json"],
-                       monkeypatch, capsys)
-    assert code == 1  # truncated run reports failure
-    report = json.loads(out)
-    assert report["pass"] is False
-    assert report["results"]["truncated"] is True
     code, _, err = run(["entropy", "--m", "2", "--n", "3", "--s", "0",
                         "--nmax", "3"], monkeypatch, capsys)
     assert code == 2 and "m = 1" in err
-    # truncation before the first row must not crash the table printer
-    code, out, _ = run(["entropy", "--m", "1", "--n", "2", "--s", "1",
-                        "--nmax", "8", "--bound", "1000"],
-                       monkeypatch, capsys)
-    assert code == 1
-    assert "growth rate" not in out and "warning" in out
 
 
 def test_kgroups_fixed(monkeypatch, capsys):
@@ -462,9 +452,9 @@ def test_kgroups_at_a_mersenne_prime_answers_quickly(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, code, needle", [
-    # 2^(10^12) refined terms: truncated before the first row
+    # rows of 2^(10^12 - 1) refined terms, refused before that power is built
     (["entropy", "--m", "1", "--n", "2", "--s", "0", "--nmax", str(10 ** 12)],
-     1, "stopped at depth 0"),
+     2, "echelon work estimate"),
     # a window of more than 2^(10^7) monomials
     (["entropy", "--m", "1", "--n", "2", "--s", str(10 ** 7), "--nmax", "1"],
      2, "exceeds bound"),
@@ -501,8 +491,7 @@ def test_astronomic_sizes_answer_quickly(argv, code, needle, monkeypatch, capsys
 
 @pytest.mark.parametrize("nmax", ["14", "20"])
 def test_entropy_refuses_past_the_work_limit_in_a_fresh_process(nmax):
-    # --nmax 14 passes the refined-term bound and --nmax 20 stops at depth
-    # 3 by it; both ran past 60 s before the work estimate was checked
+    # both ran past 60 s before the work estimate was checked
     src = os.path.dirname(os.path.dirname(omnalg.__file__))
     argv = ["entropy", "--m", "1", "--n", "2", "--s", "0", "--nmax", nmax]
     start = perf_counter()
@@ -548,8 +537,7 @@ ORDER_CASES = (
     (["iszero", "--m", "1", "--n", "2", "--json"], RANGE_SUM_MINUS_ONE),
     (["iszero", "--m", "1", "--n", "2"], "[{"),
     (["subalgebra", "zk", "--m", "1", "--n", "2", "--k", "3", "--json"], ""),
-    (["subalgebra", "power", "--m", "1", "--n", "2", "--k", "2",
-      "--bound", "10", "--json"], ""),
+    (["subalgebra", "power", "--m", "1", "--n", "2", "--k", "2", "--json"], ""),
     (["rieffel", "trace", "--json"], ""),
     (["rieffel", "k0class"], ""),
     (["solenoid", "points", "--m", "2", "--period", "3", "--json"], ""),
@@ -660,8 +648,6 @@ def malformed_cases():
          "--monomial", '{"mu": [], "k": 1, "nu": []}'],
         ["subalgebra", "power", "--m", "1", "--n", "2", "--k", "0"],
         ["subalgebra", "zk", "--m", "1", "--n", "2", "--k", "-1"],
-        ["subalgebra", "power", "--m", "1", "--n", "2", "--k", "1", "--bound", "0"],
-        ["subalgebra", "power", "--m", "1", "--n", "2", "--k", "1", "--bound", "-1"],
         ["subalgebra", "zk", "--m", "2", "--n", "4", "--k", "1"],
         ["subalgebra", "zk", "--m", "1", "--n", "2", "--k", "1.5"],
         ["rieffel", "verify", "--grid", "0"], ["rieffel", "verify", "--grid", "-8"],
@@ -691,8 +677,8 @@ def malformed_cases():
         ["entropy", "--m", "1", "--n", "2", "--s", "-1", "--nmax", "2"],
         ["entropy", "--m", "1", "--n", "2", "--s", "0", "--nmax", "0"],
         ["entropy", "--m", "1", "--n", "2", "--s", "x", "--nmax", "2"],
+        # the flag is gone: no caller moves the work limit
         ["entropy", "--m", "1", "--n", "2", "--s", "0", "--nmax", "3", "--bound", "0"],
-        ["entropy", "--m", "1", "--n", "2", "--s", "0", "--nmax", "3", "--bound", "-1"],
         ["reproduce", "--criteria", "0"], ["reproduce", "--criteria", "12"],
         ["reproduce", "--criteria", "one"], ["reproduce", "--criteria", "1,,2"],
         ["reproduce", "--criteria", ""], ["reproduce", "--seed", "x"],

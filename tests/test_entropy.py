@@ -9,7 +9,7 @@ import pytest
 
 from omnalg.algebra import (AlgebraParams, Element, Monomial, all_words,
                             mul_monomials)
-from omnalg.entropy import (ECHELON_WORK_LIMIT, WINDOW_LIMIT,
+from omnalg.entropy import (ECHELON_WORK_LIMIT, WINDOW_LIMIT, _REFINE_WEIGHT,
                             _comparable_indices, _Echelon, _refined_row,
                             _terms_per_depth, entropy_estimate,
                             monomial_window, rho_matrix, window_size)
@@ -199,58 +199,50 @@ def test_entropy_requires_one_dimensional_base():
         entropy_estimate(AlgebraParams(1, 1), 0, 10 ** 12)
 
 
-def test_entropy_truncation_is_reported():
-    t = entropy_estimate(P12, 0, 8, term_bound=1000)
-    assert t.truncated
-    assert "exceed" in t.warning
-    assert t.dimensions() == [3, 8]  # stops after the last affordable depth
+def ref_admits(params, s, n_max):
+    """Whether the echelon work of all n_max depths stays within the limit.
 
-
-def test_entropy_truncation_before_any_row():
-    # s = 1 windows are already too wide for this bound at nmax = 8
-    t = entropy_estimate(P12, 1, 8, term_bound=1000)
-    assert t.truncated and t.dimensions() == []
-    assert t.growth_rate is None
-    assert t.to_json_obj()["growth_rate"] is None
-
-
-def ref_depths(params, s, n_max, term_bound):
-    """Depths and warning by counting each batch's refined terms in turn."""
+    Counts each batch's rows and refined terms in turn; the longest row is
+    the refinement of a window monomial with nu = (), n^level terms.
+    """
     n = params.n
     level = n_max - 1 + s
+    longest = bounded_power(n, level, ECHELON_WORK_LIMIT)
+    if longest is None:
+        return False
     batch = monomial_window(params, s)
-    spent = 0
-    for depth in range(1, n_max + 1):
-        powers = [bounded_power(n, level - len(mon.nu), term_bound)
-                  for mon in batch]
-        total = None if None in powers else spent + sum(powers)
-        if total is None or total > term_bound:
-            text = "" if total is None else f" {total}"
-            return depth - 1, (f"stopped at depth {depth - 1}: refined term "
-                               f"count{text} would exceed bound {term_bound}")
-        spent = total
+    rows = refined = 0
+    for _ in range(n_max):
+        rows += len(batch)
+        refined += sum(n ** (level - len(mon.nu)) for mon in batch)
+        if rows * longest + _REFINE_WEIGHT * refined > ECHELON_WORK_LIMIT:
+            return False
         batch = [Monomial((i,) + mon.mu, mon.k, (i,) + mon.nu)
                  for mon in batch for i in range(1, n + 1)]
-    return n_max, None
+    return True
 
 
-def test_entropy_depths_match_counting_each_batch():
-    checked = 0
+def test_entropy_answers_in_full_or_refuses():
+    answered = 0
     for n in (2, 3, 5):
         params = AlgebraParams(1, n)
         for s in (0, 1):
-            for n_max in (1, 2, 3, 9, 10 ** 12):
-                for bound in (1, 7, 100, 1000, 30_000):
-                    depth, warning = ref_depths(params, s, n_max, bound)
-                    try:
-                        t = entropy_estimate(params, s, n_max, term_bound=bound)
-                    except ValueError as exc:
-                        assert "echelon work estimate" in str(exc)
-                        continue
-                    assert len(t.rows) == depth and t.warning == warning
-                    assert t.truncated is (depth < n_max)
-                    checked += 1
-    assert checked > 120
+            refused = False
+            for n_max in [*range(1, 26), 10 ** 12]:
+                admitted = ref_admits(params, s, n_max)
+                try:
+                    t = entropy_estimate(params, s, n_max)
+                except ValueError as exc:
+                    assert not admitted, (n, s, n_max)
+                    assert str(exc).startswith("echelon work estimate")
+                    refused = True
+                    continue
+                # once refused, every deeper request is refused too
+                assert admitted and not refused, (n, s, n_max)
+                assert [row.depth for row in t.rows] == list(range(1, n_max + 1))
+                assert t.truncated is False and t.warning is None
+                answered += 1
+    assert answered == 38
 
 
 @pytest.mark.parametrize("n, s, n_max", [(2, 0, 14), (2, 0, 20), (2, 0, 12),
