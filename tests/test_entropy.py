@@ -199,6 +199,15 @@ def test_entropy_requires_one_dimensional_base():
         entropy_estimate(AlgebraParams(1, 1), 0, 10 ** 12)
 
 
+def test_entropy_truncation_is_reported():
+    # no table is cut short, but every table reports that it is whole:
+    # report files carry both keys and the algebra-deep gate reads `truncated`
+    t = entropy_estimate(P12, 1, 8)
+    assert t.dimensions() == [40, 110, 250, 530, 1090, 2210, 4450, 8930]
+    blob = t.to_json_obj()
+    assert blob["truncated"] is False and blob["warning"] is None
+
+
 def ref_admits(params, s, n_max):
     """Whether the echelon work of all n_max depths stays within the limit.
 
@@ -222,7 +231,7 @@ def ref_admits(params, s, n_max):
     return True
 
 
-def test_entropy_answers_in_full_or_refuses():
+def test_entropy_depths_match_counting_each_batch():
     answered = 0
     for n in (2, 3, 5):
         params = AlgebraParams(1, n)
