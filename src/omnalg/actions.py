@@ -90,34 +90,25 @@ class GeneratorWord:
         return [tok[1] for tok in self.tokens if tok[0] == "z"]
 
     def to_element(self) -> Element:
-        """The product of the tokens, multiplied in a balanced tree.
+        """The product of the tokens, multiplied in pairwise rounds.
 
         A left-to-right product would copy the growing word once per
-        token, quadratic in the word length L.  Here the stack holds the
-        products of consecutive segments of strictly decreasing length, as
-        the bits of a binary counter: after the i-th token its last two
-        entries are merged once for each trailing zero bit of i, so a
-        product only ever joins two segments of equal length.  Each letter
-        is then copied O(log L) times, the work is O(L log L), and a word
-        of L tokens still takes L products of elements.
+        token, quadratic in the word length L.  Each round here multiplies
+        neighbouring factors in pairs, keeping their order, so after about
+        log2 L rounds one factor is left: each letter is copied once per
+        round, the work is O(L log L), and a word of L tokens takes L - 1
+        products of elements.
         """
         params = self.params
         s1 = Element.isometry(params, 1)
         s1_adj = s1.adjoint()
-        stack: List[Element] = []
-        for i, tok in enumerate(self.tokens, 1):
-            if tok[0] == "z":
-                stack.append(Element.unitary(params, tok[1]))
-            else:
-                stack.append(s1 if tok[0] == "create" else s1_adj)
-            while not i & 1:
-                right = stack.pop()
-                stack[-1] = stack[-1] * right
-                i >>= 1
-        acc = Element.unit(params)
-        for factor in stack:
-            acc = acc * factor
-        return acc
+        factors = [Element.unitary(params, tok[1]) if tok[0] == "z"
+                   else s1 if tok[0] == "create" else s1_adj
+                   for tok in self.tokens] or [Element.unit(params)]
+        while len(factors) > 1:
+            paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
+            factors = paired + factors[len(paired) * 2:]
+        return factors[0]
 
     def represents(self, mon: Monomial) -> bool:
         """Whether the word multiplies out to mon, by the exact zero test."""

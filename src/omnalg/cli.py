@@ -19,10 +19,10 @@ stdin in the JSON term-list format of the algebra module, which
 
 Bad input has one path to exit status 2: library code raises ValueError
 for bad arguments and for nothing else, handlers raise `UsageError` (a
-ValueError) for bad flags, and `main` maps every ValueError to
-``error: <message>`` on stderr and status 2.  A broken internal invariant
-raises AssertionError or ArithmeticError instead and still ends in a
-traceback.
+ValueError) for bad flags, so does the parser for flags it cannot parse,
+and `main` maps every ValueError to one ``error: <message>`` line on
+stderr and status 2.  A broken internal invariant raises AssertionError
+or ArithmeticError instead and still ends in a traceback.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import functools
 import json
 import sys
 from time import perf_counter
-from typing import Optional, Sequence, Tuple
+from typing import NoReturn, Optional, Sequence, Tuple
 
 from .algebra import AlgebraParams, Element, monomial_from_json_obj
 from .exact import frac_str, parse_frac
@@ -47,6 +47,13 @@ SCHEMA = "omnalg-report/1"
 
 class UsageError(ValueError):
     """Bad flags or malformed stdin; mapped to exit status 2 like any ValueError."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises `UsageError` instead of exiting."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
 
 
 def _compact(obj) -> str:
@@ -283,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     `parse_args` fills a fresh Namespace, and argparse looks up
     `sys.stdout` and `sys.stderr` only when it writes.
     """
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="omnalg",
         description="exact computations in the circle correspondence "
                     "algebras generated by a unitary and n isometries")
@@ -321,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-parity", choices=("odd", "even"), required=True,
                    dest="m_parity")
     p.add_argument("--n", type=int, default=None)
-    p.set_defaults(handler=_cmd_kgroups_fixed, m=None)
+    p.set_defaults(handler=_cmd_kgroups_fixed)
     _add_common(p)
 
     p = sub.add_parser("fixed-point",
@@ -372,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--residue", type=int, default=None,
                    help="periodic point to use (default: smallest)")
     _add_common(p)
-    p.set_defaults(handler=_cmd_solenoid, n=None)
+    p.set_defaults(handler=_cmd_solenoid)
 
     p = sub.add_parser("entropy",
                        help="dimension growth of iterated images under the "
@@ -389,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criteria", default=None,
                    help="comma-separated subset, e.g. 1,4,5 (default: all)")
     _add_common(p, seed=True)
-    p.set_defaults(handler=_cmd_reproduce, m=None, n=None)
+    p.set_defaults(handler=_cmd_reproduce)
 
     return top
 
@@ -401,14 +408,12 @@ def _echo_params(args) -> dict:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    start = perf_counter()
-    try:
+        args = _build_parser().parse_args(argv)
+        start = perf_counter()
         results, ok, compact = args.handler(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

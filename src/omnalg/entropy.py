@@ -38,29 +38,18 @@ def window_size(params: AlgebraParams, s: int) -> int:
     return words * words * (2 * n ** s + 1)
 
 
-# `monomial_window` refuses a window of more monomials than this
-WINDOW_LIMIT = 200_000
-
-
 def monomial_window(params: AlgebraParams, s: int) -> List[Monomial]:
-    """All monomials with word lengths <= s and |exponent| <= n^s."""
-    if s < 0:
-        raise ValueError("window parameter must be >= 0")
-    # the window holds more than n^s monomials; refuse before building n^s
-    if bounded_power(params.n, s, WINDOW_LIMIT) is None:
-        raise ValueError(f"window size exceeds bound {WINDOW_LIMIT}: "
-                         f"it is more than n^s = {params.n}^{s}")
-    count = window_size(params, s)
-    if count > WINDOW_LIMIT:
-        raise ValueError(f"window size {count} exceeds bound {WINDOW_LIMIT}")
+    """All monomials with word lengths <= s and |exponent| <= n^s.
+
+    No limit of its own: `entropy_estimate` weighs the window before it
+    builds it.
+    """
     words: List[Word] = []
     for length in range(s + 1):
         words.extend(all_words(params.n, length))
     kmax = params.n ** s
-    out = [Monomial(mu, k, nu)
-           for mu in words for k in range(-kmax, kmax + 1) for nu in words]
-    assert len(out) == count
-    return out
+    return [Monomial(mu, k, nu)
+            for mu in words for k in range(-kmax, kmax + 1) for nu in words]
 
 
 # -- exact rank over refined rows ----------------------------------------
@@ -274,6 +263,16 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int) -> EntropyTable:
     longest refined row is that of a window monomial with nu = ()) is
     known before any row is built; an estimate past `ECHELON_WORK_LIMIT`
     raises ValueError, and otherwise the table has all `n_max` rows.
+
+    The estimate bounds the window too, so it is the one size limit, and
+    the window is built only once the estimate passes.  The window holds
+    W^2 (2n^s + 1) monomials (`window_size`), W = 1 + n + ... + n^s, and
+    each is inserted as a row of at least one term.  As W <= (s + 1) n^s
+    <= (s + 1) n^level, one depth refines at least W^2 (2n^s + 1) terms.
+    So the estimate is at least 65 times the window, and an admitted
+    window has fewer than 2^23 / 65 monomials; the largest one admitted
+    has 53 100 (n = 29, s = 1, n_max = 1; searched over n <= 2 999 and
+    s <= 24).
     """
     if params.m != 1:
         raise ValueError("growth estimate requires m = 1")
@@ -281,8 +280,9 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int) -> EntropyTable:
         raise ValueError(f"growth estimate requires n >= 2, got {params.n}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if s < 0:
+        raise ValueError("window parameter must be >= 0")
     n = params.n
-    window = monomial_window(params, s)
     level = (n_max - 1) + s
     # every row inserted costs at least n^level, so the estimate passes the
     # limit as soon as n^level does, and that power is never formed
@@ -291,13 +291,15 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int) -> EntropyTable:
         raise ValueError(f"echelon work estimate exceeds the limit "
                          f"{ECHELON_WORK_LIMIT}: it is more than n^level = "
                          f"{n}^{level}")
-    inserted = len(window) * (n ** n_max - 1) // (n - 1)
+    # n^s <= n^level passed that check, so the window's size is small
+    inserted = window_size(params, s) * (n ** n_max - 1) // (n - 1)
     refined = n_max * per_depth
     work = inserted * n ** level + _REFINE_WEIGHT * refined
     if work > ECHELON_WORK_LIMIT:
         raise ValueError(f"echelon work estimate {work} ({inserted} rows, "
                          f"{refined} refined terms) exceeds the limit "
                          f"{ECHELON_WORK_LIMIT}")
+    window = monomial_window(params, s)
     ech = _Echelon()
     # each refined term is numbered when it first appears, so the echelon
     # hashes and compares ints instead of the words of a Monomial

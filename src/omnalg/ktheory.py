@@ -35,25 +35,28 @@ def mat_vec(a: IntMatrix, v: List[int]) -> List[int]:
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
-def determinant(m: IntMatrix) -> Fraction:
-    """Exact determinant by fraction-based elimination (small matrices)."""
+def rational_inverse(m: IntMatrix) -> Optional[List[List[Fraction]]]:
+    """Inverse of a square integer matrix over Q by Gauss-Jordan; None if singular.
+
+    An integer matrix M is unimodular exactly when this inverse is
+    integral: then det M and det M^-1 are integers with product 1, and
+    conversely |det M| = 1 makes the adjugate formula for M^-1 integral.
+    """
     k = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
+           for i, row in enumerate(m)]
     for col in range(k):
-        piv = next((r for r in range(col, k) if a[r][col] != 0), None)
+        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, k):
-            f = a[r][col] * inv
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        scale = aug[col][col]
+        aug[col] = [x / scale for x in aug[col]]
+        for r in range(k):
+            f = aug[r][col]
+            if r != col and f:
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[k:] for row in aug]
 
 
 def smith_normal_form(mat: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -272,9 +275,9 @@ def symmetry_fixed_kgroups(m_parity: str, n: int) -> dict:
     mat = [[int(i == j) - y[i][j] for j in range(3)] for i in range(3)]
     k0 = cokernel(mat)
     k1 = kernel(mat)
-    unit_order = class_order(mat, [1, 0, 0])
     orders = {f"e{i}": class_order(mat, [int(j == i) for j in range(3)])
               for i in range(3)}
+    unit_order = orders["e0"]
     if m_parity == "odd":
         ref_k0 = FGAbelianGroup(1, invariant_factors([n - 1, n - 1]))
         ref_k1 = FGAbelianGroup(1, ())

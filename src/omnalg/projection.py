@@ -237,11 +237,6 @@ class _Fn:
         return self if d == 1 or self.kind == "const" else _Fn("dilate", self, d)
 
 
-def contract_through(i: int, j: int, h: _Fn) -> _Fn:
-    """S_i* h S_j as a function: average of h over halved points with phase."""
-    return _Fn("contract", h, j - i)
-
-
 def _strided(table: List[complex], start: int, step: int, count: int) -> List[complex]:
     """table[(start + step*i) % len(table)] for i < count.
 
@@ -382,7 +377,9 @@ def _term_product(s: FETerm, t: FETerm) -> FETerm:
     nu = list(s.nu)
     alpha = list(t.mu)
     while nu and alpha:
-        h = contract_through(nu.pop(0), alpha.pop(0), h)
+        # S_i* h S_j (i from nu, j from alpha) as a function: h averaged
+        # over halved points, with phase
+        h = _Fn("contract", h, alpha.pop(0) - nu.pop(0))
     if not nu:
         left = s.left * h.dilated(2 ** len(s.mu))
         return FETerm(left, s.mu + tuple(alpha), t.nu, t.right)

@@ -132,19 +132,6 @@ def isometry_image(params: AlgebraParams, j: int, variant: str, q: Fraction) -> 
     return _fraction(m, image)
 
 
-def isometry_preimage(params: AlgebraParams, j: int, variant: str,
-                      q: Fraction) -> Optional[Fraction]:
-    """Label of S_j* e_q, or None when the partial isometry annihilates e_q.
-
-    ValueError when q is not in Z[1/m].
-    """
-    params.check_letter(j)
-    m = params.m
-    p, e = _label(m, q)
-    w = _preimage(_powers(m, e + 1), params.n, _letter_offset(j, variant), p, e)
-    return None if w is None else _fraction(m, w)
-
-
 @dataclass(frozen=True)
 class PartialAffineMap:
     """q -> scale*q + offset, defined where every condition lands in Z[1/m].

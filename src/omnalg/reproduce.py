@@ -154,24 +154,6 @@ def criterion_4(seed: int = DEFAULT_SEED) -> dict:
 # -- criterion 5: flip fixed-point K-theory --------------------------------
 
 
-def _solve_rational(mat: Sequence[Sequence[int]],
-                    rhs: Sequence[int]) -> List[Fraction]:
-    """Solve a nonsingular square integer system exactly."""
-    size = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(size)] + [Fraction(rhs[i])]
-           for i in range(size)]
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = aug[col][col]
-        aug[col] = [v / scale for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][size] for i in range(size)]
-
-
 def _brute_force_coker_orders(mat: Sequence[Sequence[int]]) -> List[int]:
     """Element orders of Z^3/im(M) for nonsingular M, by subgroup closure.
 
@@ -180,10 +162,8 @@ def _brute_force_coker_orders(mat: Sequence[Sequence[int]]) -> List[int]:
     tuple mod 1 is the lcm of its denominators.
     """
     size = len(mat)
-    gens = []
-    for j in range(size):
-        col = _solve_rational(mat, [int(i == j) for i in range(size)])
-        gens.append(tuple(v % 1 for v in col))
+    inverse = ktheory.rational_inverse(mat)
+    gens = [tuple(row[j] % 1 for row in inverse) for j in range(size)]
     zero = tuple(Fraction(0) for _ in range(size))
     group = {zero}
     frontier = [zero]
@@ -197,6 +177,13 @@ def _brute_force_coker_orders(mat: Sequence[Sequence[int]]) -> List[int]:
     def order(v):
         return math.lcm(*(c.denominator for c in v))
     return sorted(order(v) for v in group)
+
+
+def _integral_inverse(mat: Sequence[Sequence[int]]) -> bool:
+    """Whether an integer matrix is unimodular: its inverse is integral."""
+    inverse = ktheory.rational_inverse(mat)
+    return inverse is not None and all(x.denominator == 1
+                                       for row in inverse for x in row)
 
 
 def _fg_order_multiset(g: ktheory.FGAbelianGroup) -> List[int]:
@@ -223,7 +210,7 @@ def criterion_5(seed: int = DEFAULT_SEED) -> dict:
             u, d, v = ktheory.smith_normal_form(mat)
             if ktheory.mat_mul(ktheory.mat_mul(u, mat), v) != d:
                 failures.append(f"{parity} n={n}: U*M*V != D")
-            if abs(ktheory.determinant(u)) != 1 or abs(ktheory.determinant(v)) != 1:
+            if not (_integral_inverse(u) and _integral_inverse(v)):
                 failures.append(f"{parity} n={n}: transform not unimodular")
             if not rep["pass"]:
                 failures.append(f"{parity} n={n}: K0, K1 = {rep['computed_k0']}, "

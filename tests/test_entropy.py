@@ -9,7 +9,7 @@ import pytest
 
 from omnalg.algebra import (AlgebraParams, Element, Monomial, all_words,
                             mul_monomials)
-from omnalg.entropy import (ECHELON_WORK_LIMIT, WINDOW_LIMIT, _REFINE_WEIGHT,
+from omnalg.entropy import (ECHELON_WORK_LIMIT, _REFINE_WEIGHT,
                             _comparable_indices, _Echelon, _refined_row,
                             _terms_per_depth, entropy_estimate,
                             monomial_window, rho_matrix, window_size)
@@ -41,12 +41,31 @@ def test_monomial_window_contents():
         for mon in window:
             assert len(mon.mu) <= s and len(mon.nu) <= s
             assert abs(mon.k) <= params.n ** s
-    assert window_size(P12, 5) == 257_985 > WINDOW_LIMIT == 200_000
-    with pytest.raises(ValueError, match="window size 257985 exceeds bound 200000"):
-        monomial_window(P12, 5)
-    # refused from n^s alone, without building 2^(10^7)
-    with pytest.raises(ValueError, match="exceeds bound"):
-        monomial_window(P12, 10 ** 7)
+    # the window has no limit of its own: these are refused by the echelon
+    # work estimate before any window is built, the second without 2^(10^7)
+    assert window_size(P12, 5) == 257_985
+    with pytest.raises(ValueError, match="echelon work estimate"):
+        entropy_estimate(P12, 5, 1)
+    with pytest.raises(ValueError, match="echelon work estimate"):
+        entropy_estimate(P12, 10 ** 7, 1)
+
+
+def test_window_past_200000_is_refused_by_the_estimate():
+    # the estimate is at least 65 times the window (see `entropy_estimate`),
+    # so a window past 200 000 monomials weighs more than 2^23; each of
+    # these is refused before its window is built
+    refused = 0
+    for n in range(2, 13):
+        params = AlgebraParams(1, n)
+        for s in range(7):
+            if window_size(params, s) <= 200_000:
+                continue
+            for n_max in range(1, 13):
+                with pytest.raises(ValueError, match="echelon work estimate"):
+                    entropy_estimate(params, s, n_max)
+                refused += 1
+    # 47 of the 77 (n, s) pairs, at each of 12 depths
+    assert refused == 47 * 12
 
 
 def test_bounded_power_matches_power():
@@ -60,12 +79,13 @@ def test_bounded_power_matches_power():
 
 
 def test_terms_per_depth_is_the_sum_over_the_window():
-    # every grid point whose window fits: 300 minus the 20 with n = 7,
-    # s = 2, whose window of 321 651 monomials passes WINDOW_LIMIT
+    # every grid point but the 20 with n = 7, s = 2: a window of 321 651
+    # monomials, past what the echelon work estimate admits, is too slow
+    # to build here
     checked = 0
     for n in (2, 3, 4, 5, 7):
         for s in (0, 1, 2):
-            if window_size(AlgebraParams(1, n), s) > WINDOW_LIMIT:
+            if window_size(AlgebraParams(1, n), s) > 200_000:
                 continue
             window = monomial_window(AlgebraParams(1, n), s)
             for n_max in (1, 2, 5, 9, 30):

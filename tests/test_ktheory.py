@@ -3,14 +3,15 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from omnalg.ktheory import (FGAbelianGroup, class_order, cokernel, determinant,
-                            direct_sum, invariant_factors, kernel,
+from omnalg.ktheory import (FGAbelianGroup, class_order, cokernel, direct_sum,
+                            identity_matrix, invariant_factors, kernel,
                             kgroups_by_method, mat_mul, pv_dual_action_kgroups,
-                            six_term_kgroups, smith_normal_form,
-                            symmetry_fixed_kgroups)
+                            rational_inverse, six_term_kgroups,
+                            smith_normal_form, symmetry_fixed_kgroups)
 
 
 def int_det(mat):
@@ -39,6 +40,43 @@ def minor_gcd(mat, k):
     return g
 
 
+def is_integral(inverse):
+    return inverse is not None and all(x.denominator == 1
+                                       for row in inverse for x in row)
+
+
+def test_rational_inverse():
+    assert rational_inverse(identity_matrix(3)) == identity_matrix(3)
+    assert rational_inverse([[2]]) == [[Fraction(1, 2)]]
+    assert rational_inverse([[1, 2], [2, 4]]) is None
+    assert rational_inverse([[0, 0, 1], [0, 0, 2], [3, 1, 0]]) is None
+    rng = random.Random(505)
+    checked = 0
+    while checked < 30:
+        mat = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
+        if int_det(mat) == 0:
+            assert rational_inverse(mat) is None
+            continue
+        inverse = rational_inverse(mat)
+        assert [[sum(mat[i][l] * inverse[l][j] for l in range(3))
+                 for j in range(3)] for i in range(3)] == identity_matrix(3)
+        assert is_integral(inverse) is (abs(int_det(mat)) == 1)
+        checked += 1
+    # products of elementary integer matrices are unimodular
+    for _ in range(20):
+        prod = identity_matrix(3)
+        for _ in range(6):
+            step = identity_matrix(3)
+            i, j = rng.sample(range(3), 2)
+            if rng.random() < 0.5:
+                step[i][j] = rng.randint(-4, 4)
+            else:
+                step[i], step[j] = step[j], step[i]
+            prod = mat_mul(step, prod)
+        assert is_integral(rational_inverse(prod))
+    assert not is_integral(rational_inverse([[2, 0], [0, 1]]))
+
+
 def test_smith_normal_form_random_sweep():
     rng = random.Random(101)
     shapes = [(2, 2), (3, 3), (3, 2), (2, 4), (4, 4)]
@@ -47,8 +85,8 @@ def test_smith_normal_form_random_sweep():
         mat = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         u, d, v = smith_normal_form(mat)
         assert mat_mul(mat_mul(u, mat), v) == d
-        assert abs(determinant(u)) == 1
-        assert abs(determinant(v)) == 1
+        assert is_integral(rational_inverse(u))
+        assert is_integral(rational_inverse(v))
         diag = [d[i][i] for i in range(min(rows, cols))]
         for i in range(rows):
             for j in range(cols):

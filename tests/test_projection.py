@@ -20,7 +20,7 @@ from omnalg import projection
 from omnalg.projection import (FuncElement, ProjectionData, _Fn,
                                _first_nonzero_point, _sample,
                                assemble_and_square, build_canonical_data,
-                               check_conditions, contract_through, k0_class,
+                               check_conditions, k0_class,
                                kms_trace, sample_element, verify)
 
 F = Fraction
@@ -292,7 +292,8 @@ def test_contraction_phase_sign_matches_pointwise_formula():
     d = build_canonical_data()
     size = 64
     for h in (d.a0, d.b0):
-        table = _sample(contract_through(1, 2, _Fn.from_exact(h)), size, {})
+        # the contraction S_i* h S_j is the node ("contract", h, j - i)
+        table = _sample(_Fn("contract", _Fn.from_exact(h), 1), size, {})
         for k in range(size):
             t = F(k, size)
             want = sum(cmath.exp(2j * cmath.pi * float(s)) * float(h.evaluate(s))

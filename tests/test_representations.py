@@ -10,7 +10,7 @@ from omnalg import representations
 from omnalg.algebra import AlgebraParams, Monomial
 from omnalg.exact import in_localization
 from omnalg.representations import (SolenoidPeriodicPoint, _label, coordinate_diagonal,
-                                    exact_period, isometry_image, isometry_preimage,
+                                    exact_period, isometry_image,
                                     monomial_affine_map, precompose_shift_inverse,
                                     relation_residuals, shift_unitary,
                                     solenoid_orbits, solenoid_periodic_points,
@@ -27,15 +27,6 @@ def test_isometry_image_examples():
     assert isometry_image(P12, 1, "B", F(0)) == 0   # 2q + (j - 1)
     assert isometry_image(P12, 2, "B", F(0)) == 1
     assert isometry_image(P23, 1, "A", F(2)) == 2   # (3/2)q + (j - 2)
-
-
-def test_isometry_preimage():
-    assert isometry_preimage(P12, 1, "A", F(3)) == 2
-    assert isometry_preimage(P12, 1, "A", F(4)) is None  # 4 is not odd
-    for q in window_labels(2, 4, 1):
-        for j in (1, 2, 3):
-            img = isometry_image(P23, j, "A", q)
-            assert isometry_preimage(P23, j, "A", img) == q
 
 
 def test_monomial_affine_map_examples():
@@ -98,8 +89,6 @@ def test_labels_are_normalised_pairs():
     # a label outside Z[1/m] is no basis vector of l^2(Z[1/m])
     with pytest.raises(ValueError):
         isometry_image(P23, 1, "A", F(1, 3))
-    with pytest.raises(ValueError):
-        isometry_preimage(P23, 1, "A", F(1, 3))
 
 
 def _fraction_relation_residuals(params, variant, num_bound, exp_bound):
