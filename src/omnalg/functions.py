@@ -218,14 +218,18 @@ class PiecewiseFunction:
         The points k/size are exact floats.  Piece [lo, hi) holds the k with
         ceil(lo*size) <= k < ceil(hi*size), found in exact arithmetic, so
         the sweep looks up no point by bisection and gives the same floats.
+        A zero piece evaluates to 0.0 everywhere, so it is written as such.
         """
         if size < 1 or size & (size - 1):
             raise ValueError("lattice size must be a power of two")
         out: List[float] = []
         for (lo, hi), piece in zip(self.piece_bounds(), self.pieces):
+            ks = range(math.ceil(lo * size), math.ceil(hi * size))
+            if not piece:
+                out += [0.0] * len(ks)
+                continue
             coeffs = tuple(map(float, piece))
-            out.extend(float(_poly_eval(coeffs, k / size))
-                       for k in range(math.ceil(lo * size), math.ceil(hi * size)))
+            out.extend(float(_poly_eval(coeffs, k / size)) for k in ks)
         return out
 
     # -- ring operations ----------------------------------------------------

@@ -26,7 +26,10 @@ nonzero terms and no `abs` moves.  Strided slices read the very entries
 that index arithmetic read.  The terms are still summed into each
 bucket in the same order, since a reordered sum may round differently,
 and the exact self_adjoint_defect == 0.0 of `assemble_and_square` rests
-on that order.
+on that order.  Most addends are exact zeros, and the sampler skips them
+on the same grounds: leaving out a zero can turn only the sign of a zero
+component.  The phase tables are built once per `assemble_and_square`
+call, shared by its 12 samplings and dropped when it returns.
 
 The printed form of b_0 in the source material is internally
 inconsistent; ``build_canonical_data`` returns the unique
@@ -39,6 +42,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import re
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -51,7 +56,9 @@ PUBLISHED_TRACE = Fraction(7, 16)
 PUBLISHED_K0_CLASS = -4
 DEFAULT_GRID = 4096
 # verify samples on lattices of up to 16 times the grid; at this limit it
-# takes about 3 to 4 s and 89 MB peak RSS (Python 3.11.7, 2 cores)
+# takes about 1.3 to 2.1 s and 79 MB peak RSS, and at the default grid
+# 4096 about 0.4 to 0.7 s and 32 MB (`omnalg rieffel verify` in a fresh
+# interpreter, Python 3.11.7, 2 cores, shared host)
 GRID_LIMIT = 1 << 14
 
 # -- exact data and conditions -------------------------------------------
@@ -183,6 +190,26 @@ def k0_class(data: ProjectionData) -> int:
 # runs through a strided slice of the table, repeated; so dilation, and
 # the reads of `_add_term` along a term's affine line, copy slices and
 # build no list of indices.
+#
+# Most addends are exact zeros: a_0, b_0 and the square roots live on
+# intervals of width 1/8 to 1/2.  So `PiecewiseFunction.evaluate_lattice`
+# writes 0.0 for a zero piece, and `_add_term` forms a term's head and its
+# addends only on the runs of indices where its left table is nonzero; a
+# term whose left table is zero throughout builds no right or phase table
+# and only creates its bucket keys.  That is exact for the reason constant
+# folding is.  Every table entry is finite, so where the left entry is a
+# zero of either sign, the head and every addend along every line are
+# zeros, and adding a zero to s gives s, except that it may turn the sign
+# of a zero component.  Neither `abs`, the sup nor the buckets' `==` can
+# see that sign, and the terms that are summed keep their order.
+#
+# A phase, word-phase or line-key table depends on its key and size
+# alone, so the 12 `sample_element` calls of one `assemble_and_square`
+# share one memo of them (``_SHARED_TABLES``, set for that call and reset
+# when it returns, so no table outlives one verification); any other call
+# makes its own.  The memo keeps only the finest table of each key: k/size
+# is the same float as (k*r)/(size*r), so a coarser table is a stride of
+# it, the very floats building it anew would give.
 
 
 class _Fn:
@@ -192,6 +219,11 @@ class _Fn:
     A leaf over a PiecewiseFunction (exact, sqrt) keeps its table on the
     finest lattice sampled so far and serves coarser lattices from it;
     every other table is built when asked for and dropped by the caller.
+    `_add_term` samples a term's right side only when its left table has
+    a nonzero entry, and sums only on the runs of such entries; the phase
+    tables it multiplies in come from a memo that lives for one
+    `sample_element` call, or for one `assemble_and_square` call when it
+    runs inside one (see the numeric engine above).
     The node builders fold constants (see the numeric engine above), so a
     const node is never the child of a conj or dilate node, and a mul node
     has at most one const factor, never the constant 1.
@@ -253,21 +285,36 @@ def _strided(table: List[complex], start: int, step: int, count: int) -> List[co
     return run
 
 
+# the memo of phase, word-phase and line-key tables that the samplings of
+# one `assemble_and_square` share; None outside such a call
+_SHARED_TABLES: ContextVar[Optional[dict]] = ContextVar("_SHARED_TABLES",
+                                                        default=None)
+
+
+def _finest(phases: dict, key, size: int, build) -> list:
+    """The table under ``key`` at ``size``, memoised in ``phases``.
+
+    Only the finest table of each key is kept: the points k/size are the
+    same floats as (k*r)/(size*r), so a coarser table is a stride of it,
+    the very floats ``build`` would make.  A finer request replaces it.
+    """
+    table = phases.get(key)
+    if table is None or len(table) < size:
+        table = phases[key] = build(size)
+    return table if len(table) == size else table[::len(table) // size]
+
+
 def _phase_table(scale: complex, size: int, phases: dict) -> List[complex]:
     """exp(scale * k/size) for k < size, memoised in ``phases``.
 
     At scale 0 every entry is exp(0j) = 1+0j exactly, so one object is
     shared by the whole table.
     """
-    key = (scale, size)
-    table = phases.get(key)
-    if table is None:
+    def build(size):
         if scale == 0:
-            table = [complex(1.0)] * size
-        else:
-            table = [cmath.exp(scale * (k / size)) for k in range(size)]
-        phases[key] = table
-    return table
+            return [complex(1.0)] * size
+        return [cmath.exp(scale * (k / size)) for k in range(size)]
+    return _finest(phases, ("phase", scale), size, build)
 
 
 def _sample(fn: _Fn, size: int, phases: dict) -> List[complex]:
@@ -394,9 +441,11 @@ def _word_phase(word: Tuple[int, ...], size: int, phases: dict,
     With ``conj``, its conjugate, the phase of S_word^adj that `_add_term`
     reads on the right; each is memoised under its own key.
     """
-    key = (word, size, conj)
-    table = phases.get(key)
-    if table is None:
+    def build(size):
+        if 2 not in word:
+            # 1+0j or 1-0j throughout: one object shared by the whole table
+            one = complex(1.0)
+            return [one.conjugate() if conj else one] * size
         base = _phase_table(2j * cmath.pi, size, phases)
         table = [complex(1.0)] * size
         for l, letter in enumerate(word):
@@ -405,8 +454,8 @@ def _word_phase(word: Tuple[int, ...], size: int, phases: dict,
                 table = [acc * b for acc, b in zip(table, dilated)]
         if conj:
             table = [p.conjugate() for p in table]
-        phases[key] = table
-    return table
+        return table
+    return _finest(phases, ("word", word, conj), size, build)
 
 
 def sample_element(elem: FuncElement, grid: int) -> float:
@@ -418,10 +467,14 @@ def sample_element(elem: FuncElement, grid: int) -> float:
     operator cancellations show up as zeros here.  With t = i/grid the
     point x is the lattice point (2^a i + j grid) mod (grid 2^b) over
     grid 2^b, so both sides of a term are read from tables by index.
+    Inside `assemble_and_square` the phase and line-key tables come from
+    that call's shared memo; otherwise from one made for this call.
     """
     _check_grid(grid)
     buckets: Dict[Tuple[Fraction, Fraction], List[complex]] = {}
-    phases: dict = {}
+    phases = _SHARED_TABLES.get()
+    if phases is None:
+        phases = {}
     for term in elem.terms:
         _add_term(buckets, term, grid, phases)
     return max((max(map(abs, acc)) for acc in buckets.values()), default=0.0)
@@ -443,23 +496,45 @@ def _line_keys(pow_a: int, pow_b: int, phases: dict) -> List[tuple]:
     return keys
 
 
+_NONZERO_RUN = re.compile(b"\\x01+")
+
+
+def _nonzero_runs(table: List[complex]) -> List[Tuple[int, int]]:
+    """(lo, hi) of each maximal run of indices where table is nonzero."""
+    return [run.span() for run in _NONZERO_RUN.finditer(bytes(map(bool, table)))]
+
+
 def _add_term(buckets: dict, term: FETerm, grid: int, phases: dict) -> None:
     pow_a, pow_b = 2 ** len(term.mu), 2 ** len(term.nu)
     size = grid * pow_b
-    head = [f * p / pow_b for f, p in zip(_sample(term.left, grid, phases),
-                                          _word_phase(term.mu, grid, phases))]
+    keys = _line_keys(pow_a, pow_b, phases)
+    left = _sample(term.left, grid, phases)
+    runs = _nonzero_runs(left)
+    if not runs:
+        # every addend is an exact zero: the term only names its lines
+        for key in keys:
+            buckets.setdefault(key, [0j] * grid)
+        return
+    mu_phase = _word_phase(term.mu, grid, phases)
+    heads = [(lo, hi, [f * p / pow_b for f, p
+                       in zip(left[lo:hi], mu_phase[lo:hi])])
+             for lo, hi in runs]
     nu_phase = _word_phase(term.nu, size, phases, conj=True)
     right = None if term.right.is_one() else _sample(term.right, size, phases)
     step = pow_a % size
-    for j, key in enumerate(_line_keys(pow_a, pow_b, phases)):
+    for j, key in enumerate(keys):
         acc = buckets.setdefault(key, [0j] * grid)
         # t = i/grid reads both tables at (pow_a i + j grid) mod size
         phase = _strided(nu_phase, j * grid, step, grid)
         if right is None:
-            acc[:] = [s + h * p for s, h, p in zip(acc, head, phase)]
+            for lo, hi, head in heads:
+                acc[lo:hi] = [s + h * p for s, h, p
+                              in zip(acc[lo:hi], head, phase[lo:hi])]
         else:
-            acc[:] = [s + h * p * r for s, h, p, r
-                      in zip(acc, head, phase, _strided(right, j * grid, step, grid))]
+            line = _strided(right, j * grid, step, grid)
+            for lo, hi, head in heads:
+                acc[lo:hi] = [s + h * p * r for s, h, p, r
+                              in zip(acc[lo:hi], head, phase[lo:hi], line[lo:hi])]
 
 
 def _matrix_of(data: ProjectionData) -> List[List[FuncElement]]:
@@ -485,12 +560,18 @@ def assemble_and_square(data: ProjectionData, grid: int = DEFAULT_GRID) -> dict:
     p = _matrix_of(data)
     p2 = [[p[i][0] * p[0][j] + p[i][1] * p[1][j] for j in range(2)]
           for i in range(2)]
-    residual = max(sample_element(p2[i][j] - p[i][j], grid)
-                   for i in range(2) for j in range(2))
-    doubled = max(sample_element(p2[i][j] - p[i][j], 2 * grid)
-                  for i in range(2) for j in range(2))
-    adj_defect = max(sample_element(p[i][j] - p[j][i].adjoint(), grid)
-                     for i in range(2) for j in range(2))
+    # the 12 samplings share one memo of phase and line-key tables,
+    # dropped when this call returns
+    token = _SHARED_TABLES.set({})
+    try:
+        residual = max(sample_element(p2[i][j] - p[i][j], grid)
+                       for i in range(2) for j in range(2))
+        doubled = max(sample_element(p2[i][j] - p[i][j], 2 * grid)
+                      for i in range(2) for j in range(2))
+        adj_defect = max(sample_element(p[i][j] - p[j][i].adjoint(), grid)
+                         for i in range(2) for j in range(2))
+    finally:
+        _SHARED_TABLES.reset(token)
     return {
         "grid": grid,
         "residual": residual,

@@ -290,6 +290,92 @@ def test_entropy_work_limit_admits_depth_ten_at_n_two():
     assert entropy_estimate(P12, 0, 10).dimensions()[-1] == 2558
 
 
+def forest_ranks(n, s, n_max):
+    """The growth table's dimensions, counted on the refinement forest.
+
+    One rewrite by the unit relation sends (mu, k, nu) to its n children
+    (mu j, k', nu d), one for each letter d, with (j, k') =
+    shift_through(k, d) (`algebra._expand`).  Over m = 1 the child gives
+    back its parent: (mu j, k', nu d) comes from (mu, n k' + j - d, nu).
+    So every monomial has at most one parent, the monomials form a forest,
+    and a row of `entropy_estimate`, a monomial refined to the common
+    level, is the indicator of the descendants of that monomial at that
+    level.  Two such sets are nested when one monomial lies below the
+    other and disjoint otherwise (a common descendant would have two
+    ancestor chains), and distinct monomials give distinct sets, as
+    every monomial has n >= 2 children.  So the rows are the indicators
+    of a laminar family.
+
+    For a member A, let P(A) be its refinement minus those of the members
+    strictly below it: the private part of A.  The private parts are
+    pairwise disjoint, and each refinement is the disjoint union of the
+    private parts of the members at or below it, so by induction on the
+    forest the rows span the same space as the indicators of the private
+    parts.  The nonempty ones are disjoint, hence independent: the rank is
+    the number of members with P(A) nonempty, and those private parts are
+    an explicit basis.  P(A) is empty exactly when each child of A is a
+    member or, having members below it, has every child covered in turn.
+    A monomial with no member below it covers nothing, so the walk only
+    descends through ancestors of members and needs no level.
+    """
+    def parent(mon):
+        if not mon.mu or not mon.nu:
+            return None
+        return Monomial(mon.mu[:-1], n * mon.k + mon.mu[-1] - mon.nu[-1],
+                        mon.nu[:-1])
+
+    def children(mon):
+        for d in range(1, n + 1):
+            q, r = divmod(mon.k + d - 1, n)
+            yield Monomial(mon.mu + (r + 1,), q, mon.nu + (d,))
+
+    def has_private_part(member):
+        stack = list(children(member))
+        while stack:
+            mon = stack.pop()
+            if mon in members:
+                continue
+            if mon not in above:
+                return True
+            stack.extend(children(mon))
+        return False
+
+    members, above, ranks = set(), set(), []
+    batch = monomial_window(AlgebraParams(1, n), s)
+    for _ in range(n_max):
+        for mon in batch:
+            members.add(mon)
+            up = parent(mon)
+            while up is not None and up not in above:
+                above.add(up)
+                up = parent(up)
+        ranks.append(sum(map(has_private_part, members)))
+        batch = [Monomial((i,) + mon.mu, mon.k, (i,) + mon.nu)
+                 for mon in batch for i in range(1, n + 1)]
+    return ranks
+
+
+def test_forest_count_matches_the_echelon_rank():
+    # an independent cross-check of `_Echelon`, on a seeded handful of the
+    # requests it admits (a refusal is immediate)
+    assert forest_ranks(2, 0, 8) == [3, 8, 18, 38, 78, 158, 318, 638]
+    candidates = [(n, s, n_max) for n in range(2, 6) for s in range(3)
+                  if window_size(AlgebraParams(1, n), s) <= 1000
+                  for n_max in range(1, 6)]
+    random.Random(2020).shuffle(candidates)
+    checked = []
+    for n, s, n_max in candidates:
+        try:
+            table = entropy_estimate(AlgebraParams(1, n), s, n_max)
+        except ValueError:
+            continue
+        assert forest_ranks(n, s, n_max) == table.dimensions(), (n, s, n_max)
+        checked.append((n, s, n_max))
+        if len(checked) == 6:
+            break
+    assert len(checked) == 6
+
+
 def rho_mul(A, B, params):
     size = len(A)
     out = []

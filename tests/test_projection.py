@@ -418,12 +418,23 @@ def ref_sample_element(elem, grid):
     return max((abs(v) for acc in buckets.values() for v in acc), default=0.0)
 
 
-def random_element(seed):
-    """Sandwiches of a0, b0, sqrt(b1sq) and the constants +-1, 0.5, 2j,
-    combined by +, -, * and adjoint; the same element for the same seed."""
-    d = build_canonical_data()
-    leaves = (lambda: d.a0, lambda: d.b0, lambda: _Fn.sqrt_of(d.b1sq),
-              lambda: 1, lambda: -1, lambda: 0.5, lambda: 2j)
+def broad_leaves(d):
+    """a0, b0, sqrt(b1sq) and the constants +-1, 0.5, 2j."""
+    return (lambda: d.a0, lambda: d.b0, lambda: _Fn.sqrt_of(d.b1sq),
+            lambda: 1, lambda: -1, lambda: 0.5, lambda: 2j)
+
+
+def narrow_leaves(d):
+    """sqrt(a1sq), delta1 and a0 dilated by 2: each vanishes outside at
+    most 3/8 of the circle, so most addends of a product are exact zeros."""
+    return (lambda: _Fn.sqrt_of(d.a1sq), lambda: d.delta1,
+            lambda: dilate(d.a0, 2))
+
+
+def random_element(seed, leaves=broad_leaves):
+    """Sandwiches of the leaves combined by +, -, * and adjoint; the same
+    element for the same seed."""
+    leaves = leaves(build_canonical_data())
     rng = random.Random(seed)
 
     def word():
@@ -445,20 +456,71 @@ def random_element(seed):
 ORACLE_GRIDS = [2 ** k for k in range(8)]  # 1 .. 128
 
 
-def test_sample_element_matches_the_unfolded_reference(monkeypatch):
-    folded = [random_element(seed) for seed in range(100)]
+def assert_matches_the_reference(folded, plain, label):
+    assert len(folded.terms) == len(plain.terms), label
+    for grid in ORACLE_GRIDS:
+        got, want = sample_element(folded, grid), ref_sample_element(plain, grid)
+        assert got == want and repr(got) == repr(want), (label, grid)
+        # every summed amplitude, not only the sup; == lets the sign of a
+        # zero differ, as multiplying by 1+0j or skipping a zero addend may
+        # flip it
+        mine = buckets_of(projection._add_term, folded, grid)
+        theirs = buckets_of(ref_add_term, plain, grid)
+        assert mine.keys() == theirs.keys() and mine == theirs, (label, grid)
+
+
+def built_twice(monkeypatch, build):
+    """build() as the sampler sees it, and with node builders folding nothing."""
+    folded = build()
     with monkeypatch.context() as patch:
         unfolded(patch)
-        plain = [random_element(seed) for seed in range(100)]
+        plain = build()
+    return folded, plain
+
+
+def test_sample_element_matches_the_unfolded_reference(monkeypatch):
+    folded, plain = built_twice(
+        monkeypatch, lambda: [random_element(seed) for seed in range(100)])
     for seed, (elem, ref) in enumerate(zip(folded, plain)):
-        assert len(elem.terms) == len(ref.terms)
-        for grid in ORACLE_GRIDS:
-            got, want = sample_element(elem, grid), ref_sample_element(ref, grid)
-            assert got == want and repr(got) == repr(want), (seed, grid)
-            # every summed amplitude, not only the sup; == lets the sign
-            # of a zero differ, as multiplying by 1+0j may flip it
-            assert (buckets_of(projection._add_term, elem, grid)
-                    == buckets_of(ref_add_term, ref, grid)), (seed, grid)
+        assert_matches_the_reference(elem, ref, seed)
+
+
+def cancelling_element():
+    """t - t for each term t of a sum of products of entries of P, in turn.
+
+    Each bucket is 0 before a term comes and t + (-t) = 0 exactly, so every
+    bucket sums to zeros; x - x would not, as x's own terms share lines.
+    """
+    p = projection._matrix_of(build_canonical_data())
+    x = p[0][0] * p[0][1] + p[1][0].adjoint() * p[1][1]
+    out = FuncElement()
+    for term in x.terms:
+        out = out + (FuncElement((term,)) - FuncElement((term,)))
+    return out
+
+
+def test_sample_element_matches_the_unfolded_reference_on_narrow_supports(monkeypatch):
+    def build():
+        return ([random_element(seed, narrow_leaves) for seed in range(40)]
+                + [cancelling_element()])
+
+    folded, plain = built_twice(monkeypatch, build)
+    for label, (elem, ref) in enumerate(zip(folded, plain)):
+        assert_matches_the_reference(elem, ref, label)
+    cancelled = folded[-1]
+    for grid in ORACLE_GRIDS:
+        assert sample_element(cancelled, grid) == 0.0
+    assert sample_element(FuncElement(cancelled.terms[::2]), 64) > 0.1
+    # most left tables vanish on part of the lattice, so most sums run over
+    # runs that are neither empty nor the whole lattice, and some terms
+    # have no run at all
+    partial = empty = 0
+    terms = [term for elem in folded for term in elem.terms]
+    for term in terms:
+        runs = projection._nonzero_runs(_sample(term.left, 64, {}))
+        partial += runs not in ([], [(0, 64)])
+        empty += runs == []
+    assert partial > len(terms) / 2 and empty > 0
 
 
 @pytest.mark.parametrize("grid", [8, 64, 256])
@@ -486,3 +548,36 @@ def test_assemble_and_square_matches_the_unfolded_reference(grid, monkeypatch):
     assert calls == ref_calls
     assert [(nargs, kwargs, g) for nargs, kwargs, _, g in calls] == \
         [(2, {}, grid)] * 4 + [(2, {}, 2 * grid)] * 4 + [(2, {}, grid)] * 4
+
+
+def test_assemble_and_square_shares_its_tables_for_one_call_only(monkeypatch):
+    class Mark:
+        """Put into the memo by the first sampling; freed with the memo."""
+
+    data = build_canonical_data()
+    marks, sizes = [], []
+
+    def sample(elem, grid):
+        memo = projection._SHARED_TABLES.get()
+        marks.append(weakref.ref(memo.setdefault("mark", Mark())))
+        assert marks[-1]() is marks[0](), "each sampling sees the first memo"
+        result = sampler(elem, grid)
+        sizes.append(len(memo))
+        return result
+
+    sampler = projection.sample_element
+    assert projection._SHARED_TABLES.get() is None
+    with monkeypatch.context() as patch:
+        patch.setattr(projection, "sample_element", sample)
+        first = assemble_and_square(data, grid=64)
+    # one memo for the 12 samplings, freed when the call returns
+    assert len(marks) == 12 and marks[0]() is None
+    # the samplings keep their tables in it
+    assert sizes[0] > 1 and sizes == sorted(sizes)
+    assert projection._SHARED_TABLES.get() is None
+    second = assemble_and_square(data, grid=64)
+    assert first == second and repr(first) == repr(second)
+    # a sampling that raises drops the memo too
+    with pytest.raises(ValueError):
+        assemble_and_square(data, grid=3)
+    assert projection._SHARED_TABLES.get() is None
