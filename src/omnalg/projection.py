@@ -196,12 +196,14 @@ def k0_class(data: ProjectionData) -> int:
 # writes 0.0 for a zero piece, and `_add_term` forms a term's head and its
 # addends only on the runs of indices where its left table is nonzero; a
 # term whose left table is zero throughout builds no right or phase table
-# and only creates its bucket keys.  That is exact for the reason constant
-# folding is.  Every table entry is finite, so where the left entry is a
-# zero of either sign, the head and every addend along every line are
-# zeros, and adding a zero to s gives s, except that it may turn the sign
-# of a zero component.  Neither `abs`, the sup nor the buckets' `==` can
-# see that sign, and the terms that are summed keep their order.
+# and no bucket.  That is exact for the reason constant folding is.  Every
+# table entry is finite, so where the left entry is a zero of either sign,
+# the head and every addend along every line are zeros, and adding a zero
+# to s gives s, except that it may turn the sign of a zero component.
+# Neither `abs`, the sup nor the buckets' `==` can see that sign, and the
+# terms that are summed keep their order.  A bucket that only such terms
+# would have named holds zeros, and its sup of 0.0 cannot raise the
+# maximum of sups that are all >= 0, which is 0.0 when there are none.
 #
 # A phase, word-phase or line-key table depends on its key and size
 # alone, so the 12 `sample_element` calls of one `assemble_and_square`
@@ -219,11 +221,11 @@ class _Fn:
     A leaf over a PiecewiseFunction (exact, sqrt) keeps its table on the
     finest lattice sampled so far and serves coarser lattices from it;
     every other table is built when asked for and dropped by the caller.
-    `_add_term` samples a term's right side only when its left table has
-    a nonzero entry, and sums only on the runs of such entries; the phase
-    tables it multiplies in come from a memo that lives for one
-    `sample_element` call, or for one `assemble_and_square` call when it
-    runs inside one (see the numeric engine above).
+    `_add_term` samples a term's right side, and makes its buckets, only
+    when its left table has a nonzero entry, and sums only on the runs of
+    such entries; the phase tables it multiplies in come from a memo that
+    lives for one `sample_element` call, or for one `assemble_and_square`
+    call when it runs inside one (see the numeric engine above).
     The node builders fold constants (see the numeric engine above), so a
     const node is never the child of a conj or dilate node, and a mul node
     has at most one const factor, never the constant 1.
@@ -507,18 +509,15 @@ def _nonzero_runs(table: List[complex]) -> List[Tuple[int, int]]:
 def _add_term(buckets: dict, term: FETerm, grid: int, phases: dict) -> None:
     pow_a, pow_b = 2 ** len(term.mu), 2 ** len(term.nu)
     size = grid * pow_b
-    keys = _line_keys(pow_a, pow_b, phases)
     left = _sample(term.left, grid, phases)
     runs = _nonzero_runs(left)
     if not runs:
-        # every addend is an exact zero: the term only names its lines
-        for key in keys:
-            buckets.setdefault(key, [0j] * grid)
         return
     mu_phase = _word_phase(term.mu, grid, phases)
     heads = [(lo, hi, [f * p / pow_b for f, p
                        in zip(left[lo:hi], mu_phase[lo:hi])])
              for lo, hi in runs]
+    keys = _line_keys(pow_a, pow_b, phases)
     nu_phase = _word_phase(term.nu, size, phases, conj=True)
     right = None if term.right.is_one() else _sample(term.right, size, phases)
     step = pow_a % size

@@ -8,7 +8,8 @@ Two families of representations drive the verification work:
   partial injective affine maps on labels; this separation is why the
   trie-refinement zero test of the core algebra is exact.
 * finite-dimensional representations attached to periodic points of the
-  m-adic solenoid, built from exact root-of-unity phase matrices.
+  m-adic solenoid, built from generalized permutation matrices with exact
+  `Fraction` phases.
 
 Inside the shift representation a label q = p/m^e is the int pair (p, e),
 normalised so that m does not divide p unless e = 0 (so e = 0 whenever
@@ -32,6 +33,7 @@ act on pairs with integer arithmetic only:
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -386,10 +388,6 @@ class SolenoidPeriodicPoint:
             c = (c * step) % mod
         return out
 
-    def coordinate_phase(self, i: int) -> Fraction:
-        """Phase of x_i as a fraction of a full turn."""
-        return Fraction(self.coordinates()[i % self.period], self.modulus)
-
 
 def exact_period(m: int, k: int, r: int) -> int:
     """Least t >= 1 with r*m^t = r mod (m^k - 1)."""
@@ -447,73 +445,66 @@ def solenoid_periodic_points(m: int, k: int) -> List[SolenoidPeriodicPoint]:
 
 
 class PhaseMatrix:
-    """Square matrix whose entries are zero or exact unit phases.
+    """Generalized permutation matrix with exact unit phases.
 
-    A cell holds a Fraction t meaning exp(2 pi i t); multiplication
-    requires that no output cell receives two contributions, which holds
-    for the generalized-permutation matrices used here.
+    Column j holds one nonzero entry, exp(2 pi i phases[j]) in row
+    perm[j], each phase a Fraction reduced mod 1.  Products and adjoints
+    of such matrices are again such matrices, so each operation is one
+    pass over the columns.
     """
 
-    __slots__ = ("size", "cells")
+    __slots__ = ("perm", "phases")
 
-    def __init__(self, size: int, cells: Optional[Dict[Tuple[int, int], Fraction]] = None):
-        self.size = size
-        self.cells: Dict[Tuple[int, int], Fraction] = {}
-        if cells:
-            for pos, phase in cells.items():
-                self.cells[pos] = phase % 1
+    def __init__(self, perm: Iterable[int], phases: Iterable[Fraction]):
+        self.perm = tuple(perm)
+        self.phases = tuple(p % 1 for p in phases)
+        size = len(self.perm)
+        if len(self.phases) != size or sorted(self.perm) != list(range(size)):
+            raise ValueError("a phase matrix needs a permutation of range(size) "
+                             "and one phase per column")
+
+    @property
+    def size(self) -> int:
+        return len(self.perm)
 
     @classmethod
     def identity(cls, size: int) -> "PhaseMatrix":
-        return cls(size, {(i, i): Fraction(0) for i in range(size)})
-
-    @classmethod
-    def diagonal(cls, phases: Iterable[Fraction]) -> "PhaseMatrix":
-        ph = list(phases)
-        return cls(len(ph), {(i, i): ph[i] for i in range(len(ph))})
+        return cls(range(size), [Fraction(0)] * size)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PhaseMatrix):
             return NotImplemented
-        return self.size == other.size and self.cells == other.cells
-
-    def __hash__(self):
-        return hash((self.size, frozenset(self.cells.items())))
+        return self.perm == other.perm and self.phases == other.phases
 
     def __matmul__(self, other: "PhaseMatrix") -> "PhaseMatrix":
         if self.size != other.size:
             raise ValueError("size mismatch")
-        out: Dict[Tuple[int, int], Fraction] = {}
-        for (i, l), p in self.cells.items():
-            for (l2, j), q in other.cells.items():
-                if l2 != l:
-                    continue
-                if (i, j) in out:
-                    raise ArithmeticError("cell collision: product leaves the "
-                                          "generalized-permutation class")
-                out[(i, j)] = (p + q) % 1
-        return PhaseMatrix(self.size, out)
+        # column j of other is phase q at row l; column l of self moves it
+        # to row self.perm[l] and adds self.phases[l]
+        return PhaseMatrix([self.perm[l] for l in other.perm],
+                           [self.phases[l] + q for l, q in zip(other.perm, other.phases)])
 
     def adjoint(self) -> "PhaseMatrix":
-        return PhaseMatrix(self.size, {(j, i): -p for (i, j), p in self.cells.items()})
+        perm, phases = [0] * self.size, [Fraction(0)] * self.size
+        for j, (i, p) in enumerate(zip(self.perm, self.phases)):
+            perm[i], phases[i] = j, -p
+        return PhaseMatrix(perm, phases)
 
     def is_unitary(self) -> bool:
         return (self @ self.adjoint()) == PhaseMatrix.identity(self.size) and \
                (self.adjoint() @ self) == PhaseMatrix.identity(self.size)
 
     def to_complex(self) -> List[List[complex]]:
-        import cmath
         out = [[0j] * self.size for _ in range(self.size)]
-        for (i, j), p in self.cells.items():
+        for j, (i, p) in enumerate(zip(self.perm, self.phases)):
             out[i][j] = cmath.exp(2j * cmath.pi * float(p))
         return out
 
 
 def shift_unitary(size: int, corner_phase: Fraction) -> PhaseMatrix:
     """u e_j = e_{j+1} for j < size-1, u e_{size-1} = phase * e_0."""
-    cells = {(j + 1, j): Fraction(0) for j in range(size - 1)}
-    cells[(0, size - 1)] = corner_phase
-    return PhaseMatrix(size, cells)
+    return PhaseMatrix([(j + 1) % size for j in range(size)],
+                       [Fraction(0)] * (size - 1) + [corner_phase])
 
 
 LaurentMonomial = Dict[int, int]  # coordinate index -> exponent
@@ -521,17 +512,17 @@ LaurentMonomial = Dict[int, int]  # coordinate index -> exponent
 
 def coordinate_diagonal(point: SolenoidPeriodicPoint,
                         exponents: LaurentMonomial) -> PhaseMatrix:
-    """rho_x(f) for f = prod_i x_i^{a_i}: diag(f(x), f(sx), ..., f(s^{k-1}x))."""
-    k = point.period
-    phases = []
-    for j in range(k):
-        ph = Fraction(0)
-        for i, a in exponents.items():
-            if i < 0:
-                raise ValueError("coordinate indices must be >= 0")
-            ph += a * point.coordinate_phase(i + j)
-        phases.append(ph % 1)
-    return PhaseMatrix.diagonal(phases)
+    """rho_x(f) for f = prod_i x_i^{a_i}: diag(f(x), f(sx), ..., f(s^{k-1}x)).
+
+    f(s^j x) has the phase sum_i a_i c_{i+j} / (m^k - 1), indices mod k,
+    read off one walk of the orbit.
+    """
+    if any(i < 0 for i in exponents):
+        raise ValueError("coordinate indices must be >= 0")
+    k, mod, coords = point.period, point.modulus, point.coordinates()
+    return PhaseMatrix(range(k), [
+        Fraction(sum(a * coords[(i + j) % k] for i, a in exponents.items()), mod)
+        for j in range(k)])
 
 
 def precompose_shift_inverse(m: int, exponents: LaurentMonomial) -> LaurentMonomial:
@@ -568,7 +559,6 @@ def solenoid_rep_check(point: SolenoidPeriodicPoint, z_phase: Fraction,
     wrong = precompose_shift(point, exponents)
 
     # independent float path
-    import cmath
     un, fn = u.to_complex(), rho_f.to_complex()
     num = [[sum(un[i][a] * fn[a][b] * un[j][b].conjugate() for a in range(k)
                 for b in range(k)) for j in range(k)] for i in range(k)]

@@ -1,5 +1,6 @@
 """Affine-map separation on label windows and solenoid periodic-point reps."""
 
+import random
 from fractions import Fraction
 from math import gcd
 from time import perf_counter
@@ -9,8 +10,8 @@ import pytest
 from omnalg import representations
 from omnalg.algebra import AlgebraParams, Monomial
 from omnalg.exact import in_localization
-from omnalg.representations import (SolenoidPeriodicPoint, _label, coordinate_diagonal,
-                                    exact_period, isometry_image,
+from omnalg.representations import (PhaseMatrix, SolenoidPeriodicPoint, _label,
+                                    coordinate_diagonal, exact_period, isometry_image,
                                     monomial_affine_map, precompose_shift_inverse,
                                     relation_residuals, shift_unitary,
                                     solenoid_orbits, solenoid_periodic_points,
@@ -314,14 +315,14 @@ def test_coordinates_satisfy_shift_consistency():
             mod = pt.modulus
             for i in range(k):
                 assert (m * coords[(i + 1) % k]) % mod == coords[i] % mod
-            assert pt.coordinate_phase(0) == F(coords[0], mod)
 
 
 def test_shift_unitary_structure():
     u = shift_unitary(3, F(1, 2))
     assert u.is_unitary()
-    assert u.cells == {(0, 2): F(1, 2), (1, 0): F(0), (2, 1): F(0)}
-    assert (u @ u.adjoint()).cells == {(i, i): F(0) for i in range(3)}
+    # e_0 -> e_1 -> e_2 -> phase * e_0
+    assert u.perm == (1, 2, 0) and u.phases == (F(0), F(0), F(1, 2))
+    assert u @ u.adjoint() == PhaseMatrix.identity(3)
     for size in (1, 2, 4):
         assert shift_unitary(size, F(1, 3)).is_unitary()
 
@@ -364,4 +365,36 @@ def test_distinct_points_have_distinct_diagonals():
     pts = solenoid_periodic_points(2, 2)
     d0 = coordinate_diagonal(pts[0], {0: 1})
     d1 = coordinate_diagonal(pts[1], {0: 1})
-    assert d0.cells != d1.cells
+    assert d0.perm == d1.perm == (0, 1)
+    assert d0.phases != d1.phases
+    assert d0 != d1
+
+
+def random_phase_matrix(rng, size):
+    perm = list(range(size))
+    rng.shuffle(perm)
+    # phases off [0, 1), negative or past one turn, reduced on construction
+    phases = [F(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(size)]
+    return PhaseMatrix(perm, phases)
+
+
+def test_phase_matrix_matches_dense_complex_products():
+    rng = random.Random(21)
+    for _ in range(300):
+        size = rng.randint(1, 6)
+        a, b = random_phase_matrix(rng, size), random_phase_matrix(rng, size)
+        ac, bc = a.to_complex(), b.to_complex()
+        dense = [[sum(ac[i][l] * bc[l][j] for l in range(size)) for j in range(size)]
+                 for i in range(size)]
+        product = (a @ b).to_complex()
+        adjoint = a.adjoint().to_complex()
+        for i in range(size):
+            for j in range(size):
+                assert abs(product[i][j] - dense[i][j]) < 1e-12
+                assert abs(adjoint[i][j] - ac[j][i].conjugate()) < 1e-12
+        assert a @ a.adjoint() == PhaseMatrix.identity(size)
+        assert a.is_unitary()
+    with pytest.raises(ValueError):
+        PhaseMatrix((0, 0, 2), (F(0), F(0), F(0)))  # a repeated row
+    with pytest.raises(ValueError):
+        PhaseMatrix((1, 0), (F(0),))  # one phase short
