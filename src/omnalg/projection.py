@@ -28,8 +28,17 @@ bucket in the same order, since a reordered sum may round differently,
 and the exact self_adjoint_defect == 0.0 of `assemble_and_square` rests
 on that order.  Most addends are exact zeros, and the sampler skips them
 on the same grounds: leaving out a zero can turn only the sign of a zero
-component.  The phase tables are built once per `assemble_and_square`
-call, shared by its 12 samplings and dropped when it returns.
+component; so along each line it reads only the runs of entries where a
+term's left table is nonzero.
+
+`assemble_and_square` plans, then samples: before its 12 samplings it
+records the largest size at which each leaf and each phase table can be
+read, and each is built once, at that size, when first read; a coarser
+read is a stride of it, the same floats.  The phase tables are shared by
+the 12 samplings and dropped when it returns.  A bucket is keyed by the
+integers (2^a, 2^b, j) of its line x = (2^a t + j)/2^b over their gcd:
+two such triples name one line exactly when one is a power of two times
+the other, so this is the line's one reduced triple.
 
 The printed form of b_0 in the source material is internally
 inconsistent; ``build_canonical_data`` returns the unique
@@ -56,9 +65,9 @@ PUBLISHED_TRACE = Fraction(7, 16)
 PUBLISHED_K0_CLASS = -4
 DEFAULT_GRID = 4096
 # verify samples on lattices of up to 16 times the grid; at this limit it
-# takes about 1.3 to 2.1 s and 79 MB peak RSS, and at the default grid
-# 4096 about 0.4 to 0.7 s and 32 MB (`omnalg rieffel verify` in a fresh
-# interpreter, Python 3.11.7, 2 cores, shared host)
+# takes about 1.5 to 1.7 s and 73 MB peak RSS, and at the default grid
+# 4096 about 0.4 to 0.5 s and 31 MB (`omnalg rieffel verify` in a fresh
+# interpreter, three runs each, Python 3.11.7, 2 cores, shared host)
 GRID_LIMIT = 1 << 14
 
 # -- exact data and conditions -------------------------------------------
@@ -126,18 +135,22 @@ def check_conditions(data: ProjectionData) -> dict:
     d = data
     phi_a0 = dilate(d.a0, 2)
     phi_b0 = dilate(d.b0, 2)
+    phi_a1sq = dilate(d.a1sq, 2)
+    phi_b1sq = dilate(d.b1sq, 2)
     one = PiecewiseFunction.one()
+    a_gap = d.a0 + phi_a0 - one
+    b_gap = d.b0 + phi_b0 - one
     zero_checks: Dict[str, PiecewiseFunction] = {
         "a_split": phi_a0 - dilate(d.a0 * d.a0, 2)
-                   - (d.a1sq + d.b1sq + dilate(d.a1sq, 2)),
+                   - (d.a1sq + d.b1sq + phi_a1sq),
         "b_split": phi_b0 - dilate(d.b0 * d.b0, 2)
-                   - (d.a1sq + d.b1sq + dilate(d.b1sq, 2)),
-        "a_unit_on_support": d.a1sq * ((d.a0 + phi_a0 - one) * (d.a0 + phi_a0 - one)),
-        "b_unit_on_support": d.b1sq * ((d.b0 + phi_b0 - one) * (d.b0 + phi_b0 - one)),
-        "a_shift_orth_a": d.a1sq * dilate(d.a1sq, 2),
-        "a_shift_orth_b": d.a1sq * dilate(d.b1sq, 2),
-        "b_shift_orth_a": d.b1sq * dilate(d.a1sq, 2),
-        "b_shift_orth_b": d.b1sq * dilate(d.b1sq, 2),
+                   - (d.a1sq + d.b1sq + phi_b1sq),
+        "a_unit_on_support": d.a1sq * (a_gap * a_gap),
+        "b_unit_on_support": d.b1sq * (b_gap * b_gap),
+        "a_shift_orth_a": d.a1sq * phi_a1sq,
+        "a_shift_orth_b": d.a1sq * phi_b1sq,
+        "b_shift_orth_a": d.b1sq * phi_a1sq,
+        "b_shift_orth_b": d.b1sq * phi_b1sq,
         "cross_disjoint": d.a1sq * d.b1sq,
         "a_partition": (d.a0 + phi_b0 - one) * d.delta1,
         "b_partition": (phi_a0 + d.b0 - one) * d.delta2,
@@ -186,46 +199,75 @@ def k0_class(data: ProjectionData) -> int:
 # dilated or conjugated constant, is a constant, and a product with the
 # constant 1 is its other factor.  So no table of a constant is built to
 # be multiplied in, and a term whose right side is the constant 1 skips
-# that multiply.  Since d and size are powers of two, index (d*k) mod size
-# runs through a strided slice of the table, repeated; so dilation, and
-# the reads of `_add_term` along a term's affine line, copy slices and
-# build no list of indices.
+# that multiply.  Since d and size are powers of two, index
+# (start + d*k) mod size runs through a strided slice of the table, then
+# round the residue class of start mod d, repeated.  So `_strided` serves
+# dilation, the coarser reads of a finer table and the reads of
+# `_add_term` along a term's affine line, and builds no list of indices.
+# A leaf, or a dilation of one, is read straight from the leaf's table
+# (`_lattice`), so no table of a dilated leaf is built.
 #
 # Most addends are exact zeros: a_0, b_0 and the square roots live on
 # intervals of width 1/8 to 1/2.  So `PiecewiseFunction.evaluate_lattice`
 # writes 0.0 for a zero piece, and `_add_term` forms a term's head and its
-# addends only on the runs of indices where its left table is nonzero; a
-# term whose left table is zero throughout builds no right or phase table
-# and no bucket.  That is exact for the reason constant folding is.  Every
-# table entry is finite, so where the left entry is a zero of either sign,
-# the head and every addend along every line are zeros, and adding a zero
-# to s gives s, except that it may turn the sign of a zero component.
-# Neither `abs`, the sup nor the buckets' `==` can see that sign, and the
-# terms that are summed keep their order.  A bucket that only such terms
-# would have named holds zeros, and its sup of 0.0 cannot raise the
-# maximum of sups that are all >= 0, which is 0.0 when there are none.
+# addends only on the runs of indices where its left table is nonzero,
+# reading just those entries of the phase and right tables along each
+# line; a term whose left table is zero throughout reads no right or
+# phase table and makes no bucket.  That is exact for the reason constant
+# folding is.  Every table entry is finite, so where the left entry is a
+# zero of either sign, the head and every addend along every line are
+# zeros, and adding a zero to s gives s, except that it may turn the sign
+# of a zero component.  Neither `abs`, the sup nor the buckets' `==` can
+# see that sign, and the terms that are summed keep their order.  A bucket
+# that only such terms would have named holds zeros, and its sup of 0.0
+# cannot raise the maximum of sups that are all >= 0, which is 0.0 when
+# there are none.
 #
 # A phase, word-phase or line-key table depends on its key and size
 # alone, so the 12 `sample_element` calls of one `assemble_and_square`
 # share one memo of them (``_SHARED_TABLES``, set for that call and reset
 # when it returns, so no table outlives one verification); any other call
-# makes its own.  The memo keeps only the finest table of each key: k/size
-# is the same float as (k*r)/(size*r), so a coarser table is a stride of
-# it, the very floats building it anew would give.
+# makes its own.  The memo keeps one table of each key, read at any size
+# that divides its length: k/size is the same float as (k*r)/(size*r), so
+# a coarser table is a stride of it, the very floats building it anew
+# would give.
+#
+# Plan, then sample.  Before any sampling, `_plan` walks the terms of every
+# (element, grid) pair that will be sampled and records the largest size
+# at which each leaf and each phase or word-phase key can be read: a
+# term's left side and mu-phase at the grid, its right side and nu-phase
+# at grid*2^|nu|, a contract node's child and phase at twice its own size,
+# and the base phase exp(2 pi i t) at the size of each word table that has
+# a letter 2.  A table is built when it is first read, at once at that
+# largest size, and every later read is a stride of it.  So each leaf is
+# swept once and each key built at most once per `assemble_and_square`,
+# and a key that no term reads, such as the mu-phase of a term whose left
+# table is zero throughout, is never built.  The plan decides only when a
+# table is built, never what it holds.
+#
+# A bucket is keyed by the integers (2^a, 2^b, j) of its line
+# x = (2^a t + j)/2^b, divided by their gcd.  The triples (A, B, j) and
+# (A', B', j') name the same line, that is A/B = A'/B' and j/B = j'/B'
+# with j < B, exactly when one is 2^c times the other, since A, B, A' and
+# B' are powers of two.  The gcd, a power of two, maps each triple to the
+# one proportional triple whose entries have no common factor, so lines of
+# different (|mu|, |nu|) meet in one bucket, as they did when keyed by
+# the pair of fractions (A/B, j/B).
 
 
 class _Fn:
     """Function on the circle as an expression tree, sampled on a lattice.
 
     ``kind`` is one of const, exact, sqrt, mul, conj, dilate, contract.
-    A leaf over a PiecewiseFunction (exact, sqrt) keeps its table on the
-    finest lattice sampled so far and serves coarser lattices from it;
-    every other table is built when asked for and dropped by the caller.
-    `_add_term` samples a term's right side, and makes its buckets, only
-    when its left table has a nonzero entry, and sums only on the runs of
-    such entries; the phase tables it multiplies in come from a memo that
-    lives for one `sample_element` call, or for one `assemble_and_square`
-    call when it runs inside one (see the numeric engine above).
+    A leaf over a PiecewiseFunction (exact, sqrt) keeps its table, built
+    on the finest lattice planned or asked for so far, and serves coarser
+    lattices from it; every other table is built when asked for and
+    dropped by the caller.  `_add_term` reads a term's right side, and
+    makes its buckets, only when its left table has a nonzero entry, and
+    sums only on the runs of such entries; the phase tables it multiplies
+    in come from a memo that lives for one `sample_element` call, or for
+    one `assemble_and_square` call when it runs inside one (see the
+    numeric engine above).
     The node builders fold constants (see the numeric engine above), so a
     const node is never the child of a conj or dilate node, and a mul node
     has at most one const factor, never the constant 1.
@@ -274,16 +316,19 @@ class _Fn:
 def _strided(table: List[complex], start: int, step: int, count: int) -> List[complex]:
     """table[(start + step*i) % len(table)] for i < count.
 
-    len(table), step and count are powers of two, except that step may be
-    0; start < len(table).  Past the end the reads wrap round the residue
-    class of start mod step, one period of two slices, repeated.
+    len(table) is a power of two and step is 0 or a power of two, so the
+    reads run along one slice to the end of the table and then wrap round
+    the residue class of start mod step, repeated.
     """
+    n = len(table)
+    start, step = start % n, step % n
     if not step:
         return [table[start]] * count
     run = table[start:start + step * count:step]
     if len(run) < count:
-        run += table[start % step:start:step]
-        run = run[:count] if len(run) >= count else run * (count // len(run))
+        cycle = table[start % step::step]
+        more = count - len(run)
+        run += cycle * (more // len(cycle)) + cycle[:more % len(cycle)]
     return run
 
 
@@ -293,21 +338,27 @@ _SHARED_TABLES: ContextVar[Optional[dict]] = ContextVar("_SHARED_TABLES",
                                                         default=None)
 
 
-def _finest(phases: dict, key, size: int, build) -> list:
-    """The table under ``key`` at ``size``, memoised in ``phases``.
+def _planned(phases: dict, key, size: int) -> int:
+    """The size to build ``key``'s table at when it is read at ``size``."""
+    return max(size, phases.get(("size", key), 0))
 
-    Only the finest table of each key is kept: the points k/size are the
-    same floats as (k*r)/(size*r), so a coarser table is a stride of it,
-    the very floats ``build`` would make.  A finer request replaces it.
+
+def _finest(phases: dict, key, size: int, build) -> list:
+    """The table under ``key``, memoised in ``phases``, for reads at ``size``.
+
+    Its length is a multiple r of size, and the reads at size are its
+    stride r: the points k/size are the same floats as (k*r)/(size*r), the
+    very floats ``build(size)`` would make.  A missing or coarser table is
+    built at the size `_plan` recorded for the key, if that is larger.
     """
     table = phases.get(key)
     if table is None or len(table) < size:
-        table = phases[key] = build(size)
-    return table if len(table) == size else table[::len(table) // size]
+        table = phases[key] = build(_planned(phases, key, size))
+    return table
 
 
 def _phase_table(scale: complex, size: int, phases: dict) -> List[complex]:
-    """exp(scale * k/size) for k < size, memoised in ``phases``.
+    """exp(scale * k/L) for k < L, memoised in ``phases`` (see `_finest`).
 
     At scale 0 every entry is exp(0j) = 1+0j exactly, so one object is
     shared by the whole table.
@@ -319,22 +370,47 @@ def _phase_table(scale: complex, size: int, phases: dict) -> List[complex]:
     return _finest(phases, ("phase", scale), size, build)
 
 
+def _leaf_table(fn: _Fn, size: int, phases: dict) -> List[complex]:
+    """The table a leaf keeps, on a lattice of a multiple of size points.
+
+    Built like `_finest`'s tables, at the size `_plan` recorded for the
+    leaf if that is larger, and kept until a finer one is asked for.
+    """
+    if fn.table is None or len(fn.table) < size:
+        values = fn.args[0].evaluate_lattice(_planned(phases, fn, size))
+        if fn.kind == "sqrt":
+            # clamps tiny negatives from the indicator edges
+            fn.table = [complex(math.sqrt(max(v, 0.0))) for v in values]
+        else:
+            fn.table = [complex(v) for v in values]
+    return fn.table
+
+
+def _lattice(fn: _Fn, size: int, phases: dict) -> Tuple[List[complex], int]:
+    """(table, m) such that fn at k/size is table[(m*k) % len(table)].
+
+    A leaf and a dilation of one are read from the leaf's own table; any
+    other node is sampled at size, with m = 1.  m*size is a multiple of
+    len(table), so k may also be read mod size.
+    """
+    kind = fn.kind
+    if kind == "dilate":
+        table, m = _lattice(fn.args[0], size, phases)
+        return table, m * fn.args[1]
+    if kind == "exact" or kind == "sqrt":
+        table = _leaf_table(fn, size, phases)
+        return table, len(table) // size
+    return _sample(fn, size, phases), 1
+
+
 def _sample(fn: _Fn, size: int, phases: dict) -> List[complex]:
     """Values of fn at k/size for k < size."""
     kind, args = fn.kind, fn.args
     if kind == "const":
         return [args[0]] * size
-    if kind == "exact" or kind == "sqrt":
-        # k/size is the point k*s/(size*s), so a finer table holds this one
-        if fn.table is not None and len(fn.table) >= size:
-            return fn.table[::len(fn.table) // size]
-        values = args[0].evaluate_lattice(size)
-        if kind == "sqrt":
-            # clamps tiny negatives from the indicator edges
-            fn.table = [complex(math.sqrt(max(v, 0.0))) for v in values]
-        else:
-            fn.table = [complex(v) for v in values]
-        return fn.table
+    if kind == "exact" or kind == "sqrt" or kind == "dilate":
+        table, m = _lattice(fn, size, phases)
+        return table if m == 1 else _strided(table, 0, m, size)
     if kind == "mul":
         f, g = args
         if f.kind == "const":
@@ -347,15 +423,15 @@ def _sample(fn: _Fn, size: int, phases: dict) -> List[complex]:
                                       _sample(g, size, phases))]
     if kind == "conj":
         return [z.conjugate() for z in _sample(args[0], size, phases)]
-    if kind == "dilate":
-        return _strided(_sample(args[0], size, phases), 0, args[1] % size, size)
     # contract: at t = k/size, h is read at t/2 = k/(2 size) and at
     # (t+1)/2 = (k+size)/(2 size), each times exp(2 pi i d s)
     h, d = args
     child = _sample(h, 2 * size, phases)
     phase = _phase_table(2j * cmath.pi * d, 2 * size, phases)
+    r = len(phase) // (2 * size)
     return [0.5 * (p * x + q * y) for p, x, q, y
-            in zip(phase, child, phase[size:], child[size:])]
+            in zip(_strided(phase, 0, r, size), child,
+                   _strided(phase, r * size, r, size), child[size:])]
 
 
 @dataclass(frozen=True)
@@ -438,10 +514,11 @@ def _term_product(s: FETerm, t: FETerm) -> FETerm:
 
 def _word_phase(word: Tuple[int, ...], size: int, phases: dict,
                 conj: bool = False) -> List[complex]:
-    """Phase of S_word at k/size: exp(2 pi i 2^l t) for each letter 2 at l.
+    """Phase of S_word at k/L: exp(2 pi i 2^l t) for each letter 2 at l.
 
     With ``conj``, its conjugate, the phase of S_word^adj that `_add_term`
-    reads on the right; each is memoised under its own key.
+    reads on the right; each is memoised under its own key (see
+    `_finest`).
     """
     def build(size):
         if 2 not in word:
@@ -449,15 +526,55 @@ def _word_phase(word: Tuple[int, ...], size: int, phases: dict,
             one = complex(1.0)
             return [one.conjugate() if conj else one] * size
         base = _phase_table(2j * cmath.pi, size, phases)
+        r = len(base) // size
         table = [complex(1.0)] * size
         for l, letter in enumerate(word):
             if letter == 2:
-                dilated = _strided(base, 0, 2 ** l % size, size)
+                dilated = _strided(base, 0, r * 2 ** l, size)
                 table = [acc * b for acc, b in zip(table, dilated)]
         if conj:
             table = [p.conjugate() for p in table]
         return table
     return _finest(phases, ("word", word, conj), size, build)
+
+
+def _plan(samplings: Sequence[Tuple[FuncElement, int]], phases: dict) -> None:
+    """Record in ``phases`` the largest size each table can be read at.
+
+    ``samplings`` are the (element, grid) pairs about to be sampled with
+    this memo; see the numeric engine above.  The size of a leaf or a key
+    is stored under ("size", leaf or key), and nothing is built here.
+    """
+    def need(key, size):
+        if phases.get(("size", key), 0) < size:
+            phases[("size", key)] = size
+
+    # every size an element is read at is its grid times a factor of the
+    # term, so an element needs planning at its largest grid only
+    grids: Dict[FuncElement, int] = {}
+    for elem, grid in samplings:
+        grids[elem] = max(grid, grids.get(elem, 0))
+    reads: List[Tuple[_Fn, int]] = []
+    for elem, grid in grids.items():
+        for term in elem.terms:
+            size = grid * 2 ** len(term.nu)
+            reads += ((term.left, grid), (term.right, size))
+            for word, at, conj in ((term.mu, grid, False), (term.nu, size, True)):
+                need(("word", word, conj), at)
+                if 2 in word:
+                    need(("phase", 2j * cmath.pi), at)
+    while reads:
+        fn, size = reads.pop()
+        kind, args = fn.kind, fn.args
+        if kind == "exact" or kind == "sqrt":
+            need(fn, size)
+        elif kind == "mul":
+            reads += ((args[0], size), (args[1], size))
+        elif kind == "conj" or kind == "dilate":
+            reads.append((args[0], size))
+        elif kind == "contract":
+            reads.append((args[0], 2 * size))
+            need(("phase", 2j * cmath.pi * args[1]), 2 * size)
 
 
 def sample_element(elem: FuncElement, grid: int) -> float:
@@ -470,13 +587,15 @@ def sample_element(elem: FuncElement, grid: int) -> float:
     point x is the lattice point (2^a i + j grid) mod (grid 2^b) over
     grid 2^b, so both sides of a term are read from tables by index.
     Inside `assemble_and_square` the phase and line-key tables come from
-    that call's shared memo; otherwise from one made for this call.
+    that call's shared memo, planned for all its samplings; otherwise from
+    one made and planned for this call.
     """
     _check_grid(grid)
-    buckets: Dict[Tuple[Fraction, Fraction], List[complex]] = {}
+    buckets: Dict[Tuple[int, int, int], List[complex]] = {}
     phases = _SHARED_TABLES.get()
     if phases is None:
         phases = {}
+        _plan([(elem, grid)], phases)
     for term in elem.terms:
         _add_term(buckets, term, grid, phases)
     return max((max(map(abs, acc)) for acc in buckets.values()), default=0.0)
@@ -487,14 +606,19 @@ def _check_grid(grid: int) -> None:
         raise ValueError("grid must be a power of two")
 
 
-def _line_keys(pow_a: int, pow_b: int, phases: dict) -> List[tuple]:
-    """Bucket keys (pow_a/pow_b, j/pow_b) of the lines j < pow_b; memoised."""
+def _line_keys(pow_a: int, pow_b: int, phases: dict) -> List[Tuple[int, int, int]]:
+    """Bucket keys of the lines x = (pow_a t + j)/pow_b, j < pow_b; memoised.
+
+    Each key is (pow_a, pow_b, j) divided by its gcd (see the numeric
+    engine above).
+    """
     key = ("lines", pow_a, pow_b)
     keys = phases.get(key)
     if keys is None:
-        scale = Fraction(pow_a, pow_b)
-        keys = [(scale, Fraction(j, pow_b)) for j in range(pow_b)]
-        phases[key] = keys
+        keys = phases[key] = []
+        for j in range(pow_b):
+            g = math.gcd(pow_a, pow_b, j)
+            keys.append((pow_a // g, pow_b // g, j // g))
     return keys
 
 
@@ -514,26 +638,29 @@ def _add_term(buckets: dict, term: FETerm, grid: int, phases: dict) -> None:
     if not runs:
         return
     mu_phase = _word_phase(term.mu, grid, phases)
-    heads = [(lo, hi, [f * p / pow_b for f, p
-                       in zip(left[lo:hi], mu_phase[lo:hi])])
+    mu_step = len(mu_phase) // grid
+    heads = [(lo, hi, [f * p / pow_b for f, p in
+                       zip(left[lo:hi], _strided(mu_phase, mu_step * lo, mu_step, hi - lo))])
              for lo, hi in runs]
     keys = _line_keys(pow_a, pow_b, phases)
     nu_phase = _word_phase(term.nu, size, phases, conj=True)
-    right = None if term.right.is_one() else _sample(term.right, size, phases)
-    step = pow_a % size
+    nu_step = len(nu_phase) // size
+    right, right_step = ((None, 0) if term.right.is_one()
+                         else _lattice(term.right, size, phases))
     for j, key in enumerate(keys):
         acc = buckets.setdefault(key, [0j] * grid)
-        # t = i/grid reads both tables at (pow_a i + j grid) mod size
-        phase = _strided(nu_phase, j * grid, step, grid)
-        if right is None:
-            for lo, hi, head in heads:
+        for lo, hi, head in heads:
+            # t = i/grid reads both sides at x = (pow_a i + j grid) mod size,
+            # here from i = lo on
+            x = j * grid + pow_a * lo
+            phase = _strided(nu_phase, nu_step * x, nu_step * pow_a, hi - lo)
+            if right is None:
                 acc[lo:hi] = [s + h * p for s, h, p
-                              in zip(acc[lo:hi], head, phase[lo:hi])]
-        else:
-            line = _strided(right, j * grid, step, grid)
-            for lo, hi, head in heads:
+                              in zip(acc[lo:hi], head, phase)]
+            else:
+                line = _strided(right, right_step * x, right_step * pow_a, hi - lo)
                 acc[lo:hi] = [s + h * p * r for s, h, p, r
-                              in zip(acc[lo:hi], head, phase[lo:hi], line[lo:hi])]
+                              in zip(acc[lo:hi], head, phase, line)]
 
 
 def _matrix_of(data: ProjectionData) -> List[List[FuncElement]]:
@@ -559,18 +686,23 @@ def assemble_and_square(data: ProjectionData, grid: int = DEFAULT_GRID) -> dict:
     p = _matrix_of(data)
     p2 = [[p[i][0] * p[0][j] + p[i][1] * p[1][j] for j in range(2)]
           for i in range(2)]
-    # the 12 samplings share one memo of phase and line-key tables,
-    # dropped when this call returns
-    token = _SHARED_TABLES.set({})
+    entries = [(i, j) for i in range(2) for j in range(2)]
+    residuals = [p2[i][j] - p[i][j] for i, j in entries]
+    adjoints = [p[i][j] - p[j][i].adjoint() for i, j in entries]
+    # residual at the grid, then at twice the grid, then self-adjointness
+    samplings = ([(elem, grid) for elem in residuals]
+                 + [(elem, 2 * grid) for elem in residuals]
+                 + [(elem, grid) for elem in adjoints])
+    # the 12 samplings share one memo of phase and line-key tables, planned
+    # for all of them and dropped when this call returns
+    memo: dict = {}
+    token = _SHARED_TABLES.set(memo)
     try:
-        residual = max(sample_element(p2[i][j] - p[i][j], grid)
-                       for i in range(2) for j in range(2))
-        doubled = max(sample_element(p2[i][j] - p[i][j], 2 * grid)
-                      for i in range(2) for j in range(2))
-        adj_defect = max(sample_element(p[i][j] - p[j][i].adjoint(), grid)
-                         for i in range(2) for j in range(2))
+        _plan(samplings, memo)
+        sups = [sample_element(elem, g) for elem, g in samplings]
     finally:
         _SHARED_TABLES.reset(token)
+    residual, doubled, adj_defect = max(sups[:4]), max(sups[4:8]), max(sups[8:])
     return {
         "grid": grid,
         "residual": residual,

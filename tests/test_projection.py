@@ -456,6 +456,19 @@ def random_element(seed, leaves=broad_leaves):
 ORACLE_GRIDS = [2 ** k for k in range(8)]  # 1 .. 128
 
 
+def reference_keyed(buckets):
+    """The sampler's buckets under the reference's keys.
+
+    The sampler keys the line x = (2^a t + j)/2^b by (2^a, 2^b, j) over
+    their gcd, the reference by (2^a/2^b, j/2^b); two distinct keys of the
+    sampler must name two distinct lines, or a bucket would be lost here.
+    """
+    keyed = {(Fraction(pow_a, pow_b), Fraction(j, pow_b) % 1): acc
+             for (pow_a, pow_b, j), acc in buckets.items()}
+    assert len(keyed) == len(buckets)
+    return keyed
+
+
 def assert_matches_the_reference(folded, plain, label):
     assert len(folded.terms) == len(plain.terms), label
     for grid in ORACLE_GRIDS:
@@ -465,7 +478,7 @@ def assert_matches_the_reference(folded, plain, label):
         # zero differ, as multiplying by 1+0j or skipping a zero addend may
         # flip it.  A term whose left table is zero throughout makes no
         # bucket, so a reference bucket the sampler lacks holds only zeros.
-        mine = buckets_of(projection._add_term, folded, grid)
+        mine = reference_keyed(buckets_of(projection._add_term, folded, grid))
         theirs = buckets_of(ref_add_term, plain, grid)
         assert all(theirs.get(key) == acc for key, acc in mine.items()), (label, grid)
         assert not any(any(acc) for key, acc in theirs.items() if key not in mine), \
@@ -584,3 +597,75 @@ def test_assemble_and_square_shares_its_tables_for_one_call_only(monkeypatch):
     with pytest.raises(ValueError):
         assemble_and_square(data, grid=3)
     assert projection._SHARED_TABLES.get() is None
+
+
+def counting_builds(patch):
+    """Count evaluate_lattice sweeps per function and builds per memo key."""
+    sweeps, builds = {}, {}
+    evaluate_lattice, finest = PiecewiseFunction.evaluate_lattice, projection._finest
+
+    def sweep(self, size):
+        sweeps[id(self)] = sweeps.get(id(self), 0) + 1
+        return evaluate_lattice(self, size)
+
+    def counted(phases, key, size, build):
+        def counted_build(size):
+            builds[key] = builds.get(key, 0) + 1
+            return build(size)
+        return finest(phases, key, size, counted_build)
+
+    patch.setattr(PiecewiseFunction, "evaluate_lattice", sweep)
+    patch.setattr(projection, "_finest", counted)
+    return sweeps, builds
+
+
+def test_assemble_and_square_builds_each_table_once(monkeypatch):
+    data = build_canonical_data()
+    with monkeypatch.context() as patch:
+        sweeps, builds = counting_builds(patch)
+        report = assemble_and_square(data, grid=128)
+    assert report["pass"]
+    # the leaves sqrt(a1sq), sqrt(b1sq) and a0, b0 dilated by 2: one sweep each
+    assert len(sweeps) == 4 and set(sweeps.values()) == {1}
+    # 3 phase keys (d = -1, 0, 1) and 10 word-phase keys, built once each
+    assert len(builds) == 13 and set(builds.values()) == {1}
+    # without the plan, tables are rebuilt whenever a finer one is read
+    with monkeypatch.context() as patch:
+        patch.setattr(projection, "_plan", lambda samplings, phases: None)
+        sweeps, builds = counting_builds(patch)
+        assert assemble_and_square(data, grid=128) == report
+    assert sum(sweeps.values()) > 4 and max(builds.values()) > 1
+
+
+def hex_report(report):
+    return {key: value.hex() if isinstance(value, float) else value
+            for key, value in report.items()}
+
+
+def test_the_plan_decides_only_when_tables_are_built(monkeypatch):
+    # every table read is a stride of the one the plan built, or the one
+    # built at the size read: the very same floats
+    data = build_canonical_data()
+    elems = [random_element(seed, narrow_leaves) for seed in range(10)]
+    elems.append(cancelling_element())
+    grids = (1, 2, 8, 64, 256, 1024)
+    planned = [hex_report(assemble_and_square(data, grid)) for grid in grids]
+    planned_sups = [sample_element(elem, 64).hex() for elem in elems]
+    with monkeypatch.context() as patch:
+        patch.setattr(projection, "_plan", lambda samplings, phases: None)
+        unplanned = [hex_report(assemble_and_square(data, grid)) for grid in grids]
+        unplanned_sups = [sample_element(elem, 64).hex() for elem in elems]
+    assert planned == unplanned
+    assert planned_sups == unplanned_sups
+
+
+def test_strided_reads_match_index_arithmetic():
+    for size in (2 ** k for k in range(7)):  # 1 .. 64
+        table = list(range(size))
+        steps = [0] + [2 ** k for k in range(size.bit_length() + 1)]  # .. 2 size
+        for step in steps:
+            for start in range(size):
+                want = [table[(start + step * i) % size] for i in range(2 * size + 1)]
+                for count in range(2 * size + 1):
+                    assert projection._strided(table, start, step, count) == \
+                        want[:count], (size, step, start, count)
