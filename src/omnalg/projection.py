@@ -32,13 +32,12 @@ component; so along each line it reads only the runs of entries where a
 term's left table is nonzero.
 
 `assemble_and_square` plans, then samples: before its 12 samplings it
-records the largest size at which each leaf and each phase table can be
-read, and each is built once, at that size, when first read; a coarser
-read is a stride of it, the same floats.  The phase tables are shared by
-the 12 samplings and dropped when it returns.  A bucket is keyed by the
-integers (2^a, 2^b, j) of its line x = (2^a t + j)/2^b over their gcd:
-two such triples name one line exactly when one is a power of two times
-the other, so this is the line's one reduced triple.
+records the largest size at which each table can be read, and each is
+built once, at that size, when first read; a coarser read is a stride of
+it, the same floats.  A bucket is keyed by the integers (2^a, 2^b, j) of
+its line x = (2^a t + j)/2^b over their gcd: two such triples name one
+line exactly when one is a power of two times the other, so this is the
+line's one reduced triple.
 
 The printed form of b_0 in the source material is internally
 inconsistent; ``build_canonical_data`` returns the unique
@@ -221,29 +220,31 @@ def k0_class(data: ProjectionData) -> int:
 # see that sign, and the terms that are summed keep their order.  A bucket
 # that only such terms would have named holds zeros, and its sup of 0.0
 # cannot raise the maximum of sups that are all >= 0, which is 0.0 when
-# there are none.
+# there are none.  The phase of S_nu^adj that `_add_term` multiplies in is
+# the conjugate of S_nu's, taken of each entry it reads: conjugation is
+# exact, so that is the float a conjugated table would hold.
 #
-# A phase, word-phase or line-key table depends on its key and size
-# alone, so the 12 `sample_element` calls of one `assemble_and_square`
+# Every table the engine keeps, a leaf's or a phase, word-phase or
+# line-key table, depends on its key and size alone; a leaf's key is its
+# node.  So the 12 `sample_element` calls of one `assemble_and_square`
 # share one memo of them (``_SHARED_TABLES``, set for that call and reset
-# when it returns, so no table outlives one verification); any other call
-# makes its own.  The memo keeps one table of each key, read at any size
+# when it returns); any other call makes its own.  No table outlives one
+# verification.  The memo keeps one table of each key, read at any size
 # that divides its length: k/size is the same float as (k*r)/(size*r), so
 # a coarser table is a stride of it, the very floats building it anew
 # would give.
 #
 # Plan, then sample.  Before any sampling, `_plan` walks the terms of every
 # (element, grid) pair that will be sampled and records the largest size
-# at which each leaf and each phase or word-phase key can be read: a
-# term's left side and mu-phase at the grid, its right side and nu-phase
-# at grid*2^|nu|, a contract node's child and phase at twice its own size,
-# and the base phase exp(2 pi i t) at the size of each word table that has
-# a letter 2.  A table is built when it is first read, at once at that
-# largest size, and every later read is a stride of it.  So each leaf is
-# swept once and each key built at most once per `assemble_and_square`,
-# and a key that no term reads, such as the mu-phase of a term whose left
-# table is zero throughout, is never built.  The plan decides only when a
-# table is built, never what it holds.
+# at which each key can be read: a term's left side and mu-phase at the
+# grid, its right side and nu-phase at grid*2^|nu|, a contract node's
+# child and phase at twice its own size, and the base phase exp(2 pi i t)
+# at the size of each word table that has a letter 2.  A table is built
+# when it is first read, at once at that largest size, and every later
+# read is a stride of it.  So each key, leaves included, is built at most
+# once per memo, and a key that no term reads, such as the mu-phase of a
+# term whose left table is zero throughout, is never built.  The plan
+# decides only when a table is built, never what it holds.
 #
 # A bucket is keyed by the integers (2^a, 2^b, j) of its line
 # x = (2^a t + j)/2^b, divided by their gcd.  The triples (A, B, j) and
@@ -259,26 +260,16 @@ class _Fn:
     """Function on the circle as an expression tree, sampled on a lattice.
 
     ``kind`` is one of const, exact, sqrt, mul, conj, dilate, contract.
-    A leaf over a PiecewiseFunction (exact, sqrt) keeps its table, built
-    on the finest lattice planned or asked for so far, and serves coarser
-    lattices from it; every other table is built when asked for and
-    dropped by the caller.  `_add_term` reads a term's right side, and
-    makes its buckets, only when its left table has a nonzero entry, and
-    sums only on the runs of such entries; the phase tables it multiplies
-    in come from a memo that lives for one `sample_element` call, or for
-    one `assemble_and_square` call when it runs inside one (see the
-    numeric engine above).
     The node builders fold constants (see the numeric engine above), so a
     const node is never the child of a conj or dilate node, and a mul node
     has at most one const factor, never the constant 1.
     """
 
-    __slots__ = ("kind", "args", "table")
+    __slots__ = ("kind", "args")
 
     def __init__(self, kind: str, *args):
         self.kind = kind
         self.args = args
-        self.table: Optional[List[complex]] = None
 
     @classmethod
     def const(cls, c) -> "_Fn":
@@ -332,15 +323,9 @@ def _strided(table: List[complex], start: int, step: int, count: int) -> List[co
     return run
 
 
-# the memo of phase, word-phase and line-key tables that the samplings of
-# one `assemble_and_square` share; None outside such a call
+# the shared memo of the numeric engine above
 _SHARED_TABLES: ContextVar[Optional[dict]] = ContextVar("_SHARED_TABLES",
                                                         default=None)
-
-
-def _planned(phases: dict, key, size: int) -> int:
-    """The size to build ``key``'s table at when it is read at ``size``."""
-    return max(size, phases.get(("size", key), 0))
 
 
 def _finest(phases: dict, key, size: int, build) -> list:
@@ -353,7 +338,7 @@ def _finest(phases: dict, key, size: int, build) -> list:
     """
     table = phases.get(key)
     if table is None or len(table) < size:
-        table = phases[key] = build(_planned(phases, key, size))
+        table = phases[key] = build(max(size, phases.get(("size", key), 0)))
     return table
 
 
@@ -371,19 +356,14 @@ def _phase_table(scale: complex, size: int, phases: dict) -> List[complex]:
 
 
 def _leaf_table(fn: _Fn, size: int, phases: dict) -> List[complex]:
-    """The table a leaf keeps, on a lattice of a multiple of size points.
-
-    Built like `_finest`'s tables, at the size `_plan` recorded for the
-    leaf if that is larger, and kept until a finer one is asked for.
-    """
-    if fn.table is None or len(fn.table) < size:
-        values = fn.args[0].evaluate_lattice(_planned(phases, fn, size))
+    """A leaf's values at k/L, memoised under the leaf (see `_finest`)."""
+    def build(size):
+        values = fn.args[0].evaluate_lattice(size)
         if fn.kind == "sqrt":
             # clamps tiny negatives from the indicator edges
-            fn.table = [complex(math.sqrt(max(v, 0.0))) for v in values]
-        else:
-            fn.table = [complex(v) for v in values]
-    return fn.table
+            return [complex(math.sqrt(max(v, 0.0))) for v in values]
+        return [complex(v) for v in values]
+    return _finest(phases, fn, size, build)
 
 
 def _lattice(fn: _Fn, size: int, phases: dict) -> Tuple[List[complex], int]:
@@ -512,38 +492,29 @@ def _term_product(s: FETerm, t: FETerm) -> FETerm:
     return FETerm(s.left, s.mu, t.nu + tuple(nu), right)
 
 
-def _word_phase(word: Tuple[int, ...], size: int, phases: dict,
-                conj: bool = False) -> List[complex]:
+def _word_phase(word: Tuple[int, ...], size: int, phases: dict) -> List[complex]:
     """Phase of S_word at k/L: exp(2 pi i 2^l t) for each letter 2 at l.
 
-    With ``conj``, its conjugate, the phase of S_word^adj that `_add_term`
-    reads on the right; each is memoised under its own key (see
-    `_finest`).
+    Memoised in ``phases`` (see `_finest`).  A word without a letter 2
+    shares one 1+0j object across the whole table.
     """
     def build(size):
-        if 2 not in word:
-            # 1+0j or 1-0j throughout: one object shared by the whole table
-            one = complex(1.0)
-            return [one.conjugate() if conj else one] * size
-        base = _phase_table(2j * cmath.pi, size, phases)
-        r = len(base) // size
         table = [complex(1.0)] * size
         for l, letter in enumerate(word):
             if letter == 2:
-                dilated = _strided(base, 0, r * 2 ** l, size)
+                base = _phase_table(2j * cmath.pi, size, phases)
+                dilated = _strided(base, 0, len(base) // size * 2 ** l, size)
                 table = [acc * b for acc, b in zip(table, dilated)]
-        if conj:
-            table = [p.conjugate() for p in table]
         return table
-    return _finest(phases, ("word", word, conj), size, build)
+    return _finest(phases, ("word", word), size, build)
 
 
 def _plan(samplings: Sequence[Tuple[FuncElement, int]], phases: dict) -> None:
     """Record in ``phases`` the largest size each table can be read at.
 
     ``samplings`` are the (element, grid) pairs about to be sampled with
-    this memo; see the numeric engine above.  The size of a leaf or a key
-    is stored under ("size", leaf or key), and nothing is built here.
+    this memo; see the numeric engine above.  A key's size is stored under
+    ("size", key), a leaf being its own key, and nothing is built here.
     """
     def need(key, size):
         if phases.get(("size", key), 0) < size:
@@ -559,8 +530,8 @@ def _plan(samplings: Sequence[Tuple[FuncElement, int]], phases: dict) -> None:
         for term in elem.terms:
             size = grid * 2 ** len(term.nu)
             reads += ((term.left, grid), (term.right, size))
-            for word, at, conj in ((term.mu, grid, False), (term.nu, size, True)):
-                need(("word", word, conj), at)
+            for word, at in ((term.mu, grid), (term.nu, size)):
+                need(("word", word), at)
                 if 2 in word:
                     need(("phase", 2j * cmath.pi), at)
     while reads:
@@ -586,9 +557,6 @@ def sample_element(elem: FuncElement, grid: int) -> float:
     operator cancellations show up as zeros here.  With t = i/grid the
     point x is the lattice point (2^a i + j grid) mod (grid 2^b) over
     grid 2^b, so both sides of a term are read from tables by index.
-    Inside `assemble_and_square` the phase and line-key tables come from
-    that call's shared memo, planned for all its samplings; otherwise from
-    one made and planned for this call.
     """
     _check_grid(grid)
     buckets: Dict[Tuple[int, int, int], List[complex]] = {}
@@ -643,7 +611,7 @@ def _add_term(buckets: dict, term: FETerm, grid: int, phases: dict) -> None:
                        zip(left[lo:hi], _strided(mu_phase, mu_step * lo, mu_step, hi - lo))])
              for lo, hi in runs]
     keys = _line_keys(pow_a, pow_b, phases)
-    nu_phase = _word_phase(term.nu, size, phases, conj=True)
+    nu_phase = _word_phase(term.nu, size, phases)
     nu_step = len(nu_phase) // size
     right, right_step = ((None, 0) if term.right.is_one()
                          else _lattice(term.right, size, phases))
@@ -655,11 +623,11 @@ def _add_term(buckets: dict, term: FETerm, grid: int, phases: dict) -> None:
             x = j * grid + pow_a * lo
             phase = _strided(nu_phase, nu_step * x, nu_step * pow_a, hi - lo)
             if right is None:
-                acc[lo:hi] = [s + h * p for s, h, p
+                acc[lo:hi] = [s + h * p.conjugate() for s, h, p
                               in zip(acc[lo:hi], head, phase)]
             else:
                 line = _strided(right, right_step * x, right_step * pow_a, hi - lo)
-                acc[lo:hi] = [s + h * p * r for s, h, p, r
+                acc[lo:hi] = [s + h * p.conjugate() * r for s, h, p, r
                               in zip(acc[lo:hi], head, phase, line)]
 
 
@@ -693,8 +661,6 @@ def assemble_and_square(data: ProjectionData, grid: int = DEFAULT_GRID) -> dict:
     samplings = ([(elem, grid) for elem in residuals]
                  + [(elem, 2 * grid) for elem in residuals]
                  + [(elem, grid) for elem in adjoints])
-    # the 12 samplings share one memo of phase and line-key tables, planned
-    # for all of them and dropped when this call returns
     memo: dict = {}
     token = _SHARED_TABLES.set(memo)
     try:

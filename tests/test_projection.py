@@ -345,14 +345,16 @@ def ref_sample(fn, size, phases):
     if kind == "const":
         return [args[0]] * size
     if kind == "exact" or kind == "sqrt":
-        if fn.table is not None and len(fn.table) >= size:
-            return fn.table[::len(fn.table) // size]
+        table = phases.get(fn)
+        if table is not None and len(table) >= size:
+            return table[::len(table) // size]
         values = args[0].evaluate_lattice(size)
         if kind == "sqrt":
-            fn.table = [complex(math.sqrt(max(v, 0.0))) for v in values]
+            table = [complex(math.sqrt(max(v, 0.0))) for v in values]
         else:
-            fn.table = [complex(v) for v in values]
-        return fn.table
+            table = [complex(v) for v in values]
+        phases[fn] = table
+        return table
     if kind == "mul":
         f = ref_sample(args[0], size, phases)
         g = ref_sample(args[1], size, phases)
@@ -627,14 +629,33 @@ def test_assemble_and_square_builds_each_table_once(monkeypatch):
     assert report["pass"]
     # the leaves sqrt(a1sq), sqrt(b1sq) and a0, b0 dilated by 2: one sweep each
     assert len(sweeps) == 4 and set(sweeps.values()) == {1}
-    # 3 phase keys (d = -1, 0, 1) and 10 word-phase keys, built once each
-    assert len(builds) == 13 and set(builds.values()) == {1}
+    # through the one memo: the 4 leaves, 3 phase keys (d = -1, 0, 1) and
+    # 7 word-phase keys, one per word, built once each
+    assert len(builds) == 14 and set(builds.values()) == {1}
+    assert sum(isinstance(key, _Fn) for key in builds) == 4
     # without the plan, tables are rebuilt whenever a finer one is read
     with monkeypatch.context() as patch:
         patch.setattr(projection, "_plan", lambda samplings, phases: None)
         sweeps, builds = counting_builds(patch)
         assert assemble_and_square(data, grid=128) == report
     assert sum(sweeps.values()) > 4 and max(builds.values()) > 1
+
+
+def test_no_table_outlives_one_sampling(monkeypatch):
+    # a user-built element sampled twice: the second call sweeps each of
+    # its leaves again, since the first call's memo went with it
+    d = build_canonical_data()
+    elem = (FuncElement.sandwich((2,), _Fn.sqrt_of(d.a1sq), (1,))
+            * FuncElement.sandwich((), d.b0, (2,)))
+    with monkeypatch.context() as patch:
+        sweeps, builds = counting_builds(patch)
+        first = sample_element(elem, 64)
+        once = dict(sweeps)
+        second = sample_element(elem, 64)
+    assert len(once) == 2 and set(once.values()) == {1}
+    assert sweeps == {key: 2 for key in once}
+    assert set(builds.values()) == {2}
+    assert first.hex() == second.hex()
 
 
 def hex_report(report):
