@@ -90,25 +90,31 @@ class GeneratorWord:
         return [tok[1] for tok in self.tokens if tok[0] == "z"]
 
     def to_element(self) -> Element:
-        """The product of the tokens, multiplied in pairwise rounds.
+        """The product of the tokens, by recursive halving of the word.
 
         A left-to-right product would copy the growing word once per
-        token, quadratic in the word length L.  Each round here multiplies
-        neighbouring factors in pairs, keeping their order, so after about
-        log2 L rounds one factor is left: each letter is copied once per
-        round, the work is O(L log L), and a word of L tokens takes L - 1
-        products of elements.
+        token, quadratic in the word length L.  Here each half of the
+        token range is multiplied out first, keeping the order, so the
+        recursion is about log2 L deep: each letter is copied once per
+        level, the work is O(L log L), a word of L tokens takes L - 1
+        products of elements, and at most one pending product per level,
+        O(log L) in all, is alive at a time.
         """
-        params = self.params
+        params, tokens = self.params, self.tokens
+        if not tokens:
+            return Element.unit(params)
         s1 = Element.isometry(params, 1)
         s1_adj = s1.adjoint()
-        factors = [Element.unitary(params, tok[1]) if tok[0] == "z"
-                   else s1 if tok[0] == "create" else s1_adj
-                   for tok in self.tokens] or [Element.unit(params)]
-        while len(factors) > 1:
-            paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
-            factors = paired + factors[len(paired) * 2:]
-        return factors[0]
+
+        def product(lo: int, hi: int) -> Element:
+            if hi - lo == 1:
+                tok = tokens[lo]
+                return (Element.unitary(params, tok[1]) if tok[0] == "z"
+                        else s1 if tok[0] == "create" else s1_adj)
+            mid = (lo + hi) // 2
+            return product(lo, mid) * product(mid, hi)
+
+        return product(0, len(tokens))
 
     def represents(self, mon: Monomial) -> bool:
         """Whether the word multiplies out to mon, by the exact zero test."""

@@ -87,11 +87,19 @@ def shift_through(params: AlgebraParams, k: int, j: int) -> Tuple[int, int]:
 
 
 def push_exponent(params: AlgebraParams, k: int, word: Word) -> Tuple[Word, int]:
-    """Commute z^k past S_word: z^k S_word = S_{word'} z^{k'}."""
+    """Commute z^k past S_word: z^k S_word = S_{word'} z^{k'}.
+
+    `shift_through` letter by letter, with its closed form and its letter
+    check inlined.
+    """
+    m, n = params.m, params.n
     out = []
     for j in word:
-        j2, k = shift_through(params, k, j)
-        out.append(j2)
+        if not 1 <= j <= n:
+            raise ValueError(f"isometry index {j} outside 1..{n}")
+        k, r = divmod(j - 1 + k, n)
+        out.append(r + 1)
+        k *= m
     return tuple(out), k
 
 
@@ -102,19 +110,18 @@ def mul_monomials(params: AlgebraParams, a: Monomial, b: Monomial) -> Union[Mono
     alpha is a prefix of nu, and 0 otherwise; the surviving z-power is
     then pushed through the leftover word.
     """
-    nu, alpha = a.nu, b.mu
+    mu, k, nu = a
+    alpha, l, beta = b
     la, lb = len(nu), len(alpha)
     if la <= lb:
         if nu != alpha[:la]:
             return None
-        rest = alpha[la:]
-        w, k2 = push_exponent(params, a.k, rest)
-        return Monomial(a.mu + w, k2 + b.k, b.nu)
+        w, k2 = push_exponent(params, k, alpha[la:])
+        return Monomial(mu + w, k2 + l, beta)
     if alpha != nu[:lb]:
         return None
-    rest = nu[lb:]
-    w, c = push_exponent(params, -b.k, rest)
-    return Monomial(a.mu, a.k - c, b.nu + w)
+    w, c = push_exponent(params, -l, nu[lb:])
+    return Monomial(mu, k - c, beta + w)
 
 
 def _merge(items: Iterable[Tuple[Monomial, QQi]], out: Optional[dict] = None) -> dict:
@@ -237,7 +244,7 @@ class Element:
     # -- ring operations ----------------------------------------------
 
     def _require_same(self, other: "Element") -> None:
-        if self.params != other.params:
+        if self.params is not other.params and self.params != other.params:
             raise ValueError("elements live over different (m, n) parameters")
 
     def __add__(self, other: "Element") -> "Element":
@@ -261,10 +268,24 @@ class Element:
             return self.scaled(other)
         self._require_same(other)
         params, right = self.params, other._terms.items()
-        # a coefficient product is formed only for a product that survives
-        return Element._merged(params, _merge(
-            (mon, ca * cb) for ma, ca in self._terms.items() for mb, cb in right
-            if (mon := mul_monomials(params, ma, mb)) is not None))
+        # the loop of `_merge`, inlined; a coefficient product is formed
+        # only for a product that survives, and is nonzero as Q(i) is a field
+        out: dict = {}
+        for ma, ca in self._terms.items():
+            for mb, cb in right:
+                mon = mul_monomials(params, ma, mb)
+                if mon is None:
+                    continue
+                acc = out.get(mon)
+                if acc is None:
+                    out[mon] = ca * cb
+                    continue
+                acc = acc + ca * cb
+                if acc.is_zero():
+                    del out[mon]
+                else:
+                    out[mon] = acc
+        return Element._merged(params, out)
 
     def __rmul__(self, other: Scalar) -> "Element":
         return self.scaled(other)

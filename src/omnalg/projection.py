@@ -360,8 +360,12 @@ def _leaf_table(fn: _Fn, size: int, phases: dict) -> List[complex]:
     def build(size):
         values = fn.args[0].evaluate_lattice(size)
         if fn.kind == "sqrt":
-            # clamps tiny negatives from the indicator edges
-            return [complex(math.sqrt(max(v, 0.0))) for v in values]
+            # sqrt(max(v, 0.0)) with sqrt only of the positive entries
+            # (most are zero): tiny negatives from the indicator edges
+            # clamp to 0j, and a zero or NaN is kept as it is, since
+            # max(-0.0, 0.0) and sqrt(-0.0) are both -0.0
+            return [complex(math.sqrt(v)) if v > 0.0 else 0j if v < 0.0 else complex(v)
+                    for v in values]
         return [complex(v) for v in values]
     return _finest(phases, fn, size, build)
 

@@ -390,15 +390,25 @@ class SolenoidPeriodicPoint:
 
 
 def exact_period(m: int, k: int, r: int) -> int:
-    """Least t >= 1 with r*m^t = r mod (m^k - 1)."""
+    """Least t >= 1 with r*m^t = r mod (m^k - 1).
+
+    The t that fix r, with t <= 0 as well, form a subgroup of Z, and k is
+    in it as m^k = 1 mod m^k - 1, so the least t divides k.  It is found
+    from the primes p of k: t starts at k and is divided by p while t/p
+    still fixes r.
+    """
     mod = m ** k - 1
     r %= mod
-    c, t = (r * m) % mod, 1
-    while c != r:
-        c = (c * m) % mod
-        t += 1
-        if t > k:
-            raise ArithmeticError("period exceeds k; residue not k-periodic")
+    t, rest, p = k, k, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            while t % p == 0 and r * pow(m, t // p, mod) % mod == r:
+                t //= p
+        p += 1
     return t
 
 

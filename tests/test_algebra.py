@@ -242,6 +242,65 @@ def test_ring_operations_return_nonzero_terms():
             assert not x * 0 and (x * 0).term_count() == 0
 
 
+def shift_action(x, vector):
+    """x applied to a finite vector {label: QQi} of the shift representation."""
+    maps = [(monomial_affine_map(x.params, mon), c) for mon, c in x.items()]
+    out: dict = {}
+    for q, v in vector.items():
+        for f, c in maps:
+            img = f.apply(q)
+            if img is not None:
+                out[img] = out.get(img, QQi()) + c * v
+    return {q: v for q, v in out.items() if not v.is_zero()}
+
+
+def test_product_acts_as_composition_in_the_shift_representation():
+    # (x y) e_q = x (y e_q) on every window label: the product's terms are
+    # checked against the representation, not against another product
+    rng = random.Random(2401)
+    nonzero = 0
+    for params in (P12, P23, P35, P52):
+        labels = window_labels(params.m, 12, 1 if params.m > 1 else 0)
+        for _ in range(8):
+            x = random_element(rng, params, terms=3)
+            y = random_element(rng, params, terms=3)
+            xy = x * y
+            for q in labels:
+                e_q = {q: QQi(1)}
+                got = shift_action(xy, e_q)
+                assert got == shift_action(x, shift_action(y, e_q)), (x, y, q)
+                nonzero += bool(got)
+    assert nonzero > 100
+
+
+def test_product_checks_the_letters_it_pushes_through():
+    # Element(params, terms) does not check letters; a product that pushes
+    # a z-power through an out-of-range letter refuses it, on either side
+    z = Element.unitary(P12)
+    bad_create = Element(P12, {Monomial((5,), 0, ()): 1})
+    bad_annihilate = Element(P12, {Monomial((), 0, (5,)): 1})
+    for left, right in ((z, bad_create), (bad_annihilate, z)):
+        with pytest.raises(ValueError, match=r"^isometry index 5 outside 1\.\.2$"):
+            left * right
+    with pytest.raises(ValueError, match=r"^isometry index 0 outside 1\.\.2$"):
+        push_exponent(P12, 1, (1, 0))
+
+
+def test_generator_constructors_match_the_validating_constructor():
+    for params in (P12, P23, AlgebraParams(3, 1)):
+        one = QQi.of(1)
+        assert Element.unit(params) == Element(params, {Monomial((), 0, ()): one})
+        for i in range(1, params.n + 1):
+            assert Element.isometry(params, i) == Element(
+                params, {Monomial((i,), 0, ()): one})
+        for k in (-3, 0, 1, 7):
+            assert Element.unitary(params, k) == Element(
+                params, {Monomial((), k, ()): one})
+        assert Element.unitary(params) == Element(params, [(Monomial((), 1, ()), 1)])
+        with pytest.raises(ValueError):
+            Element.isometry(params, params.n + 1)
+
+
 def test_gauge_degree_additive_under_mul():
     rng = random.Random(13)
     for _ in range(200):

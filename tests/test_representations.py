@@ -289,6 +289,24 @@ def test_exact_period():
     assert exact_period(3, 2, 4) == 1  # 3 * 4 = 4 mod 8
 
 
+def test_exact_period_matches_stepping():
+    # the least t with r m^t = r, found by multiplying by m one step at a
+    # time, on every residue of the moduli up to a few thousand
+    checked = 0
+    for m in range(2, 8):
+        for k in range(1, 13):
+            mod = m ** k - 1
+            if mod > 5000:
+                break
+            for r in range(mod):
+                c, t = r * m % mod, 1
+                while c != r:
+                    c, t = c * m % mod, t + 1
+                assert exact_period(m, k, r) == t, (m, k, r)
+                checked += 1
+    assert checked > 10000
+
+
 def test_orbits_partition_the_points():
     # against an oracle that runs exact_period on every residue
     cases = [(m, k) for m in range(2, 8) for k in range(1, 6)
