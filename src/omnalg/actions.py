@@ -197,16 +197,17 @@ def _check_relations(params: AlgebraParams, unitary: Element, wrap: Element,
     shift_ok = all((unitary * gens[j] - gens[j + 1]).is_zero()
                    for j in range(count - 1))
     wrap_ok = (unitary * gens[-1] - gens[0] * wrap).is_zero()
+    stars = [g.adjoint() for g in gens]
+    zero = Element.zero(params)
     orth_ok = True
     for i in range(count):
         for j in range(count):
-            prod = gens[i].adjoint() * gens[j]
-            target = one if i == j else Element.zero(params)
-            if not (prod - target).is_zero():
+            target = one if i == j else zero
+            if not (stars[i] * gens[j] - target).is_zero():
                 orth_ok = False
-    total = Element.zero(params)
-    for g in gens:
-        total = total + g * g.adjoint()
+    total = zero
+    for g, star in zip(gens, stars):
+        total = total + g * star
     complete_ok = (total - one).is_zero()
     checks = (("shift", count - 1, shift_ok), ("wrap", 1, wrap_ok),
               ("orthogonality", count * count, orth_ok),

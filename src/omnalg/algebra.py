@@ -163,6 +163,32 @@ def _expand(params: AlgebraParams,
             yield Monomial(mu + letters[r], m * q, nu + d), c
 
 
+def _parent(params: AlgebraParams, mon: Monomial) -> Optional[Monomial]:
+    """The monomial of which `mon` is an `_expand` child; None for a root.
+
+    The child of (mu, k, nu) for the letter d is (mu j, k', nu d) with
+    t = (d - 1) + k = n k'/m + (j - 1), so k' is a multiple of m and
+    k = n k'/m + j - d.  Hence (mu j, k', nu d) has exactly one parent,
+    (mu, n k'/m + j - d, nu), when m divides k', and a monomial whose mu
+    or nu is empty, or whose k' is not a multiple of m, is no child at
+    all.  This is the refinement forest, and two facts follow:
+
+    * the n children of one monomial are pairwise distinct, since each
+      child's nu ends in a different letter d;
+    * children of distinct monomials never meet, since a child gives back
+      its one parent.
+
+    So a monomial refined by the unit relation to any level is the sum of
+    its descendants at that level, each with the monomial's coefficient,
+    and two monomials' refinements are nested (one lies below the other)
+    or disjoint.
+    """
+    mu, k, nu = mon
+    if not mu or not nu or k % params.m:
+        return None
+    return Monomial(mu[:-1], params.n * (k // params.m) + mu[-1] - nu[-1], nu[:-1])
+
+
 class Element:
     """A finite Q(i)-linear combination of spanning monomials."""
 
@@ -364,13 +390,14 @@ class Element:
           disjoint annihilation words, so no cancellation can occur
           between terms with different nu.
         * Under one nu, distinct (mu, k) stay distinct under refinement,
-          because k -> (d', k') is injective for each letter d.  They also
-          act by distinct affine maps in the shift representation: after
-          scaling by m^|mu| the offset of S_mu z^k is a base-n digit
-          expansion whose digits, read mod n with m invertible because
-          gcd(m, n) = 1, recover mu letter by letter and then k; a
-          different |mu| changes the slope.  `entropy.entropy_estimate`
-          relies on the same fact when it ranks refined rows.  A basis
+          because children of distinct monomials never meet (`_parent`).
+          They also act by distinct affine maps in the shift
+          representation: after scaling by m^|mu| the offset of S_mu z^k
+          is a base-n digit expansion whose digits, read mod n with m
+          invertible because gcd(m, n) = 1, recover mu letter by letter
+          and then k; a different |mu| changes the slope.
+          `entropy.entropy_estimate` relies on the same fact: distinct
+          monomials with nu of one length are linearly independent.  A basis
           label in the range of S_nu away from the finitely many points
           where two of these maps agree is annihilated by every other
           surviving nu and sent to distinct labels by the terms under nu,

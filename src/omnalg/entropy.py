@@ -2,14 +2,13 @@
 
 The growth estimate tracks the exact linear dimension of the span of a
 monomial window together with its images under the canonical
-endomorphism, term by term.  Dimensions are ranks of exact coefficient
-matrices: every monomial is refined so all annihilation words share one
-length, at which point distinct triples are linearly independent.  A
-single monomial's refinement needs no merge and has unit coefficients
-(its terms never meet; see `_refined_row`), so every row is a 0/1
-integer row, and the rank of a real matrix is the same over Q as over
-Q(i); a fraction-free sparse echelon pass over the integers gives the
-rank with no sampling involved.
+endomorphism, term by term.  Every monomial is refined so all
+annihilation words share one length, at which point distinct triples are
+linearly independent.  A monomial refines to its descendants in the
+refinement forest (`algebra._parent`), each with coefficient 1, so two
+refinements are nested or disjoint, and a dimension is a count: the
+number of monomials whose refinement keeps a term that no monomial below
+it covers, its private part.  No row is built and nothing is eliminated.
 
 The compression map sends x to the matrix (S_mu^* x S_nu) over all
 length-r words; for admissible inputs each entry collapses to a single
@@ -24,9 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .algebra import AlgebraParams, Element, Monomial, _expand, all_words
+from .algebra import AlgebraParams, Element, Monomial, _expand, _parent, all_words
 from .exact import QQi, bounded_power
 
 Word = Tuple[int, ...]
@@ -52,123 +51,28 @@ def monomial_window(params: AlgebraParams, s: int) -> List[Monomial]:
             for mu in words for k in range(-kmax, kmax + 1) for nu in words]
 
 
-# -- exact rank over refined rows ----------------------------------------
-
-
-def _refined_row(params: AlgebraParams, mon: Monomial, level: int) -> Dict[Monomial, int]:
-    """The monomial refined to |nu| = level, as the integer row {term: 1}.
-
-    `level - |nu|` rounds of `algebra._expand` rewrite each term by the
-    unit relation sum_d S_d S_d* = 1 into its n children.  The children of
-    one term are pairwise distinct, since each child's nu gains a
-    different letter d; and two distinct terms of one round have distinct
-    children, since their nu differ in a prefix, or their nu agree and
-    (mu, k) -> (mu j, k') is injective for each letter d (`shift_through`
-    recovers t = (d - 1) + k from j and k' as t = n k'/m + j - 1).  So no
-    two terms of the refinement ever meet, nothing needs to be merged, and
-    every coefficient stays the monomial's own, 1.  This is the row that
-    `Element.monomial(...).refine_to_level(level)` gives, with no Element
-    and no QQi built.
-    """
-    terms: Iterable = ((mon, 1),)
-    for _ in range(level - len(mon.nu)):
-        terms = _expand(params, terms)
-    return dict(terms)
-
-
-class _Echelon:
-    """Incremental sparse echelon over the integers.
-
-    Rows map keys to non-zero ints; the keys are hashable and totally
-    ordered, and `entropy_estimate` numbers its refined terms.  A row
-    whose leading key already has a pivot is reduced by
-
-        row <- p * row - c * pivot,
-
-    with p the pivot's and c the row's leading entry, each first divided
-    by gcd(p, c), which cancels the leading key; the row is then divided
-    by the gcd of all its entries, and pivots are stored as they come out
-    of that reduction.
-
-    Why the rank is the rank over Q: Z is an integral domain whose field
-    of fractions is Q.  Dividing by a gcd multiplies by a non-zero
-    rational, and as p != 0 the old row is (new row + c * pivot) / p, so
-    every step leaves the Q-span of the rows inserted so far unchanged.
-    A row reduces to nothing exactly when it lies in the span of the
-    pivots, and pivots with distinct leading (least) keys are linearly
-    independent, so `rank` counts the dimension of that span.
-
-    Why that is the rank the growth table needs: the rows of
-    `entropy_estimate` are the refinements of single monomials, whose
-    coefficients are all 1 (`_refined_row`), and the rank of a real
-    matrix is the same over Q and over Q(i): if real rows r_j satisfy
-    sum (a_j + b_j i) r_j = 0 with a_j, b_j rational, the real and
-    imaginary parts give sum a_j r_j = 0 and sum b_j r_j = 0, so a
-    dependency over Q(i) has a non-trivial one over Q.  No Fraction, QQi
-    or float is built anywhere in the elimination.
-    """
-
-    def __init__(self) -> None:
-        self.pivots: Dict[Hashable, Dict[Hashable, int]] = {}
-
-    def insert(self, row: Dict[Hashable, int]) -> bool:
-        """Reduce row against the basis; returns True if rank grew.
-
-        The row is not copied: if it becomes a pivot as it is, the echelon
-        keeps the caller's dict.
-        """
-        while row:
-            key = min(row)
-            piv = self.pivots.get(key)
-            if piv is None:
-                self.pivots[key] = row
-                return True
-            row = _eliminate(row, piv, key)
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
-def _eliminate(row: Dict[Hashable, int], piv: Dict[Hashable, int],
-               key: Hashable) -> Dict[Hashable, int]:
-    """p * row - c * piv in primitive form, p and c the entries at key."""
-    p, c = piv[key], row[key]
-    g = math.gcd(p, c)
-    p, c = p // g, c // g
-    # the growth-table rows have unit entries, so p = 1 is the common case
-    out = dict(row) if p == 1 else {k: p * a for k, a in row.items()}
-    for k, a in piv.items():
-        x = out.get(k, 0) - c * a
-        if x:
-            out[k] = x
-        else:
-            del out[k]
-    return _primitive(out)
-
-
-def _primitive(row: Dict[Hashable, int]) -> Dict[Hashable, int]:
-    """Divide out the gcd of every entry."""
-    g = math.gcd(*row.values())
-    if g > 1:
-        return {k: a // g for k, a in row.items()}
-    return row
-
-
 # -- growth table -----------------------------------------------------------
 
 # `entropy_estimate` refuses a request whose echelon work estimate, rows
 # inserted x terms of the longest refined row + _REFINE_WEIGHT x refined
-# terms, passes this limit.  A row reduced against a pivot updates at most
-# the entries of both.  The weight 64 was set when a refined term was built
-# through `Element` and `QQi` arithmetic; `_refined_row` builds one for
-# less, and the weight is kept so that the same requests are refused.  Of
-# the 31 admitted requests with an estimate from 3 000 000 to the limit, the
-# slowest (n = 2, s = 3, n_max = 3) takes about 0.5-0.8 s and the largest
-# (n = 39, s = 0, n_max = 3) 64 MB peak RSS, each `omnalg entropy` in a
-# fresh interpreter (Python 3.11.7, 2 cores, shared host); at n = 2,
-# s = 0 the limit admits n_max <= 10.
+# terms, passes this limit.  Estimate and weight were set for an integer
+# elimination over the refined rows, which the forest count replaced, and
+# are kept so that the same requests are refused.  They bound the count's
+# walk (`_has_private_part`) too.  Every node walked lies in a member's
+# refinement above the common level, and one recount walks each node at
+# most once, from the nearest member above it.  A level of the union of
+# those refinements has at most 1/n of the nodes of the next, so a recount
+# at depth D walks at most 2 D x (terms per depth).  An admitted request
+# has n^level <= 2^23 and level >= n_max - 1, so n_max <= 24, and all
+# n_max recounts walk at most (n_max + 1) x refined terms, inside the
+# 64 x refined terms the estimate charges; the ancestor chains add at most
+# level < n^level nodes per member.  Of the 702 admitted requests with an
+# estimate from 3 000 000 to the limit (n <= 2 999, s <= 24), the slowest
+# and the largest, (n = 2, s = 3, n_max = 3), takes about 0.4 s and 29 MB
+# peak RSS, each `omnalg entropy` in a fresh interpreter (Python 3.11.7,
+# 2 cores, shared host); (n = 39, s = 0, n_max = 3), 64 MB with the
+# elimination, takes 0.1-0.15 s and 19 MB.  At n = 2, s = 0 the limit
+# admits n_max <= 10.
 ECHELON_WORK_LIMIT = 1 << 23
 _REFINE_WEIGHT = 64
 
@@ -240,34 +144,71 @@ def _terms_per_depth(n: int, s: int, level: int, bound: int) -> Optional[int]:
     return (s + 1) * words * (2 * n ** s + 1) * power
 
 
+def _has_private_part(params: AlgebraParams, member: Monomial,
+                      members: set, above: set) -> bool:
+    """Whether a member's refinement keeps a term no member below it covers.
+
+    `above` holds every strict ancestor of a member.  A member not in it
+    has no member below it and keeps its whole refinement.  Otherwise the
+    walk goes down from its children: a member child is covered; a child
+    in neither set has no member at or below it, so its descendants at the
+    common level are the member's own; a child in `above` is walked in
+    turn.  A node in `above` lies strictly above a member, hence above
+    the common level, so every node walked lies at or above that level
+    and the walk needs no level of its own.
+    """
+    if member not in above:
+        return True
+    stack = [member]
+    while stack:
+        for child, _ in _expand(params, ((stack.pop(), 1),)):
+            if child in members:
+                continue
+            if child not in above:
+                return True
+            stack.append(child)
+    return False
+
+
 def entropy_estimate(params: AlgebraParams, s: int, n_max: int) -> EntropyTable:
     """Dimension growth of the window under the canonical endomorphism.
 
     Tracks D_N = dim span of the window monomials together with the
-    individual terms of their first N-1 endomorphism images.  Terms of
-    the level-l image all share annihilation length l + s at most, so
-    one refinement level serves every batch and ranks accumulate in a
-    single echelon pass.  Requires m = 1 and n >= 2.
+    individual terms of their first N-1 endomorphism images: the members
+    at depth N.  Terms of the level-l image all share annihilation length
+    l + s at most, so one refinement level serves every depth.  Requires
+    m = 1 and n >= 2.
 
-    Each row is one monomial refined to that level.  Its terms are
-    pairwise distinct and each has coefficient 1, so it needs no merge and
-    is the integer row {term: 1} (`_refined_row`).  The matrix of these
-    rows is real, and a real matrix has the same rank over Q as over
-    Q(i), so `_Echelon` ranks it over the integers and every dimension is
-    the dimension of the complex span.
+    Refined to that level, a member is the sum of its descendants in the
+    refinement forest (`algebra._parent`), each with coefficient 1, and
+    distinct monomials at one level are linearly independent
+    (`Element.is_zero`).  So D_N is the rank of the indicators of these
+    descendant sets.  Two of them are nested when one member lies below
+    the other and disjoint otherwise, and distinct members give distinct
+    sets, as every monomial has n >= 2 children.  For a member A, let
+    P(A), its private part, be its set minus those of the members
+    strictly below it.  The private parts are pairwise disjoint, and each
+    member's set is the disjoint union of the private parts of the
+    members at or below it, so by induction on the forest the indicators
+    of the sets and of the private parts span the same space, over Q(i)
+    as over any field.  The nonempty private parts are disjoint, hence
+    independent: D_N is the number of members with a nonempty private
+    part (`_has_private_part`), counted again at each depth.
 
     Every depth refines the same number of terms: the batch one depth
     deeper puts each of n letters in front of the nu of each monomial,
     so it holds n times as many monomials whose refinements are n times
     shorter.  So the echelon work estimate over all `n_max` depths (the
     longest refined row is that of a window monomial with nu = ()) is
-    known before any row is built; an estimate past `ECHELON_WORK_LIMIT`
-    raises ValueError, and otherwise the table has all `n_max` rows.
+    known before any member is counted; it was set for an elimination
+    over the refined rows, and bounds the count too (see
+    `ECHELON_WORK_LIMIT`).  An estimate past the limit raises
+    ValueError, and otherwise the table has all `n_max` rows.
 
     The estimate bounds the window too, so it is the one size limit, and
     the window is built only once the estimate passes.  The window holds
     W^2 (2n^s + 1) monomials (`window_size`), W = 1 + n + ... + n^s, and
-    each is inserted as a row of at least one term.  As W <= (s + 1) n^s
+    each refines to at least one term.  As W <= (s + 1) n^s
     <= (s + 1) n^level, one depth refines at least W^2 (2n^s + 1) terms.
     So the estimate is at least 65 times the window, and an admitted
     window has fewer than 2^23 / 65 monomials; the largest one admitted
@@ -284,7 +225,7 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int) -> EntropyTable:
         raise ValueError("window parameter must be >= 0")
     n = params.n
     level = (n_max - 1) + s
-    # every row inserted costs at least n^level, so the estimate passes the
+    # every member weighs at least n^level, so the estimate passes the
     # limit as soon as n^level does, and that power is never formed
     per_depth = _terms_per_depth(n, s, level, ECHELON_WORK_LIMIT)
     if per_depth is None:
@@ -299,19 +240,21 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int) -> EntropyTable:
         raise ValueError(f"echelon work estimate {work} ({inserted} rows, "
                          f"{refined} refined terms) exceeds the limit "
                          f"{ECHELON_WORK_LIMIT}")
-    window = monomial_window(params, s)
-    ech = _Echelon()
-    # each refined term is numbered when it first appears, so the echelon
-    # hashes and compares ints instead of the words of a Monomial
-    index: Dict[Monomial, int] = {}
+    members: set = set()
+    above: set = set()
     rows: List[EntropyRow] = []
-    batch = window
+    batch = monomial_window(params, s)
     prev_dim: Optional[int] = None
     for depth in range(1, n_max + 1):
         for mon in batch:
-            ech.insert({index.setdefault(term, len(index)): 1
-                        for term in _refined_row(params, mon, level)})
-        dim = ech.rank
+            members.add(mon)
+            # an ancestor already in `above` brings its own ancestors
+            up = _parent(params, mon)
+            while up is not None and up not in above:
+                above.add(up)
+                up = _parent(params, up)
+        dim = sum(_has_private_part(params, mon, members, above)
+                  for mon in members)
         slope = None if prev_dim is None else math.log(dim) - math.log(prev_dim)
         rows.append(EntropyRow(depth, dim, slope, math.log(dim) / depth))
         prev_dim = dim

@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from omnalg.algebra import (AlgebraParams, Element, Monomial, _expand,
-                            all_words, monomial_from_json_obj, mul_monomials,
-                            push_exponent, shift_through)
+                            _parent, all_words, monomial_from_json_obj,
+                            mul_monomials, push_exponent, shift_through)
 from omnalg.exact import QQi
 from omnalg.representations import monomial_affine_map, window_labels
 
@@ -103,6 +103,36 @@ def test_expand_gives_the_children_shift_through_gives():
                 assert list(_expand(params, [(mon, coeff)])) == want
                 checked += 1
     assert checked == 15 * 81
+
+
+def test_parent_inverts_expand_on_the_refinement_forest():
+    rng = random.Random(2525)
+    checked = roots = off_lattice = 0
+    for m in (1, 2, 3):
+        for n in (2, 3, 5):
+            if math.gcd(m, n) != 1:
+                continue
+            params = AlgebraParams(m, n)
+            for _ in range(60):
+                mon = Monomial(
+                    tuple(rng.randint(1, n) for _ in range(rng.randint(0, 3))),
+                    rng.randint(-30, 30),
+                    tuple(rng.randint(1, n) for _ in range(rng.randint(0, 3))))
+                children = [child for child, _ in _expand(params, [(mon, 1)])]
+                assert len(set(children)) == n
+                assert all(_parent(params, child) == mon for child in children)
+                up = _parent(params, mon)
+                if not mon.mu or not mon.nu or mon.k % m:
+                    assert up is None
+                    roots += 1
+                    off_lattice += bool(mon.mu and mon.nu)
+                else:
+                    assert up is not None
+                    assert mon in [child for child, _ in _expand(params, [(up, 1)])]
+                checked += 1
+    # roots of every kind occur: 72 of the 259 have both words but an
+    # exponent off m Z
+    assert checked == 7 * 60 and (roots, off_lattice) == (259, 72)
 
 
 def test_push_exponent_is_letterwise():
