@@ -53,28 +53,17 @@ def monomial_window(params: AlgebraParams, s: int) -> List[Monomial]:
 
 # -- growth table -----------------------------------------------------------
 
-# `entropy_estimate` refuses a request whose echelon work estimate, rows
-# inserted x terms of the longest refined row + _REFINE_WEIGHT x refined
-# terms, passes this limit.  Estimate and weight were set for an integer
-# elimination over the refined rows, which the forest count replaced, and
-# are kept so that the same requests are refused.  They bound the count's
-# walk (`_has_private_part`) too.  Every node walked lies in a member's
-# refinement above the common level, and one recount walks each node at
-# most once, from the nearest member above it.  A level of the union of
-# those refinements has at most 1/n of the nodes of the next, so a recount
-# at depth D walks at most 2 D x (terms per depth).  An admitted request
-# has n^level <= 2^23 and level >= n_max - 1, so n_max <= 24, and all
-# n_max recounts walk at most (n_max + 1) x refined terms, inside the
-# 64 x refined terms the estimate charges; the ancestor chains add at most
-# level < n^level nodes per member.  Of the 702 admitted requests with an
-# estimate from 3 000 000 to the limit (n <= 2 999, s <= 24), the slowest
-# and the largest, (n = 2, s = 3, n_max = 3), takes about 0.4 s and 29 MB
-# peak RSS, each `omnalg entropy` in a fresh interpreter (Python 3.11.7,
-# 2 cores, shared host); (n = 39, s = 0, n_max = 3), 64 MB with the
-# elimination, takes 0.1-0.15 s and 19 MB.  At n = 2, s = 0 the limit
-# admits n_max <= 10.
-ECHELON_WORK_LIMIT = 1 << 23
-_REFINE_WEIGHT = 64
+# `entropy_estimate` refuses a request whose forest node estimate,
+# M (level + 1), passes this limit: the count holds the M members of all
+# depths in `members` and their strict ancestors in `above`, at most
+# `level` per member, since a `_parent` step drops one letter from mu and
+# one from nu.  Each recount walks a node of `above` at most once, from the
+# nearest member above it.  Of the admitted requests with n <= 2 999 and
+# s <= 24, the slowest, (n = 170, s = 0, n_max = 3), takes about 0.6 s and
+# 41 MB peak RSS, each `omnalg entropy` in a fresh interpreter (Python
+# 3.11.7, 2 cores, shared host).  At n = 2, s = 0 the limit admits
+# n_max <= 12.
+FOREST_NODE_LIMIT = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -123,25 +112,6 @@ class EntropyTable:
             "truncated": self.truncated,
             "warning": self.warning,
         }
-
-
-def _terms_per_depth(n: int, s: int, level: int, bound: int) -> Optional[int]:
-    """Terms one depth of the growth table refines to `level` (n >= 2).
-
-    The window of `monomial_window` pairs W = 1 + n + ... + n^s words mu
-    and 2n^s + 1 exponents with the n^L words nu of each length L <= s,
-    so it holds W (2n^s + 1) n^L monomials with |nu| = L.  Each refines
-    to n^(level - L) terms, so the window refines to (s + 1) W (2n^s + 1)
-    n^level terms, and so does every later batch (see `entropy_estimate`).
-    None, as soon as n^level, the largest single power, passes `bound`,
-    so no astronomic power is built; otherwise the exact count, which
-    may still pass `bound`.
-    """
-    power = bounded_power(n, level, bound)
-    if power is None:
-        return None
-    words = (n ** (s + 1) - 1) // (n - 1)
-    return (s + 1) * words * (2 * n ** s + 1) * power
 
 
 def _has_private_part(params: AlgebraParams, member: Monomial,
@@ -195,25 +165,18 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int) -> EntropyTable:
     independent: D_N is the number of members with a nonempty private
     part (`_has_private_part`), counted again at each depth.
 
-    Every depth refines the same number of terms: the batch one depth
-    deeper puts each of n letters in front of the nu of each monomial,
-    so it holds n times as many monomials whose refinements are n times
-    shorter.  So the echelon work estimate over all `n_max` depths (the
-    longest refined row is that of a window monomial with nu = ()) is
-    known before any member is counted; it was set for an elimination
-    over the refined rows, and bounds the count too (see
-    `ECHELON_WORK_LIMIT`).  An estimate past the limit raises
-    ValueError, and otherwise the table has all `n_max` rows.
-
-    The estimate bounds the window too, so it is the one size limit, and
-    the window is built only once the estimate passes.  The window holds
-    W^2 (2n^s + 1) monomials (`window_size`), W = 1 + n + ... + n^s, and
-    each refines to at least one term.  As W <= (s + 1) n^s
-    <= (s + 1) n^level, one depth refines at least W^2 (2n^s + 1) terms.
-    So the estimate is at least 65 times the window, and an admitted
-    window has fewer than 2^23 / 65 monomials; the largest one admitted
-    has 53 100 (n = 29, s = 1, n_max = 1; searched over n <= 2 999 and
-    s <= 24).
+    The window holds W^2 (2n^s + 1) monomials (`window_size`), W = 1 + n
+    + ... + n^s, and the batch one depth deeper puts each of n letters in
+    front of the mu and nu of each monomial of the last, so the `n_max`
+    depths hold M = W^2 (2n^s + 1)(n^n_max - 1)/(n - 1) members.  A member
+    at depth N has words of at most s + N - 1 <= level letters, and each
+    `_parent` step drops one letter of each, so it has at most `level`
+    strict ancestors, and the count holds at most M (level + 1) forest
+    nodes.  An estimate past `FOREST_NODE_LIMIT` raises ValueError before
+    the window is built, and otherwise the table has all `n_max` rows.  The
+    last batch alone holds n^(n_max - 1) times the window's more than n^s
+    monomials, so the estimate is more than n^level, and a request whose
+    n^level passes the limit is refused before that power is formed.
     """
     if params.m != 1:
         raise ValueError("growth estimate requires m = 1")
@@ -225,21 +188,17 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int) -> EntropyTable:
         raise ValueError("window parameter must be >= 0")
     n = params.n
     level = (n_max - 1) + s
-    # every member weighs at least n^level, so the estimate passes the
-    # limit as soon as n^level does, and that power is never formed
-    per_depth = _terms_per_depth(n, s, level, ECHELON_WORK_LIMIT)
-    if per_depth is None:
-        raise ValueError(f"echelon work estimate exceeds the limit "
-                         f"{ECHELON_WORK_LIMIT}: it is more than n^level = "
+    if bounded_power(n, level, FOREST_NODE_LIMIT) is None:
+        raise ValueError(f"forest node estimate exceeds the limit "
+                         f"{FOREST_NODE_LIMIT}: it is more than n^level = "
                          f"{n}^{level}")
-    # n^s <= n^level passed that check, so the window's size is small
-    inserted = window_size(params, s) * (n ** n_max - 1) // (n - 1)
-    refined = n_max * per_depth
-    work = inserted * n ** level + _REFINE_WEIGHT * refined
-    if work > ECHELON_WORK_LIMIT:
-        raise ValueError(f"echelon work estimate {work} ({inserted} rows, "
-                         f"{refined} refined terms) exceeds the limit "
-                         f"{ECHELON_WORK_LIMIT}")
+    # n^s and n^(n_max - 1) are at most n^level, so these sizes are small
+    total = window_size(params, s) * (n ** n_max - 1) // (n - 1)
+    nodes = total * (level + 1)
+    if nodes > FOREST_NODE_LIMIT:
+        raise ValueError(f"forest node estimate {nodes} ({total} members, "
+                         f"level {level}) exceeds the limit "
+                         f"{FOREST_NODE_LIMIT}")
     members: set = set()
     above: set = set()
     rows: List[EntropyRow] = []

@@ -197,6 +197,19 @@ def test_subalgebra_witness_zk():
         subalgebra_witness_zk(AlgebraParams(2, 1), 1)
 
 
+def test_subalgebra_witness_tables_and_check_counts():
+    # (q - 1) k = l_q + n p_q; at n = 2 q - 1 and q + 1 give the same tables
+    r3 = subalgebra_witness_zk(P13, 2)
+    assert r3["l_table"] == [0, 2, 1] and r3["p_table"] == [0, 0, 1]
+    r5 = subalgebra_witness_zk(P25, 3)
+    assert r5["l_table"] == [0, 3, 1, 4, 2] and r5["p_table"] == [0, 0, 1, 1, 2]
+    for report, c in ((r3, 3), (r5, 5), (subalgebra_witness_power(P12, 2), 4)):
+        assert report["pass"] and report["generators"] == c
+        checked = {name: rel["checked"] for name, rel in report["relations"].items()}
+        assert checked == {"shift": c - 1, "wrap": 1, "orthogonality": c * c,
+                           "completeness": 1}
+
+
 def test_subalgebra_witness_power():
     for params, k in ((P12, 1), (P12, 2), (P12, 3), (P23, 1)):
         r = subalgebra_witness_power(params, k)

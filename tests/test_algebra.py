@@ -254,6 +254,16 @@ def test_product_adjoint_is_term_exact():
         assert (x * y).adjoint() == y.adjoint() * x.adjoint()
 
 
+def test_powers_start_at_the_unit():
+    rng = random.Random(13)
+    for params in (P12, P23):
+        x = random_element(rng, params)
+        assert x ** 0 == Element.unit(params)
+        assert x ** 2 == x * x
+        with pytest.raises(ValueError, match="negative powers"):
+            x ** -1
+
+
 def test_ring_operations_return_nonzero_terms():
     # the ring operations skip the validating constructor, so their term
     # dictionaries must already be merged and free of zero coefficients

@@ -452,12 +452,12 @@ def test_kgroups_at_a_mersenne_prime_answers_quickly(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, code, needle", [
-    # rows of 2^(10^12 - 1) refined terms, refused before that power is built
+    # level 10^12 - 1, refused before 2^level is built
     (["entropy", "--m", "1", "--n", "2", "--s", "0", "--nmax", str(10 ** 12)],
-     2, "echelon work estimate"),
+     2, "forest node estimate"),
     # a window of more than 2^(10^7) monomials, refused before it is built
     (["entropy", "--m", "1", "--n", "2", "--s", str(10 ** 7), "--nmax", "1"],
-     2, "echelon work estimate"),
+     2, "forest node estimate"),
     # a residue mod 999999999, not found by search
     (["fixed-point", "rewrite", "--m", "1", "--n", str(10 ** 9),
       "--monomial", '{"mu":[5],"k":-4,"nu":[]}'], 0, '"round_trip":true'),
@@ -491,7 +491,7 @@ def test_astronomic_sizes_answer_quickly(argv, code, needle, monkeypatch, capsys
 
 @pytest.mark.parametrize("nmax", ["14", "20"])
 def test_entropy_refuses_past_the_work_limit_in_a_fresh_process(nmax):
-    # both ran past 60 s before the work estimate was checked
+    # both ran past 60 s before the size estimate was checked
     src = os.path.dirname(os.path.dirname(omnalg.__file__))
     argv = ["entropy", "--m", "1", "--n", "2", "--s", "0", "--nmax", nmax]
     start = perf_counter()
@@ -500,7 +500,7 @@ def test_entropy_refuses_past_the_work_limit_in_a_fresh_process(nmax):
                           env={**os.environ, "PYTHONPATH": src})
     assert perf_counter() - start < 2.0
     assert proc.returncode == 2 and proc.stdout == ""
-    assert "echelon work estimate" in proc.stderr
+    assert "forest node estimate" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -9,8 +9,7 @@ import pytest
 
 from omnalg.algebra import (AlgebraParams, Element, Monomial, all_words,
                             mul_monomials)
-from omnalg.entropy import (ECHELON_WORK_LIMIT, _REFINE_WEIGHT,
-                            _comparable_indices, _terms_per_depth,
+from omnalg.entropy import (FOREST_NODE_LIMIT, _comparable_indices,
                             entropy_estimate, monomial_window, rho_matrix,
                             window_size)
 from omnalg.exact import QQi, bounded_power
@@ -41,19 +40,19 @@ def test_monomial_window_contents():
         for mon in window:
             assert len(mon.mu) <= s and len(mon.nu) <= s
             assert abs(mon.k) <= params.n ** s
-    # the window has no limit of its own: these are refused by the echelon
-    # work estimate before any window is built, the second without 2^(10^7)
+    # the window has no limit of its own: these are refused by the forest
+    # node estimate before any window is built, the second without 2^(10^7)
     assert window_size(P12, 5) == 257_985
-    with pytest.raises(ValueError, match="echelon work estimate"):
+    with pytest.raises(ValueError, match="forest node estimate"):
         entropy_estimate(P12, 5, 1)
-    with pytest.raises(ValueError, match="echelon work estimate"):
+    with pytest.raises(ValueError, match="forest node estimate"):
         entropy_estimate(P12, 10 ** 7, 1)
 
 
 def test_window_past_200000_is_refused_by_the_estimate():
-    # the estimate is at least 65 times the window (see `entropy_estimate`),
-    # so a window past 200 000 monomials weighs more than 2^23; each of
-    # these is refused before its window is built
+    # the estimate is at least s + 1 times the window, and a window of more
+    # than 3 monomials has s >= 1, so a window past 200 000 monomials
+    # weighs more than 2^18; each of these is refused before it is built
     refused = 0
     for n in range(2, 13):
         params = AlgebraParams(1, n)
@@ -61,7 +60,7 @@ def test_window_past_200000_is_refused_by_the_estimate():
             if window_size(params, s) <= 200_000:
                 continue
             for n_max in range(1, 13):
-                with pytest.raises(ValueError, match="echelon work estimate"):
+                with pytest.raises(ValueError, match="forest node estimate"):
                     entropy_estimate(params, s, n_max)
                 refused += 1
     # 47 of the 77 (n, s) pairs, at each of 12 depths
@@ -76,27 +75,6 @@ def test_bounded_power_matches_power():
                 assert bounded_power(base, exp, bound) == want
     assert bounded_power(2, 10 ** 12, 5_000_000) is None
     assert bounded_power(1, 10 ** 12, 1) == 1
-
-
-def test_terms_per_depth_is_the_sum_over_the_window():
-    # every grid point but the 20 with n = 7, s = 2: a window of 321 651
-    # monomials, past what the echelon work estimate admits, is too slow
-    # to build here
-    checked = 0
-    for n in (2, 3, 4, 5, 7):
-        for s in (0, 1, 2):
-            if window_size(AlgebraParams(1, n), s) > 200_000:
-                continue
-            window = monomial_window(AlgebraParams(1, n), s)
-            for n_max in (1, 2, 5, 9, 30):
-                level = n_max - 1 + s
-                powers = [n ** (level - len(mon.nu)) for mon in window]
-                for bound in (1, 50, 10 ** 4, 5 * 10 ** 6):
-                    want = None if max(powers) > bound else sum(powers)
-                    assert _terms_per_depth(n, s, level, bound) == want
-                    checked += 1
-    assert checked == 280
-    assert _terms_per_depth(2, 0, 10 ** 12, 5_000_000) is None
 
 
 # -- reference rank: dense elimination over Q on Fractions -----------------
@@ -183,27 +161,26 @@ def test_entropy_truncation_is_reported():
     assert blob["truncated"] is False and blob["warning"] is None
 
 
-def ref_admits(params, s, n_max):
-    """Whether the echelon work of all n_max depths stays within the limit.
+def ref_admitted_depths(params, s):
+    """The depths n_max whose M (level + 1) stays within the limit, M the
+    members of all n_max depths, counted batch by batch.
 
-    Counts each batch's rows and refined terms in turn; the longest row is
-    the refinement of a window monomial with nu = (), n^level terms.
+    M (level + 1) grows with n_max, so the first depth past the limit ends
+    the list.  Each monomial of a batch gives n of the next, so a batch
+    that would pass the limit is not built.
     """
     n = params.n
-    level = n_max - 1 + s
-    longest = bounded_power(n, level, ECHELON_WORK_LIMIT)
-    if longest is None:
-        return False
     batch = monomial_window(params, s)
-    rows = refined = 0
-    for _ in range(n_max):
-        rows += len(batch)
-        refined += sum(n ** (level - len(mon.nu)) for mon in batch)
-        if rows * longest + _REFINE_WEIGHT * refined > ECHELON_WORK_LIMIT:
-            return False
+    members = len(batch)
+    depths = []
+    while members * (len(depths) + 1 + s) <= FOREST_NODE_LIMIT:
+        depths.append(len(depths) + 1)
+        if (members + n * len(batch)) * (len(depths) + 1 + s) > FOREST_NODE_LIMIT:
+            break
         batch = [Monomial((i,) + mon.mu, mon.k, (i,) + mon.nu)
                  for mon in batch for i in range(1, n + 1)]
-    return True
+        members += len(batch)
+    return depths
 
 
 def test_entropy_depths_match_counting_each_batch():
@@ -211,38 +188,49 @@ def test_entropy_depths_match_counting_each_batch():
     for n in (2, 3, 5):
         params = AlgebraParams(1, n)
         for s in (0, 1):
+            depths = ref_admitted_depths(params, s)
             refused = False
             for n_max in [*range(1, 26), 10 ** 12]:
-                admitted = ref_admits(params, s, n_max)
                 try:
                     t = entropy_estimate(params, s, n_max)
                 except ValueError as exc:
-                    assert not admitted, (n, s, n_max)
-                    assert str(exc).startswith("echelon work estimate")
+                    assert n_max not in depths, (n, s, n_max)
+                    assert str(exc).startswith("forest node estimate")
                     refused = True
                     continue
                 # once refused, every deeper request is refused too
-                assert admitted and not refused, (n, s, n_max)
+                assert n_max in depths and not refused, (n, s, n_max)
                 assert [row.depth for row in t.rows] == list(range(1, n_max + 1))
                 assert t.truncated is False and t.warning is None
                 answered += 1
-    assert answered == 38
+    assert answered == 43
 
 
-@pytest.mark.parametrize("n, s, n_max", [(2, 0, 14), (2, 0, 20), (2, 0, 12),
+@pytest.mark.parametrize("n, s, n_max", [(2, 0, 14), (2, 0, 20), (2, 0, 13),
                                          (3, 0, 9), (2, 3, 4)])
 def test_entropy_refuses_past_the_work_limit_before_any_row(n, s, n_max):
     start = perf_counter()
-    with pytest.raises(ValueError, match="echelon work estimate") as info:
+    with pytest.raises(ValueError, match="forest node estimate") as info:
         entropy_estimate(AlgebraParams(1, n), s, n_max)
     assert perf_counter() - start < 1.0
-    assert str(ECHELON_WORK_LIMIT) in str(info.value)
+    assert str(FOREST_NODE_LIMIT) in str(info.value)
 
 
 def test_entropy_work_limit_admits_depth_ten_at_n_two():
-    # the largest depth admitted at n = 2, s = 0 (estimate 2 554 368);
-    # criterion 7's sizes are in test_entropy_dimensions_frozen
+    # the deepest table admitted at n = 2, s = 0 before the forest node
+    # limit; it stays admitted, with the same last dimension
     assert entropy_estimate(P12, 0, 10).dimensions()[-1] == 2558
+
+
+def test_entropy_node_limit_admits_its_largest_tables():
+    # the largest depth admitted at n = 2, s = 0 (estimate 3 x 4 095 x 12
+    # = 147 420); criterion 7's sizes are in test_entropy_dimensions_frozen
+    assert entropy_estimate(P12, 0, 12).dimensions()[-1] == 10238
+    # 3 x 16 105 members x 5 = 241 575, within one level of the limit
+    assert len(entropy_estimate(AlgebraParams(1, 11), 0, 5).rows) == 5
+    with pytest.raises(ValueError, match="forest node estimate 319449 "
+                       r"\(24573 members, level 12\) exceeds the limit 262144"):
+        entropy_estimate(P12, 0, 13)
 
 
 def rho_mul(A, B, params):
@@ -307,6 +295,31 @@ def test_rho_matrix_validates_window_bounds():
         rho_matrix(P12, Monomial((1,), 0, ()), 3, 3, s=1)
     with pytest.raises(ValueError, match="m = 1"):
         rho_matrix(AlgebraParams(2, 3), Monomial((1,), 0, ()), 3, 1, s=1)
+
+
+def test_rho_matrix_base_exponent_at_the_window_edge():
+    # |q| = n^s on both branches of `base_exponent_bounded`: two exponents
+    # q, q + 1, and a single one of either sign.  No exponent passes the
+    # input's |k| (each push through a letter divides it by n, rounding
+    # down), so |q - 1| <= n^s never decides the single-exponent branch
+    rng = random.Random(2616)
+    edges = set()
+    for _ in range(120):
+        params = rng.choice((P12, P13))
+        n = params.n
+        s = rng.randint(0, 1)
+        mu = tuple(rng.randint(1, n) for _ in range(rng.randint(0, s)))
+        nu = tuple(rng.randint(1, n) for _ in range(rng.randint(0, s)))
+        k = rng.choice((n ** s, -(n ** s)))
+        r = s + rng.randint(1, 2)
+        _, report = rho_matrix(params, Monomial(mu, k, nu), r,
+                               rng.randint(1, r - s), s=s)
+        exps = report["exponents"]
+        assert all(abs(e) <= abs(k) for e in exps)
+        if exps and abs(exps[0]) == n ** s:
+            assert report["base_exponent_bounded"] and report["pass"]
+            edges.add((len(exps), exps[0] > 0))
+    assert edges == {(2, False), (1, False), (1, True)}
 
 
 def ref_rho_matrix(params, mon, r, l, s):

@@ -234,6 +234,10 @@ POWERS = representations.POWER_LIMIT
                  POWERS, id="m=10^4000 at 0,327"),
     pytest.param(10 ** 4000, 1, (0, 38), "up to 137725336320 bit products",
                  POWERS, id="m=10^4000 at 0,38"),
+    # 741 000 checks that the estimate of 2 601 bits admits; the 4 121 bits
+    # of 3^2600 weigh them one LABEL_BITS step past CHECK_LIMIT
+    (3, 7, (2, 2599), "4121 bits (m^2600); at one more per 4096 bits they "
+     "weigh 1482000", CHECKS),
 ])
 def test_relation_residuals_refuses_past_its_limits(m, n, window, needle, limit):
     message = refused_quickly(relation_residuals, AlgebraParams(m, n), "A",
