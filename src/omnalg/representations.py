@@ -64,8 +64,10 @@ LABEL_BITS = 4096
 # 2 cores)
 POWER_LIMIT = 1 << 37
 # `solenoid_orbits` visits every residue mod m^k - 1 once; at this limit
-# `solenoid_periodic_points(2, 16)` takes about 0.2 s and
-# `solenoid_orbits(2, 16)` about 0.013 s (Python 3.11.7, 2 cores)
+# `solenoid_orbits(2, 16)` takes about 0.012 s and
+# `solenoid_periodic_points(2, 16)`, whose points each walk their orbit
+# again to check their period, about 0.26-0.46 s (best of 3, Python
+# 3.11.7, 2 cores, shared host)
 RESIDUE_LIMIT = 1 << 16
 
 
@@ -220,7 +222,8 @@ def _bound_window(m: int, n: int, num_bound: int, exp_bound: int) -> None:
     Labels are counted by the bound (2P+1)(Q+1), so nothing is enumerated;
     m^(Q+1), of more than (Q+1)(bits(m) - 1) bits, is formed only when that
     estimate leaves the window within the limit, and the table of powers
-    that it tops is weighed first.
+    that it tops is weighed first.  Every weight is at least the check
+    count, so a window past CHECK_LIMIT checks is refused on the estimate.
     """
     labels = (2 * num_bound + 1) * (exp_bound + 1 if m > 1 else 1)
     window = f"window {num_bound},{exp_bound}"
@@ -228,10 +231,6 @@ def _bound_window(m: int, n: int, num_bound: int, exp_bound: int) -> None:
         raise ValueError(f"{window} would check up to {labels} labels, more "
                          f"than the limit of {LABEL_LIMIT}")
     checks = labels * sum(_checks_per_label(n).values())
-    if checks > CHECK_LIMIT:
-        raise ValueError(f"{window} at n = {n} would run up to {checks} "
-                         f"relation checks ({labels} labels, n^2 + n + 1 "
-                         f"each), more than the limit of {CHECK_LIMIT}")
     top = exp_bound + 1 if m > 1 else 0
     bits = top * (m.bit_length() - 1) + 1
     if checks * (1 + bits // LABEL_BITS) <= CHECK_LIMIT:
@@ -371,7 +370,10 @@ class SolenoidPeriodicPoint:
         mod = self.modulus
         if not 0 <= self.residue < mod:
             raise ValueError("residue out of range")
-        if exact_period(self.m, self.period, self.residue) != self.period:
+        # the walk of `coordinates` comes back to r after r's exact period
+        # (see `solenoid_orbits`), so r shows again before step k unless
+        # that period is k
+        if self.residue in self.coordinates()[1:]:
             raise ValueError(f"residue {self.residue} does not have exact period "
                              f"{self.period} mod {mod}")
 
@@ -387,29 +389,6 @@ class SolenoidPeriodicPoint:
             out.append(c)
             c = (c * step) % mod
         return out
-
-
-def exact_period(m: int, k: int, r: int) -> int:
-    """Least t >= 1 with r*m^t = r mod (m^k - 1).
-
-    The t that fix r, with t <= 0 as well, form a subgroup of Z, and k is
-    in it as m^k = 1 mod m^k - 1, so the least t divides k.  It is found
-    from the primes p of k: t starts at k and is divided by p while t/p
-    still fixes r.
-    """
-    mod = m ** k - 1
-    r %= mod
-    t, rest, p = k, k, 2
-    while rest > 1:
-        if p * p > rest:
-            p = rest
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            while t % p == 0 and r * pow(m, t // p, mod) % mod == r:
-                t //= p
-        p += 1
-    return t
 
 
 def solenoid_orbits(m: int, k: int) -> List[List[int]]:

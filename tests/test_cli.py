@@ -12,6 +12,7 @@ import pytest
 
 import omnalg
 from omnalg import projection
+from omnalg.algebra import PRODUCT_LIMIT
 from omnalg.cli import SCHEMA, _build_parser, main
 from omnalg.projection import GRID_LIMIT as RIEFFEL_GRID_LIMIT
 from omnalg.representations import (CHECK_LIMIT as REP_CHECK_LIMIT,
@@ -215,6 +216,27 @@ def test_mul_contracts(monkeypatch, capsys):
     assert code == 2 and '"a"' in err
 
 
+def test_mul_refuses_past_the_product_limit(monkeypatch, capsys):
+    # z^0 .. z^(a-1) times z^0 .. z^(b-1): a b term pairs, a + b - 1 terms
+    def z_powers(count):
+        return [{"mu": [], "k": k, "nu": []} for k in range(count)]
+
+    assert 512 * 512 == PRODUCT_LIMIT
+    start = perf_counter()
+    code, out, err = run(["mul", "--m", "1", "--n", "2"], monkeypatch, capsys,
+                         stdin=json.dumps({"a": z_powers(513), "b": z_powers(512)}))
+    assert perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "513 x 512 terms" in err and str(PRODUCT_LIMIT) in err
+    assert "Traceback" not in err
+    code, out, _ = run(["mul", "--m", "1", "--n", "2"], monkeypatch, capsys,
+                       stdin=json.dumps({"a": z_powers(512), "b": z_powers(512)}))
+    assert code == 0
+    terms = json.loads(out)
+    assert len(terms) == 1023
+    assert {"mu": [], "k": 511, "nu": [], "re": "512/1", "im": "0/1"} in terms
+
+
 def test_kms_values(monkeypatch, capsys):
     code, out, _ = run(["kms", "--m", "1", "--n", "2"], monkeypatch, capsys,
                        stdin='[{"mu": [1], "k": 0, "nu": [1]}]')
@@ -337,6 +359,15 @@ def test_solenoid_refuses_too_many_residues(m, period, monkeypatch, capsys):
         assert perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert f"{m}^{period} - 1 residues" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("residue", ["257", "0"])
+def test_solenoid_rep_refuses_a_shorter_period(residue, monkeypatch, capsys):
+    # 257 (2^8 + 1) has exact period 8 mod 2^16 - 1, and 0 period 1
+    code, out, err = run(["solenoid", "rep", "--m", "2", "--period", "16",
+                          "--residue", residue], monkeypatch, capsys)
+    assert code == 2 and out == ""
+    assert "does not have exact period 16" in err and "Traceback" not in err
 
 
 def test_rieffel_verify_refuses_bad_grid_before_any_work(monkeypatch, capsys):

@@ -11,7 +11,7 @@ from omnalg import representations
 from omnalg.algebra import AlgebraParams, Monomial
 from omnalg.exact import in_localization
 from omnalg.representations import (PhaseMatrix, SolenoidPeriodicPoint, _label,
-                                    coordinate_diagonal, exact_period, isometry_image,
+                                    coordinate_diagonal, isometry_image,
                                     monomial_affine_map, precompose_shift_inverse,
                                     relation_residuals, shift_unitary,
                                     solenoid_orbits, solenoid_periodic_points,
@@ -286,16 +286,29 @@ def test_periodic_point_validation():
         SolenoidPeriodicPoint(1, 1, 0)
 
 
-def test_exact_period():
-    assert exact_period(2, 2, 3) == 1  # 3 = 0 mod 3
-    assert exact_period(2, 4, 5) == 2  # 5 -> 10 -> 5 mod 15
-    assert exact_period(2, 4, 1) == 4
-    assert exact_period(3, 2, 4) == 1  # 3 * 4 = 4 mod 8
+def stepped_period(m, k, r):
+    """The least t >= 1 with r m^t = r mod m^k - 1, one step at a time."""
+    mod = m ** k - 1
+    c, t = r * m % mod, 1
+    while c != r:
+        c, t = c * m % mod, t + 1
+    return t
 
 
-def test_exact_period_matches_stepping():
-    # the least t with r m^t = r, found by multiplying by m one step at a
-    # time, on every residue of the moduli up to a few thousand
+def test_periodic_point_accepts_exactly_the_stepped_period():
+    # pinned points: (m, k, r) and the exact period of r
+    for m, k, r, period in ((2, 2, 0, 1),  # 3 = 0 mod 3
+                            (2, 4, 5, 2),  # 5 -> 10 -> 5 mod 15
+                            (2, 4, 1, 4),
+                            (3, 2, 4, 1)):  # 3 * 4 = 4 mod 8
+        assert stepped_period(m, k, r) == period
+        if period == k:
+            assert SolenoidPeriodicPoint(m, k, r).coordinates()[0] == r
+        else:
+            with pytest.raises(ValueError, match=f"does not have exact period {k}"):
+                SolenoidPeriodicPoint(m, k, r)
+    # every residue of the moduli up to a few thousand is accepted iff its
+    # period found by multiplying by m one step at a time is k
     checked = 0
     for m in range(2, 8):
         for k in range(1, 13):
@@ -303,22 +316,23 @@ def test_exact_period_matches_stepping():
             if mod > 5000:
                 break
             for r in range(mod):
-                c, t = r * m % mod, 1
-                while c != r:
-                    c, t = c * m % mod, t + 1
-                assert exact_period(m, k, r) == t, (m, k, r)
+                if stepped_period(m, k, r) == k:
+                    assert SolenoidPeriodicPoint(m, k, r).residue == r
+                else:
+                    with pytest.raises(ValueError, match="exact period"):
+                        SolenoidPeriodicPoint(m, k, r)
                 checked += 1
     assert checked > 10000
 
 
 def test_orbits_partition_the_points():
-    # against an oracle that runs exact_period on every residue
+    # against the stepping oracle on every residue
     cases = [(m, k) for m in range(2, 8) for k in range(1, 6)
              if m ** k - 1 <= representations.RESIDUE_LIMIT]
     assert (2, 1) in cases and len(cases) == 30
     for m, k in cases:
         mod = m ** k - 1
-        residues = [r for r in range(mod) if exact_period(m, k, r) == k]
+        residues = [r for r in range(mod) if stepped_period(m, k, r) == k]
         orbits = solenoid_orbits(m, k)
         assert [p.residue for p in solenoid_periodic_points(m, k)] == residues
         assert sorted(r for orbit in orbits for r in orbit) == residues
