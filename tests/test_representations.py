@@ -295,8 +295,9 @@ def stepped_period(m, k, r):
     return t
 
 
-def test_periodic_point_accepts_exactly_the_stepped_period():
-    # pinned points: (m, k, r) and the exact period of r
+def test_exact_period():
+    # pinned points: (m, k, r) and the exact period of r; a point is
+    # accepted iff that period is k
     for m, k, r, period in ((2, 2, 0, 1),  # 3 = 0 mod 3
                             (2, 4, 5, 2),  # 5 -> 10 -> 5 mod 15
                             (2, 4, 1, 4),
@@ -307,6 +308,9 @@ def test_periodic_point_accepts_exactly_the_stepped_period():
         else:
             with pytest.raises(ValueError, match=f"does not have exact period {k}"):
                 SolenoidPeriodicPoint(m, k, r)
+
+
+def test_exact_period_matches_stepping():
     # every residue of the moduli up to a few thousand is accepted iff its
     # period found by multiplying by m one step at a time is k
     checked = 0
