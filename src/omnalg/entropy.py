@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .algebra import AlgebraParams, Element, Monomial, _expand, _parent, all_words
+from .algebra import AlgebraParams, Element, Monomial, all_words
 from .exact import QQi, bounded_power
 
 Word = Tuple[int, ...]
@@ -59,10 +59,11 @@ def monomial_window(params: AlgebraParams, s: int) -> List[Monomial]:
 # `level` per member, since a `_parent` step drops one letter from mu and
 # one from nu.  Each recount walks a node of `above` at most once, from the
 # nearest member above it.  Of the admitted requests with n <= 2 999 and
-# s <= 24, the slowest, (n = 170, s = 0, n_max = 3), takes about 0.6 s and
-# 41 MB peak RSS, each `omnalg entropy` in a fresh interpreter (Python
-# 3.11.7, 2 cores, shared host).  At n = 2, s = 0 the limit admits
-# n_max <= 12.
+# s <= 24, the heaviest, such as (n, s, n_max) = (170, 0, 3), (39, 1, 1)
+# and (2, 1, 9), take about 0.3 s and 38-40 MB peak RSS each as `omnalg
+# entropy` in a fresh interpreter, where (2, 0, 1) takes 0.13 s and 18 MB;
+# the count alone takes 0.15-0.18 s (Python 3.11.7, 2 cores, shared host).
+# At n = 2, s = 0 the limit admits n_max <= 12.
 FOREST_NODE_LIMIT = 1 << 18
 
 
@@ -115,32 +116,6 @@ class EntropyTable:
         }
 
 
-def _has_private_part(params: AlgebraParams, member: Monomial,
-                      members: set, above: set) -> bool:
-    """Whether a member's refinement keeps a term no member below it covers.
-
-    `above` holds every strict ancestor of a member.  A member not in it
-    has no member below it and keeps its whole refinement.  Otherwise the
-    walk goes down from its children: a member child is covered; a child
-    in neither set has no member at or below it, so its descendants at the
-    common level are the member's own; a child in `above` is walked in
-    turn.  A node in `above` lies strictly above a member, hence above
-    the common level, so every node walked lies at or above that level
-    and the walk needs no level of its own.
-    """
-    if member not in above:
-        return True
-    stack = [member]
-    while stack:
-        for child, _ in _expand(params, ((stack.pop(), 1),)):
-            if child in members:
-                continue
-            if child not in above:
-                return True
-            stack.append(child)
-    return False
-
-
 def entropy_estimate(params: AlgebraParams, s: int, n_max: int) -> EntropyTable:
     """Dimension growth of the window under the canonical endomorphism.
 
@@ -164,7 +139,22 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int) -> EntropyTable:
     of the sets and of the private parts span the same space, over Q(i)
     as over any field.  The nonempty private parts are disjoint, hence
     independent: D_N is the number of members with a nonempty private
-    part (`_has_private_part`), counted again at each depth.
+    part, counted again at each depth.
+
+    The count is one loop over plain (mu, k, nu) tuples, with the closed
+    forms of `algebra._parent` and `algebra._expand` at m = 1 written into
+    it, as `push_exponent` writes in that of `shift_through`.  Each member
+    of a batch joins `members`, and its strict ancestors join `above`; the
+    climb stops at the first one already there, which brings its own.  A
+    member not in `above` has no member below it and keeps its whole
+    refinement.  Otherwise the walk goes down from its children: a member
+    child is covered; a child in neither set has no member at or below it,
+    so its descendants at the common level are the member's own, and the
+    member is counted; a child in `above` is walked in turn.  A node in
+    `above` lies strictly above a member, hence above the common level, so
+    every node walked lies at or above that level and the walk needs no
+    level of its own.  The batches one depth deeper are tuples too, which
+    hash and compare equal to the window's `Monomial`s.
 
     The window holds W^2 (2n^s + 1) monomials (`window_size`), W = 1 + n
     + ... + n^s, and the batch one depth deeper puts each of n letters in
@@ -202,25 +192,50 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int) -> EntropyTable:
                          f"{FOREST_NODE_LIMIT}")
     members: set = set()
     above: set = set()
+    letters = [(d,) for d in range(1, n + 1)]
     rows: List[EntropyRow] = []
     batch = monomial_window(params, s)
     prev_dim: Optional[int] = None
     for depth in range(1, n_max + 1):
         for mon in batch:
             members.add(mon)
-            # an ancestor already in `above` brings its own ancestors
-            up = _parent(params, mon)
-            while up is not None and up not in above:
+            # `_parent` at m = 1; an ancestor already in `above` brings
+            # its own ancestors
+            mu, k, nu = mon
+            while mu and nu:
+                k = n * k + mu[-1] - nu[-1]
+                mu, nu = mu[:-1], nu[:-1]
+                up = (mu, k, nu)
+                if up in above:
+                    break
                 above.add(up)
-                up = _parent(params, up)
-        dim = sum(_has_private_part(params, mon, members, above)
-                  for mon in members)
+        dim = 0
+        for mon in members:
+            if mon not in above:
+                dim += 1
+                continue
+            stack = [mon]
+            while stack:
+                mu, k, nu = stack.pop()
+                # `_expand` at m = 1: the child for the letter d
+                for t, d in enumerate(letters, k):
+                    q, r = divmod(t, n)
+                    child = (mu + letters[r], q, nu + d)
+                    if child in members:
+                        continue
+                    if child not in above:
+                        break
+                    stack.append(child)
+                else:
+                    continue
+                dim += 1  # a child with no member at or below it
+                break
         slope = None if prev_dim is None else math.log(dim) - math.log(prev_dim)
         rows.append(EntropyRow(depth, dim, slope, math.log(dim) / depth))
         prev_dim = dim
         if depth < n_max:  # no batch is built past the last depth
-            batch = [Monomial((i,) + mon.mu, mon.k, (i,) + mon.nu)
-                     for mon in batch for i in range(1, n + 1)]
+            batch = [(d + mu, k, d + nu)
+                     for mu, k, nu in batch for d in letters]
     for earlier, later in zip(rows, rows[1:]):
         assert later.dimension >= earlier.dimension
     return EntropyTable(params.m, params.n, s, tuple(rows))

@@ -367,11 +367,6 @@ def winding(f: PiecewiseFunction) -> int:
     return int(net)
 
 
-def support_pieces(f: PiecewiseFunction) -> List[Tuple[Fraction, Fraction]]:
-    """Intervals whose piece is not the zero polynomial."""
-    return [(lo, hi) for (lo, hi), p in zip(f.piece_bounds(), f.pieces) if p]
-
-
 def _sturm_sequence(g: tuple) -> List[tuple]:
     """g, g', then the negated remainders, down to the last non-zero one."""
     seq = [g, _poly_derivative(g)]

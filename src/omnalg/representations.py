@@ -215,6 +215,18 @@ def _checks_per_label(n: int) -> Dict[str, int]:
     return {"shift": n - 1, "wrap": 1, "orthogonality": n * n, "partition": 1}
 
 
+def _int(x: int) -> str:
+    """x in decimal, or by its bit length past 256 bits.
+
+    A refusal names the sizes it weighs, and a huge m or n makes them long:
+    str() refuses an int past 4 300 digits, and a shorter one would still
+    fill the error line.
+    """
+    if x.bit_length() <= 256:
+        return str(x)
+    return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit integer>"
+
+
 def _bound_window(m: int, n: int, num_bound: int, exp_bound: int) -> None:
     """Refuse a window past LABEL_LIMIT labels, CHECK_LIMIT weighed checks
     or POWER_LIMIT bit products to build m^0 .. m^(Q+1).
@@ -224,12 +236,13 @@ def _bound_window(m: int, n: int, num_bound: int, exp_bound: int) -> None:
     estimate leaves the window within the limit, and the table of powers
     that it tops is weighed first.  Every weight is at least the check
     count, so a window past CHECK_LIMIT checks is refused on the estimate.
+    A refusal writes each size by `_int`.
     """
     labels = (2 * num_bound + 1) * (exp_bound + 1 if m > 1 else 1)
-    window = f"window {num_bound},{exp_bound}"
+    window = f"window {_int(num_bound)},{_int(exp_bound)}"
     if labels > LABEL_LIMIT:
-        raise ValueError(f"{window} would check up to {labels} labels, more "
-                         f"than the limit of {LABEL_LIMIT}")
+        raise ValueError(f"{window} would check up to {_int(labels)} labels, "
+                         f"more than the limit of {LABEL_LIMIT}")
     checks = labels * sum(_checks_per_label(n).values())
     top = exp_bound + 1 if m > 1 else 0
     bits = top * (m.bit_length() - 1) + 1
@@ -238,11 +251,11 @@ def _bound_window(m: int, n: int, num_bound: int, exp_bound: int) -> None:
         bits = (m ** top).bit_length()
     weight = checks * (1 + bits // LABEL_BITS)
     if weight > CHECK_LIMIT:
-        raise ValueError(f"{window} at m = {m}, n = {n} would run up to "
-                         f"{checks} relation checks on labels of at least "
-                         f"{bits} bits (m^{top}); at one more per {LABEL_BITS} "
-                         f"bits they weigh {weight}, more than the limit of "
-                         f"{CHECK_LIMIT}")
+        raise ValueError(f"{window} at m = {_int(m)}, n = {_int(n)} would run "
+                         f"up to {_int(checks)} relation checks on labels of "
+                         f"at least {bits} bits (m^{top}); at one more "
+                         f"per {LABEL_BITS} bits they weigh {_int(weight)}, "
+                         f"more than the limit of {CHECK_LIMIT}")
 
 
 def _bound_powers(m: int, top: int, window: str) -> None:
@@ -268,7 +281,8 @@ def relation_residuals(params: AlgebraParams, variant: str = "A",
     past the label, check or label-size limit is refused before any work.
     """
     if num_bound < 0 or exp_bound < 0:
-        raise ValueError(f"window bounds must be >= 0, got {num_bound},{exp_bound}")
+        raise ValueError(f"window bounds must be >= 0, got "
+                         f"{_int(num_bound)},{_int(exp_bound)}")
     m, n = params.m, params.n
     _bound_window(m, n, num_bound, exp_bound)
     offsets = [_letter_offset(j, variant) for j in range(1, n + 1)]

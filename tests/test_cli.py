@@ -520,6 +520,22 @@ def test_astronomic_sizes_answer_quickly(argv, code, needle, monkeypatch, capsys
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("m, n, window", [
+    (str(10 ** 4000), "1", "0,16383"),
+    ("1", str(10 ** 4000), "0,0"),
+])
+def test_rep_check_refuses_long_integers_in_one_short_line(
+        m, n, window, monkeypatch, capsys):
+    # the sizes of a huge m or n are written by their bit length, within
+    # str()'s 4 300 digits and the line short
+    code, out, err = run(["rep", "check", "--m", m, "--n", n, "--window",
+                          window], monkeypatch, capsys)
+    assert code == 2 and out == "" and err.startswith("error: window")
+    assert len(err.encode()) < 300
+    assert "relation checks" in err and str(REP_CHECK_LIMIT) in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("nmax", ["14", "20"])
 def test_entropy_refuses_past_the_work_limit_in_a_fresh_process(nmax):
     # both ran past 60 s before the size estimate was checked

@@ -7,8 +7,8 @@ from time import perf_counter
 
 import pytest
 
-from omnalg.algebra import (AlgebraParams, Element, Monomial, all_words,
-                            mul_monomials)
+from omnalg.algebra import (AlgebraParams, Element, Monomial, _expand,
+                            _parent, all_words, mul_monomials)
 from omnalg.entropy import (FOREST_NODE_LIMIT, _comparable_indices,
                             entropy_estimate, monomial_window, rho_matrix,
                             window_size)
@@ -123,6 +123,92 @@ def test_entropy_dimensions_are_ranks_of_the_refined_rows():
             batch = [Monomial((i,) + mon.mu, mon.k, (i,) + mon.nu)
                      for mon in batch for i in range(1, n + 1)]
         assert entropy_estimate(params, s, n_max).dimensions() == ranks, (n, s, n_max)
+
+
+# -- reference count: the per-member forest walk, one call per node -------
+
+
+def ref_has_private_part(params, member, members, above):
+    """Whether a member's refinement keeps a term no member below it covers.
+
+    The walk of `entropy_estimate`, through `_parent` and `_expand` as
+    written: a member not in `above` keeps its whole refinement; otherwise
+    a member child is covered, a child in neither set is the member's own,
+    and a child in `above` is walked in turn.
+    """
+    if member not in above:
+        return True
+    stack = [member]
+    while stack:
+        for child, _ in _expand(params, ((stack.pop(), 1),)):
+            if child in members:
+                continue
+            if child not in above:
+                return True
+            stack.append(child)
+    return False
+
+
+def ref_forest_dimensions(params, s, n_max):
+    """The growth table's dimensions, one `_parent` call per ancestor step
+    and one `_expand` per node walked."""
+    members, above, dims = set(), set(), []
+    batch = monomial_window(params, s)
+    for depth in range(1, n_max + 1):
+        if depth > 1:
+            batch = [Monomial((i,) + mon.mu, mon.k, (i,) + mon.nu)
+                     for mon in batch for i in range(1, params.n + 1)]
+        for mon in batch:
+            members.add(mon)
+            up = _parent(params, mon)
+            while up is not None and up not in above:
+                above.add(up)
+                up = _parent(params, up)
+        dims.append(sum(ref_has_private_part(params, mon, members, above)
+                        for mon in members))
+    return dims
+
+
+def admitted_requests(node_cap):
+    """(n, s, n_max) with n <= 2 999 and s <= 24 whose forest node estimate
+    M (level + 1) is at most `node_cap`, within the limit."""
+    assert node_cap <= FOREST_NODE_LIMIT
+    out = []
+    for n in range(2, 3000):
+        params = AlgebraParams(1, n)
+        for s in range(25):
+            if window_size(params, s) > node_cap:
+                break
+            for n_max in range(1, 40):
+                members = window_size(params, s) * (n ** n_max - 1) // (n - 1)
+                if members * (n_max + s) > node_cap:
+                    break
+                out.append((n, s, n_max))
+    return out
+
+
+def test_entropy_dimensions_match_the_per_member_walk():
+    # a seeded sweep, bounded in time, over the admitted requests of at most
+    # 2^16 forest nodes, taken in turn from each shape: s = 0 or s > 0, one
+    # depth or more
+    strata = {}
+    for n, s, n_max in admitted_requests(1 << 16):
+        strata.setdefault((s > 0, n_max > 1), []).append((n, s, n_max))
+    assert len(strata) == 4
+    rng = random.Random(2828)
+    for group in strata.values():
+        rng.shuffle(group)
+    order = [req for group in zip(*strata.values()) for req in group]
+    deadline = perf_counter() + 3.0
+    done = 0
+    for n, s, n_max in order:
+        params = AlgebraParams(1, n)
+        assert (entropy_estimate(params, s, n_max).dimensions()
+                == ref_forest_dimensions(params, s, n_max)), (n, s, n_max)
+        done += 1
+        if perf_counter() > deadline:
+            break
+    assert done >= 4 * 5
 
 
 def test_entropy_dimensions_frozen():

@@ -7,10 +7,14 @@ from fractions import Fraction
 import pytest
 
 from omnalg.functions import (PiecewiseFunction, dilate, integrate,
-                              negative_point, support_pieces, transfer,
-                              winding)
+                              negative_point, transfer, winding)
 
 F = Fraction
+
+
+def support_pieces(f):
+    """Intervals whose piece is not the zero polynomial."""
+    return [(lo, hi) for (lo, hi), p in zip(f.piece_bounds(), f.pieces) if p]
 
 
 def sawtooth():

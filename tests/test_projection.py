@@ -14,8 +14,7 @@ from time import perf_counter
 
 import pytest
 
-from omnalg.functions import (PiecewiseFunction, dilate, support_pieces,
-                              transfer)
+from omnalg.functions import PiecewiseFunction, dilate, transfer
 from omnalg import projection
 from omnalg.projection import (FuncElement, ProjectionData, _Fn,
                                _first_nonzero_point, _sample,
@@ -24,6 +23,11 @@ from omnalg.projection import (FuncElement, ProjectionData, _Fn,
                                kms_trace, sample_element, verify)
 
 F = Fraction
+
+
+def support_pieces(f):
+    """Intervals whose piece is not the zero polynomial."""
+    return [(lo, hi) for (lo, hi), p in zip(f.piece_bounds(), f.pieces) if p]
 
 IDENTITY_NAMES = {
     "a_split", "b_split", "a_unit_on_support", "b_unit_on_support",

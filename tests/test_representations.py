@@ -245,6 +245,32 @@ def test_relation_residuals_refuses_past_its_limits(m, n, window, needle, limit)
     assert needle in message and str(limit) in message
 
 
+@pytest.mark.parametrize("m, n, window, needle", [
+    (10 ** 4000, 1, (0, 16383), "window 0,16383 at m = <13288-bit integer>, "
+     "n = 1 would run up to 49152 relation checks"),
+    # n^2 + n + 1 checks, and their weight, past str()'s 4 300 digits
+    (1, 10 ** 4000, (0, 0), "at m = 1, n = <13288-bit integer> would run up "
+     "to <26576-bit integer> relation checks on labels of at least 1 bits "
+     "(m^0); at one more per 4096 bits they weigh <26576-bit integer>, more "
+     "than the limit of 1048576"),
+    (3, 2, (10 ** 4000, 10 ** 4000), "window <13288-bit integer>,"
+     "<13288-bit integer> would check up to <26577-bit integer> labels"),
+    (1, 2, (-(10 ** 4000), 0), "got -<13288-bit integer>,0"),
+])
+def test_relation_residuals_refusals_write_long_integers_by_bit_length(
+        m, n, window, needle):
+    message = refused_quickly(relation_residuals, AlgebraParams(m, n), "A",
+                              *window)
+    assert needle in message and len(message) < 300
+
+
+def test_refusal_integers_switch_to_bit_length_past_256_bits():
+    assert representations._int(2 ** 256 - 1) == str(2 ** 256 - 1)
+    assert representations._int(-(2 ** 256) + 1) == str(-(2 ** 256) + 1)
+    assert representations._int(2 ** 256) == "<257-bit integer>"
+    assert representations._int(-(2 ** 256)) == "-<257-bit integer>"
+
+
 @pytest.mark.parametrize("m, n, window, labels", [
     (1, 2, (8191, 0), 16383),  # 16 383 labels by the bound, the most allowed
     (2, 255, (0, 15), 1),  # 1 044 496 checks by the bound
