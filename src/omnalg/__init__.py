@@ -1,9 +1,9 @@
 """Exact workbench for the circle correspondence algebras A(m, n).
 
 Subpackages cover the monomial calculus (`algebra`), shift and solenoid
-representations (`representations`), K-theory (`ktheory`), circle and
-flip symmetries with fixed-point rewriting (`actions`), piecewise
-function models on the interval (`functions`), the finite projection
+representations (`representations`), K-theory (`ktheory`), the rotation
+symmetry with fixed-point rewriting (`actions`), piecewise polynomial
+functions on the circle (`functions`), the finite projection
 construction (`projection`), and growth-rate estimates for the canonical
 endomorphism (`entropy`).  The `omnalg` console script exposes all of it.
 """

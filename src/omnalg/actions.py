@@ -2,10 +2,9 @@
 
 Covers the rotation character that scales the unitary by a root of unity
 of order |n - m| (represented by its integer weight, never by cyclotomic
-coefficients), the flip automorphism z -> z^{-1}, constructive rewriting
-of weight-zero monomials into words over {z^(multiple of |n-m|), S_1,
-S_1*}, and the generator witnesses for the power and z^k subalgebra
-embeddings.
+coefficients), constructive rewriting of weight-zero monomials into words
+over {z^(multiple of |n-m|), S_1, S_1*}, and the generator witnesses for
+the power and z^k subalgebra embeddings.
 """
 
 from __future__ import annotations
@@ -38,31 +37,6 @@ def rotation_weight(params: AlgebraParams, mon: Monomial) -> int:
 
 def is_rotation_fixed(params: AlgebraParams, mon: Monomial) -> bool:
     return rotation_weight(params, mon) == 0
-
-
-# -- flip automorphism -------------------------------------------------
-
-
-def _flip_letter(params: AlgebraParams, i: int) -> Element:
-    """Image of S_i under z -> z^{-1}, S_1 -> S_1, i.e. normalize(z^{-(i-1)} S_1)."""
-    params.check_letter(i)
-    return Element.unitary(params, -(i - 1)) * Element.isometry(params, 1)
-
-
-def inversion_apply(x: Element) -> Element:
-    """The order-two *-automorphism determined by z -> z^{-1}, S_1 -> S_1."""
-    params = x.params
-    out = Element.zero(params)
-    for mon, c in x.items():
-        img = Element.unit(params)
-        for i in mon.mu:
-            img = img * _flip_letter(params, i)
-        img = img * Element.unitary(params, -mon.k)
-        right = Element.unit(params)
-        for j in mon.nu:
-            right = right * _flip_letter(params, j)
-        out = out + (img * right.adjoint()).scaled(c)
-    return out
 
 
 # -- fixed-point rewriting ---------------------------------------------

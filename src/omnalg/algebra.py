@@ -25,7 +25,7 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
-from .exact import QQI_ZERO, QQi, Scalar, frac_str, parse_frac
+from .exact import QQI_ZERO, QQi, Scalar, frac_str, int_str, parse_frac
 
 Word = Tuple[int, ...]
 
@@ -48,9 +48,11 @@ class AlgebraParams:
         if not (isinstance(self.m, int) and isinstance(self.n, int)):
             raise TypeError("m and n must be integers")
         if self.m < 1 or self.n < 1:
-            raise ValueError(f"m, n must be >= 1, got ({self.m}, {self.n})")
+            raise ValueError(f"m, n must be >= 1, got "
+                             f"({int_str(self.m)}, {int_str(self.n)})")
         if gcd(self.m, self.n) != 1:
-            raise ValueError(f"m and n must be coprime, got ({self.m}, {self.n})")
+            raise ValueError(f"m and n must be coprime, got "
+                             f"({int_str(self.m)}, {int_str(self.n)})")
 
     def check_letter(self, i: int) -> None:
         if not 1 <= i <= self.n:
@@ -79,25 +81,18 @@ def all_words(n: int, length: int) -> Iterator[Word]:
     return product(range(1, n + 1), repeat=length)
 
 
-def shift_through(params: AlgebraParams, k: int, j: int) -> Tuple[int, int]:
-    """Commute z^k past a single isometry: z^k S_j = S_{j'} z^{k'}.
-
-    Repeated use of z S_i = S_{i+1} and z S_n = S_1 z^m gives, with
-    floor division toward minus infinity,
-
-        j' = ((j - 1 + k) mod n) + 1
-        k' = m * ((j - 1 + k) // n)
-    """
-    params.check_letter(j)
-    t = j - 1 + k
-    return t % params.n + 1, params.m * (t // params.n)
-
-
 def push_exponent(params: AlgebraParams, k: int, word: Word) -> Tuple[Word, int]:
     """Commute z^k past S_word: z^k S_word = S_{word'} z^{k'}.
 
-    `shift_through` letter by letter, with its closed form and its letter
-    check inlined.
+    Repeated use of z S_i = S_{i+1} and z S_n = S_1 z^m moves z^k past
+    one letter j as z^k S_j = S_{j'} z^{k'} with, by floor division
+    toward minus infinity,
+
+        j' = ((j - 1 + k) mod n) + 1
+        k' = m * ((j - 1 + k) // n)
+
+    and the word is walked letter by letter.  A letter outside 1..n is
+    refused.
     """
     m, n = params.m, params.n
     out = []
@@ -157,10 +152,26 @@ def _expand(params: AlgebraParams,
     """Rewrite each term once by the unit relation sum_d S_d S_d* = 1.
 
     S_mu z^k S_nu* = sum over letters d of S_mu S_j z^k' S_(nu d)*, with
-    (j, k') = shift_through(k, d); each child keeps the term's coefficient.
-    The closed form of `shift_through` is inlined: with t = (d - 1) + k,
-    j = t mod n + 1 and k' = m * floor(t / n).  The letters d and j run
-    over 1..n by construction, so no letter is checked.
+    z^k S_d = S_j z^k' as in `push_exponent`: for t = (d - 1) + k,
+    j = t mod n + 1 and k' = m * floor(t / n).  Each child keeps the
+    term's coefficient.  The letters d and j run over 1..n by
+    construction, so no letter is checked.
+
+    The children make up the refinement forest.  Since
+    t = n k'/m + (j - 1), k' is a multiple of m and k = n k'/m + j - d,
+    so a child (mu j, k', nu d) names its one parent,
+    (mu, n k'/m + j - d, nu); a monomial whose mu or nu is empty, or
+    whose k' is not a multiple of m, is a root.  Two facts follow:
+
+    * the n children of one monomial are pairwise distinct, since each
+      child's nu ends in a different letter d;
+    * children of distinct monomials never meet, since a child names its
+      one parent.
+
+    So a monomial refined by the unit relation to any level is the sum of
+    its descendants at that level, each with the monomial's coefficient,
+    and two monomials' refinements are nested (one lies below the other)
+    or disjoint.
     """
     m, n = params.m, params.n
     letters = [(d,) for d in range(1, n + 1)]
@@ -168,32 +179,6 @@ def _expand(params: AlgebraParams,
         for t, d in enumerate(letters, k):
             q, r = divmod(t, n)
             yield Monomial(mu + letters[r], m * q, nu + d), c
-
-
-def _parent(params: AlgebraParams, mon: Monomial) -> Optional[Monomial]:
-    """The monomial of which `mon` is an `_expand` child; None for a root.
-
-    The child of (mu, k, nu) for the letter d is (mu j, k', nu d) with
-    t = (d - 1) + k = n k'/m + (j - 1), so k' is a multiple of m and
-    k = n k'/m + j - d.  Hence (mu j, k', nu d) has exactly one parent,
-    (mu, n k'/m + j - d, nu), when m divides k', and a monomial whose mu
-    or nu is empty, or whose k' is not a multiple of m, is no child at
-    all.  This is the refinement forest, and two facts follow:
-
-    * the n children of one monomial are pairwise distinct, since each
-      child's nu ends in a different letter d;
-    * children of distinct monomials never meet, since a child gives back
-      its one parent.
-
-    So a monomial refined by the unit relation to any level is the sum of
-    its descendants at that level, each with the monomial's coefficient,
-    and two monomials' refinements are nested (one lies below the other)
-    or disjoint.
-    """
-    mu, k, nu = mon
-    if not mu or not nu or k % params.m:
-        return None
-    return Monomial(mu[:-1], params.n * (k // params.m) + mu[-1] - nu[-1], nu[:-1])
 
 
 class Element:
@@ -365,29 +350,11 @@ class Element:
 
     # -- zero testing ---------------------------------------------------
 
-    def refine_to_level(self, level: int) -> "Element":
-        """Rewrite so every term has |nu| = level, via sum_d S_d S_d* = 1.
-
-        S_mu z^k S_nu* = sum over words d of length (level - |nu|) of
-        S_mu (z^k S_d) (S_nu S_d)*, with z^k pushed through S_d.  Terms are
-        expanded one letter at a time, level by level in |nu|, and merged
-        with the terms already at the next level.
-        """
-        by_length: dict = {}
-        for mon, c in self._terms.items():
-            if len(mon.nu) > level:
-                raise ValueError(f"term already has |nu| > {level}")
-            by_length.setdefault(len(mon.nu), []).append((mon, c))
-        out: dict = {}
-        for length in range(min(by_length, default=level), level + 1):
-            out = _merge(by_length.get(length, ()), _merge(_expand(self.params, out.items())))
-        return Element._merged(self.params, out)
-
     def is_zero(self) -> bool:
         """Exact zero test by refinement along the trie of annihilation words.
 
         A term S_mu z^k S_nu* is rewritten by sum_d S_d S_d* = 1 into the n
-        terms S_mu S_d' z^k' S_(nu d)*, with (d', k') = shift_through(k, d),
+        terms S_mu S_d' z^k' S_(nu d)*, with z^k S_d = S_d' z^k' (`_expand`),
         only while nu is a proper prefix of another term's nu.  Terms are
         expanded one letter at a time, level by level in |nu|, and merged
         after each level.  The element is zero iff nothing survives.
@@ -399,7 +366,7 @@ class Element:
           disjoint annihilation words, so no cancellation can occur
           between terms with different nu.
         * Under one nu, distinct (mu, k) stay distinct under refinement,
-          because children of distinct monomials never meet (`_parent`).
+          because children of distinct monomials never meet (`_expand`).
           They also act by distinct affine maps in the shift
           representation: after scaling by m^|mu| the offset of S_mu z^k
           is a base-n digit expansion whose digits, read mod n with m
@@ -414,10 +381,10 @@ class Element:
         * Conversely, an element whose refinement cancels is a sum of
           instances of the unit relation, hence zero.
 
-        So the verdict is that of `refine_to_level` to the longest nu
-        followed by a test for an empty result, but nothing is padded to
-        the longest nu: the work is bounded by terms x n x (trie nodes)
-        instead of n^level.
+        So the verdict is that of refining every term to the longest nu,
+        each into all its descendants at that level, and testing for an
+        empty sum; but nothing is padded to the longest nu: the work is
+        bounded by terms x n x (trie nodes) instead of n^level.
         """
         if self.params.n == 1:
             raise ValueError(

@@ -56,6 +56,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_arg(text: str) -> int:
+    """The `type=` of every int flag: int(text), or one short refusal.
+
+    argparse would echo a refused value whole, and int() refuses a value
+    past 4 300 digits however valid, so a long value is named by its
+    length; a short one is echoed as argparse echoes it.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        message = (f"invalid int value: {text!r}" if len(text) <= 64
+                   else f"invalid int value of {len(text)} characters")
+        raise argparse.ArgumentTypeError(message) from None
+
+
 def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
@@ -109,9 +124,8 @@ def _cmd_kms(args) -> Tuple[dict, bool, str]:
 
 
 def _cmd_kgroups(args) -> Tuple[dict, bool, str]:
-    if args.m is None or args.n is None:
-        raise UsageError("kgroups needs both --m and --n")
-    report = ktheory.kgroups_by_method(args.m, args.n, args.method)
+    params = _require_params(args)
+    report = ktheory.kgroups_by_method(params.m, params.n, args.method)
     results = {key: value for key, value in report.items() if key != "pass"}
     for key in ("six_term", "pv"):
         if key in results:
@@ -270,12 +284,13 @@ def _cmd_reproduce(args) -> Tuple[dict, bool, str]:
 def _add_common(parser: argparse.ArgumentParser, *, mn: bool = False,
                 seed: bool = False) -> None:
     if mn:
-        parser.add_argument("--m", type=int, default=None,
+        parser.add_argument("--m", type=_int_arg, default=None,
                             help="central twist exponent m")
-        parser.add_argument("--n", type=int, default=None,
+        parser.add_argument("--n", type=_int_arg, default=None,
                             help="number of isometries n")
     if seed:
-        parser.add_argument("--seed", type=int, default=reproduce_mod.DEFAULT_SEED,
+        parser.add_argument("--seed", type=_int_arg,
+                            default=reproduce_mod.DEFAULT_SEED,
                             help="seed for randomized sweeps")
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable run report")
@@ -327,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="K-groups of the circle-flip fixed-point algebra")
     p.add_argument("--m-parity", choices=("odd", "even"), required=True,
                    dest="m_parity")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_int_arg, default=None)
     p.set_defaults(handler=_cmd_kgroups_fixed)
     _add_common(p)
 
@@ -344,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="verify the embedded copies generated by "
                             "(z, S_1^k) or (z^k, S_1)")
     p.add_argument("family", choices=("power", "zk"))
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_arg, required=True)
     _add_common(p, mn=True)
     p.set_defaults(handler=_cmd_subalgebra)
 
@@ -352,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="the projection in the 2x2 matrices over the "
                             "(1, 2) algebra")
     p.add_argument("action", choices=("verify", "trace", "k0class"))
-    p.add_argument("--grid", type=int, default=projection.DEFAULT_GRID,
+    p.add_argument("--grid", type=_int_arg, default=projection.DEFAULT_GRID,
                    help="sampling grid for the numeric squaring check")
     _add_common(p, mn=True)
     p.set_defaults(handler=_cmd_rieffel)
@@ -372,11 +387,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="periodic points of the m-adic solenoid and "
                             "the covariant finite representations")
     p.add_argument("action", choices=("points", "rep"))
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--period", type=int, required=True)
+    p.add_argument("--m", type=_int_arg, default=None)
+    p.add_argument("--period", type=_int_arg, required=True)
     p.add_argument("--phase", default="0",
                    help="corner phase of the shift unitary, as p/q turns")
-    p.add_argument("--residue", type=int, default=None,
+    p.add_argument("--residue", type=_int_arg, default=None,
                    help="periodic point to use (default: smallest)")
     _add_common(p)
     p.set_defaults(handler=_cmd_solenoid)
@@ -384,9 +399,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy",
                        help="dimension growth of iterated images under the "
                             "canonical endomorphism")
-    p.add_argument("--s", type=int, required=True,
+    p.add_argument("--s", type=_int_arg, required=True,
                    help="word-length level of the starting window")
-    p.add_argument("--nmax", type=int, required=True,
+    p.add_argument("--nmax", type=_int_arg, required=True,
                    help="number of iterations")
     _add_common(p, mn=True)
     p.set_defaults(handler=_cmd_entropy)

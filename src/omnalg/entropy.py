@@ -5,7 +5,7 @@ monomial window together with its images under the canonical
 endomorphism, term by term.  Every monomial is refined so all
 annihilation words share one length, at which point distinct triples are
 linearly independent.  A monomial refines to its descendants in the
-refinement forest (`algebra._parent`), each with coefficient 1, so two
+refinement forest (`algebra._expand`), each with coefficient 1, so two
 refinements are nested or disjoint, and a dimension is a count: the
 number of monomials whose refinement keeps a term that no monomial below
 it covers, its private part.  No row is built and nothing is eliminated.
@@ -56,10 +56,10 @@ def monomial_window(params: AlgebraParams, s: int) -> List[Monomial]:
 # `entropy_estimate` refuses a request whose forest node estimate,
 # M (level + 1), passes this limit: the count holds the M members of all
 # depths in `members` and their strict ancestors in `above`, at most
-# `level` per member, since a `_parent` step drops one letter from mu and
-# one from nu.  Each recount walks a node of `above` at most once, from the
-# nearest member above it.  Of the admitted requests with n <= 2 999 and
-# s <= 24, the heaviest, such as (n, s, n_max) = (170, 0, 3), (39, 1, 1)
+# `level` per member, since a step to the parent drops one letter from mu
+# and one from nu.  Each recount walks a node of `above` at most once, from
+# the nearest member above it.  Of the admitted requests with n <= 2 999
+# and s <= 24, the heaviest, such as (n, s, n_max) = (170, 0, 3), (39, 1, 1)
 # and (2, 1, 9), take about 0.3 s and 38-40 MB peak RSS each as `omnalg
 # entropy` in a fresh interpreter, where (2, 0, 1) takes 0.13 s and 18 MB;
 # the count alone takes 0.15-0.18 s (Python 3.11.7, 2 cores, shared host).
@@ -126,7 +126,7 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int) -> EntropyTable:
     m = 1 and n >= 2.
 
     Refined to that level, a member is the sum of its descendants in the
-    refinement forest (`algebra._parent`), each with coefficient 1, and
+    refinement forest (`algebra._expand`), each with coefficient 1, and
     distinct monomials at one level are linearly independent
     (`Element.is_zero`).  So D_N is the rank of the indicators of these
     descendant sets.  Two of them are nested when one member lies below
@@ -142,26 +142,25 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int) -> EntropyTable:
     part, counted again at each depth.
 
     The count is one loop over plain (mu, k, nu) tuples, with the closed
-    forms of `algebra._parent` and `algebra._expand` at m = 1 written into
-    it, as `push_exponent` writes in that of `shift_through`.  Each member
-    of a batch joins `members`, and its strict ancestors join `above`; the
-    climb stops at the first one already there, which brings its own.  A
-    member not in `above` has no member below it and keeps its whole
-    refinement.  Otherwise the walk goes down from its children: a member
-    child is covered; a child in neither set has no member at or below it,
-    so its descendants at the common level are the member's own, and the
-    member is counted; a child in `above` is walked in turn.  A node in
-    `above` lies strictly above a member, hence above the common level, so
-    every node walked lies at or above that level and the walk needs no
-    level of its own.  The batches one depth deeper are tuples too, which
-    hash and compare equal to the window's `Monomial`s.
+    forms of a monomial's parent and children (`algebra._expand`) at m = 1
+    written into it.  Each member of a batch joins `members`, and its strict
+    ancestors join `above`; the climb stops at the first one already there,
+    which brings its own.  A member not in `above` has no member below it
+    and keeps its whole refinement.  Otherwise the walk goes down from its
+    children: a member child is covered; a child in neither set has no
+    member at or below it, so its descendants at the common level are the
+    member's own, and the member is counted; a child in `above` is walked in
+    turn.  A node in `above` lies strictly above a member, hence above the
+    common level, so every node walked lies at or above that level and the
+    walk needs no level of its own.  The batches one depth deeper are tuples
+    too, which hash and compare equal to the window's `Monomial`s.
 
     The window holds W^2 (2n^s + 1) monomials (`window_size`), W = 1 + n
     + ... + n^s, and the batch one depth deeper puts each of n letters in
     front of the mu and nu of each monomial of the last, so the `n_max`
     depths hold M = W^2 (2n^s + 1)(n^n_max - 1)/(n - 1) members.  A member
     at depth N has words of at most s + N - 1 <= level letters, and each
-    `_parent` step drops one letter of each, so it has at most `level`
+    step to the parent drops one letter of each, so it has at most `level`
     strict ancestors, and the count holds at most M (level + 1) forest
     nodes.  An estimate past `FOREST_NODE_LIMIT` raises ValueError before
     the window is built, and otherwise the table has all `n_max` rows.  The
@@ -199,8 +198,8 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int) -> EntropyTable:
     for depth in range(1, n_max + 1):
         for mon in batch:
             members.add(mon)
-            # `_parent` at m = 1; an ancestor already in `above` brings
-            # its own ancestors
+            # the parent of `_expand` at m = 1; an ancestor already in
+            # `above` brings its own ancestors
             mu, k, nu = mon
             while mu and nu:
                 k = n * k + mu[-1] - nu[-1]

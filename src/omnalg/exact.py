@@ -170,6 +170,18 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def int_str(x: int) -> str:
+    """x in decimal, or by its bit length past 256 bits.
+
+    A refusal names the sizes it weighs, and a huge m or n makes them long:
+    str() refuses an int past 4 300 digits, and a shorter one would still
+    fill the error line.
+    """
+    if x.bit_length() <= 256:
+        return str(x)
+    return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit integer>"
+
+
 def parse_frac(text: str) -> Fraction:
     """Parse "p/q" (or a bare integer string) into a Fraction.
 

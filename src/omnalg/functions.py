@@ -2,10 +2,11 @@
 
 Each piece is a polynomial with rational coefficients.  The container
 supports everything the exact projection verification needs: ring
-operations, dilation t -> f(d*t mod 1), the averaging transfer operator,
-exact integration, and winding numbers.  Float evaluation is offered for
-the sampling cross-check in `projection`, which needs square roots and
-phases that leave the class; floats never enter the pieces.
+operations, dilation t -> f(d*t mod 1), exact integration, winding
+numbers and an exact search for a negative value.  Float evaluation on a
+dyadic lattice is offered for the sampling cross-check in `projection`,
+which needs square roots and phases that leave the class; floats never
+enter the pieces.
 
 Pieces are half-open intervals [b_i, b_{i+1}); values at a breakpoint
 follow the left-closed convention.  Polynomials are kept in the global
@@ -144,10 +145,6 @@ class PiecewiseFunction:
         return cls.constant(1)
 
     @classmethod
-    def polynomial(cls, coeffs: Sequence) -> "PiecewiseFunction":
-        return cls((Fraction(0),), (tuple(coeffs),))
-
-    @classmethod
     def indicator(cls, start, end) -> "PiecewiseFunction":
         """Characteristic function of [start, end)."""
         a, b = Fraction(start), Fraction(end)
@@ -208,16 +205,14 @@ class PiecewiseFunction:
         t = Fraction(t) % 1
         return Fraction(_poly_eval(self._piece_at(t), t))
 
-    def evaluate_float(self, t: float) -> float:
-        t = float(t) % 1.0
-        return float(_poly_eval(tuple(map(float, self._piece_at(t))), t))
-
     def evaluate_lattice(self, size: int) -> List[float]:
-        """``evaluate_float`` at k/size for every k < size, size a power of two.
+        """The float value at k/size for every k < size, size a power of two.
 
-        The points k/size are exact floats.  Piece [lo, hi) holds the k with
-        ceil(lo*size) <= k < ceil(hi*size), found in exact arithmetic, so
-        the sweep looks up no point by bisection and gives the same floats.
+        Each piece's coefficients are converted to floats and the piece is
+        evaluated by Horner's rule.  The points k/size are exact floats.
+        Piece [lo, hi) holds the k with ceil(lo*size) <= k < ceil(hi*size),
+        found in exact arithmetic, so the sweep looks up no point by
+        bisection and gives the floats a pointwise lookup would.
         A zero piece evaluates to 0.0 everywhere, so it is written as such.
         """
         if size < 1 or size & (size - 1):
@@ -308,28 +303,6 @@ def dilate(f: PiecewiseFunction, d: int) -> PiecewiseFunction:
             bps.append((lo + j) / d)
             pieces.append(_poly_compose_affine(piece, Fraction(d), Fraction(-j)))
     return PiecewiseFunction._from_normal(bps, pieces)
-
-
-def _pullback_half(f: PiecewiseFunction, shift: int) -> PiecewiseFunction:
-    """t -> f((t + shift)/2) for shift in {0, 1}."""
-    lo_dom = Fraction(shift, 2)
-    hi_dom = Fraction(shift + 1, 2)
-    bps: List[Fraction] = []
-    pieces: List[tuple] = []
-    for (lo, hi), piece in zip(f.piece_bounds(), f.pieces):
-        lo, hi = max(lo, lo_dom), min(hi, hi_dom)
-        if lo >= hi:
-            continue
-        bps.append(2 * lo - shift)
-        pieces.append(_poly_compose_affine(piece, Fraction(1, 2), Fraction(shift, 2)))
-    if not bps or bps[0] != 0:
-        raise AssertionError("pullback lost the origin piece")
-    return PiecewiseFunction(bps, pieces)
-
-
-def transfer(f: PiecewiseFunction) -> PiecewiseFunction:
-    """Averaging over the doubling map: t -> (f(t/2) + f((t+1)/2))/2."""
-    return (_pullback_half(f, 0) + _pullback_half(f, 1)).scale(Fraction(1, 2))
 
 
 def integrate(f: PiecewiseFunction) -> Fraction:

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Tuple
 
+from .algebra import AlgebraParams
 from .exact import reduce_exponent
 
 IntMatrix = List[List[int]]
@@ -234,9 +235,9 @@ def six_term_kgroups(m: int, n: int) -> Tuple[FGAbelianGroup, FGAbelianGroup]:
     on K1(C(T)) = Z, so K0 = coker(1-n) + ker(1-m) and K1 = coker(1-m) +
     ker(1-n).  The splice splits because the kernels are free: each is a
     subgroup of Z, and a subgroup of a free abelian group is free.
+    `AlgebraParams` refuses a pair that is not coprime positive.
     """
-    if m < 1 or n < 1 or gcd(m, n) != 1:
-        raise ValueError(f"need coprime m, n >= 1, got ({m}, {n})")
+    AlgebraParams(m, n)
     ck_n, kr_n = cokernel([[1 - n]]), kernel([[1 - n]])
     ck_m, kr_m = cokernel([[1 - m]]), kernel([[1 - m]])
     return direct_sum(ck_n, kr_m), direct_sum(ck_m, kr_n)
@@ -314,12 +315,12 @@ def pv_dual_action_kgroups(m: int, n: int) -> Tuple[FGAbelianGroup, FGAbelianGro
     Otherwise it is injective, so the kernel is 0, and the cokernel
     Z[1/d]/(d-1) is cyclic of order d-1 with every prime shared with d
     removed: those primes are units of Z[1/d], and Z[1/d]/t = Z/t for t
-    coprime to d.  Must agree with six_term_kgroups.
+    coprime to d.  Must agree with six_term_kgroups.  `AlgebraParams`
+    refuses a pair that is not coprime positive.
     """
     if n < 2:
         raise ValueError("dual-action computation needs n >= 2")
-    if m < 1 or gcd(m, n) != 1:
-        raise ValueError(f"need coprime m, n, got ({m}, {n})")
+    AlgebraParams(m, n)
 
     def coker_ker(d: int) -> Tuple[FGAbelianGroup, FGAbelianGroup]:
         if d == 1:

@@ -39,8 +39,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .algebra import AlgebraParams, Monomial
-from .exact import bounded_power, in_localization
+from .algebra import AlgebraParams
+from .exact import bounded_power, in_localization, int_str
 
 _Label = Tuple[int, int]  # (p, e) standing for p/m^e, normalised
 
@@ -136,55 +136,6 @@ def isometry_image(params: AlgebraParams, j: int, variant: str, q: Fraction) -> 
     return _fraction(m, image)
 
 
-@dataclass(frozen=True)
-class PartialAffineMap:
-    """q -> scale*q + offset, defined where every condition lands in Z[1/m].
-
-    Each condition (s, o) requires s*q + o to be a valid basis label;
-    conditions record the intermediate labels produced while peeling the
-    annihilation word of a monomial.
-    """
-
-    m: int
-    scale: Fraction
-    offset: Fraction
-    conditions: Tuple[Tuple[Fraction, Fraction], ...] = ()
-
-    def defined_at(self, q: Fraction) -> bool:
-        if not in_localization(q, self.m):
-            return False
-        return all(in_localization(s * q + o, self.m) for s, o in self.conditions)
-
-    def apply(self, q: Fraction) -> Optional[Fraction]:
-        if not self.defined_at(q):
-            return None
-        return self.scale * q + self.offset
-
-
-def monomial_affine_map(params: AlgebraParams, mon: Monomial,
-                        variant: str = "A") -> PartialAffineMap:
-    """The partial affine action of S_mu z^k S_nu* on basis labels.
-
-    Right-to-left: invert one isometry per annihilation letter (adding a
-    divisibility condition each time), translate by k, then apply the
-    creation letters innermost-first.
-    """
-    if params.n < 2:
-        raise ValueError("affine-map separation requires n >= 2")
-    r = Fraction(params.n, params.m)
-    scale, offset = Fraction(1), Fraction(0)
-    conditions: List[Tuple[Fraction, Fraction]] = []
-    for j in mon.nu:
-        scale = scale / r
-        offset = (offset - _letter_offset(j, variant)) / r
-        conditions.append((scale, offset))
-    offset += mon.k
-    for j in reversed(mon.mu):
-        scale = r * scale
-        offset = r * offset + _letter_offset(j, variant)
-    return PartialAffineMap(params.m, scale, offset, tuple(conditions))
-
-
 def _window(m: int, num_bound: int, exp_bound: int,
             powers: List[int]) -> List[_Label]:
     """The labels p/m^e, |p| <= num_bound, 0 <= e <= exp_bound, ascending.
@@ -215,18 +166,6 @@ def _checks_per_label(n: int) -> Dict[str, int]:
     return {"shift": n - 1, "wrap": 1, "orthogonality": n * n, "partition": 1}
 
 
-def _int(x: int) -> str:
-    """x in decimal, or by its bit length past 256 bits.
-
-    A refusal names the sizes it weighs, and a huge m or n makes them long:
-    str() refuses an int past 4 300 digits, and a shorter one would still
-    fill the error line.
-    """
-    if x.bit_length() <= 256:
-        return str(x)
-    return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit integer>"
-
-
 def _bound_window(m: int, n: int, num_bound: int, exp_bound: int) -> None:
     """Refuse a window past LABEL_LIMIT labels, CHECK_LIMIT weighed checks
     or POWER_LIMIT bit products to build m^0 .. m^(Q+1).
@@ -236,13 +175,13 @@ def _bound_window(m: int, n: int, num_bound: int, exp_bound: int) -> None:
     estimate leaves the window within the limit, and the table of powers
     that it tops is weighed first.  Every weight is at least the check
     count, so a window past CHECK_LIMIT checks is refused on the estimate.
-    A refusal writes each size by `_int`.
+    A refusal writes each size by `int_str`.
     """
     labels = (2 * num_bound + 1) * (exp_bound + 1 if m > 1 else 1)
-    window = f"window {_int(num_bound)},{_int(exp_bound)}"
+    window = f"window {int_str(num_bound)},{int_str(exp_bound)}"
     if labels > LABEL_LIMIT:
-        raise ValueError(f"{window} would check up to {_int(labels)} labels, "
-                         f"more than the limit of {LABEL_LIMIT}")
+        raise ValueError(f"{window} would check up to {int_str(labels)} "
+                         f"labels, more than the limit of {LABEL_LIMIT}")
     checks = labels * sum(_checks_per_label(n).values())
     top = exp_bound + 1 if m > 1 else 0
     bits = top * (m.bit_length() - 1) + 1
@@ -251,10 +190,10 @@ def _bound_window(m: int, n: int, num_bound: int, exp_bound: int) -> None:
         bits = (m ** top).bit_length()
     weight = checks * (1 + bits // LABEL_BITS)
     if weight > CHECK_LIMIT:
-        raise ValueError(f"{window} at m = {_int(m)}, n = {_int(n)} would run "
-                         f"up to {_int(checks)} relation checks on labels of "
-                         f"at least {bits} bits (m^{top}); at one more "
-                         f"per {LABEL_BITS} bits they weigh {_int(weight)}, "
+        raise ValueError(f"{window} at m = {int_str(m)}, n = {int_str(n)} "
+                         f"would run up to {int_str(checks)} relation checks "
+                         f"on labels of at least {bits} bits (m^{top}); at one more "
+                         f"per {LABEL_BITS} bits they weigh {int_str(weight)}, "
                          f"more than the limit of {CHECK_LIMIT}")
 
 
@@ -282,7 +221,7 @@ def relation_residuals(params: AlgebraParams, variant: str = "A",
     """
     if num_bound < 0 or exp_bound < 0:
         raise ValueError(f"window bounds must be >= 0, got "
-                         f"{_int(num_bound)},{_int(exp_bound)}")
+                         f"{int_str(num_bound)},{int_str(exp_bound)}")
     m, n = params.m, params.n
     _bound_window(m, n, num_bound, exp_bound)
     offsets = [_letter_offset(j, variant) for j in range(1, n + 1)]

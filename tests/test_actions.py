@@ -7,7 +7,6 @@ import pytest
 
 from omnalg.actions import (GENERATOR_LIMIT, GeneratorWord, _solve_residue,
                             fixed_point_rewrite,
-                            inversion_apply,
                             is_rotation_fixed, rotation_modulus,
                             rotation_weight, subalgebra_witness_power,
                             subalgebra_witness_zk)
@@ -45,6 +44,32 @@ def test_is_rotation_fixed_matches_weight():
                        rng.randint(-5, 5),
                        tuple(rng.randint(1, params.n) for _ in range(rng.randint(0, 3))))
         assert is_rotation_fixed(params, mon) == (rotation_weight(params, mon) == 0)
+
+
+def _flip_letter(params, i):
+    """Image of S_i under z -> z^{-1}, S_1 -> S_1, i.e. normalize(z^{-(i-1)} S_1)."""
+    params.check_letter(i)
+    return Element.unitary(params, -(i - 1)) * Element.isometry(params, 1)
+
+
+def inversion_apply(x):
+    """The order-two *-automorphism determined by z -> z^{-1}, S_1 -> S_1.
+
+    The circle-flip K-theory rests on it being a *-automorphism, which the
+    two tests below check on the defining relations and on products.
+    """
+    params = x.params
+    out = Element.zero(params)
+    for mon, c in x.items():
+        img = Element.unit(params)
+        for i in mon.mu:
+            img = img * _flip_letter(params, i)
+        img = img * Element.unitary(params, -mon.k)
+        right = Element.unit(params)
+        for j in mon.nu:
+            right = right * _flip_letter(params, j)
+        out = out + (img * right.adjoint()).scaled(c)
+    return out
 
 
 def test_inversion_fixes_defining_relations():

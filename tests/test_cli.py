@@ -536,6 +536,24 @@ def test_rep_check_refuses_long_integers_in_one_short_line(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, needle", [
+    # the coprime rule, with the 4 001-digit m written by its bit length
+    (["kgroups", "--m", "1" + "0" * 4000, "--n", "2"],
+     "error: m and n must be coprime, got (<13288-bit integer>, 2)"),
+    # int() refuses past 4 300 digits, and the flag is named by its length
+    (["rep", "check", "--m", "1" + "0" * 5000, "--n", "1", "--window", "0,0"],
+     "error: argument --m: invalid int value of 5001 characters"),
+    # a short bad value is still echoed
+    (["rieffel", "verify", "--grid", "x"],
+     "error: argument --grid: invalid int value: 'x'"),
+], ids=["kgroups-huge-m", "int-flag-past-the-digit-limit", "int-flag-short"])
+def test_long_integer_flags_are_refused_in_one_short_line(
+        argv, needle, monkeypatch, capsys):
+    code, out, err = run(argv, monkeypatch, capsys)
+    assert (code, out) == (2, "") and err == needle + "\n"
+    assert len(err.encode()) < 300
+
+
 @pytest.mark.parametrize("nmax", ["14", "20"])
 def test_entropy_refuses_past_the_work_limit_in_a_fresh_process(nmax):
     # both ran past 60 s before the size estimate was checked

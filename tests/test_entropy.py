@@ -8,11 +8,12 @@ from time import perf_counter
 import pytest
 
 from omnalg.algebra import (AlgebraParams, Element, Monomial, _expand,
-                            _parent, all_words, mul_monomials)
+                            all_words, mul_monomials)
 from omnalg.entropy import (FOREST_NODE_LIMIT, _comparable_indices,
                             entropy_estimate, monomial_window, rho_matrix,
                             window_size)
 from omnalg.exact import QQi, bounded_power
+from oracles import padded_refinement, parent
 
 P12 = AlgebraParams(1, 2)
 P13 = AlgebraParams(1, 3)
@@ -101,8 +102,8 @@ def fraction_rank(rows):
 
 def test_entropy_dimensions_are_ranks_of_the_refined_rows():
     # an oracle independent of the forest argument: each depth's members
-    # refined through `Element`, ranked over Q by dense elimination, on a
-    # seeded handful of small admitted requests
+    # refined by `padded_refinement`, ranked over Q by dense elimination,
+    # on a seeded handful of small admitted requests
     candidates = [(n, s, n_max) for n in (2, 3) for s in (0, 1)
                   for n_max in range(1, 5)
                   if window_size(AlgebraParams(1, n), s)
@@ -115,8 +116,8 @@ def test_entropy_dimensions_are_ranks_of_the_refined_rows():
         batch = monomial_window(params, s)
         for _ in range(n_max):
             for mon in batch:
-                refined = Element.monomial(params, mon.mu, mon.k,
-                                           mon.nu).refine_to_level(level)
+                refined = padded_refinement(
+                    Element.monomial(params, mon.mu, mon.k, mon.nu), level)
                 assert all(c.im == 0 for _, c in refined.items())
                 rows.append({term: c.re for term, c in refined.items()})
             ranks.append(fraction_rank(rows))
@@ -131,7 +132,7 @@ def test_entropy_dimensions_are_ranks_of_the_refined_rows():
 def ref_has_private_part(params, member, members, above):
     """Whether a member's refinement keeps a term no member below it covers.
 
-    The walk of `entropy_estimate`, through `_parent` and `_expand` as
+    The walk of `entropy_estimate`, through `parent` and `_expand` as
     written: a member not in `above` keeps its whole refinement; otherwise
     a member child is covered, a child in neither set is the member's own,
     and a child in `above` is walked in turn.
@@ -150,7 +151,7 @@ def ref_has_private_part(params, member, members, above):
 
 
 def ref_forest_dimensions(params, s, n_max):
-    """The growth table's dimensions, one `_parent` call per ancestor step
+    """The growth table's dimensions, one `parent` call per ancestor step
     and one `_expand` per node walked."""
     members, above, dims = set(), set(), []
     batch = monomial_window(params, s)
@@ -160,10 +161,10 @@ def ref_forest_dimensions(params, s, n_max):
                      for mon in batch for i in range(1, params.n + 1)]
         for mon in batch:
             members.add(mon)
-            up = _parent(params, mon)
+            up = parent(params, mon)
             while up is not None and up not in above:
                 above.add(up)
-                up = _parent(params, up)
+                up = parent(params, up)
         dims.append(sum(ref_has_private_part(params, mon, members, above)
                         for mon in members))
     return dims

@@ -14,20 +14,16 @@ from time import perf_counter
 
 import pytest
 
-from omnalg.functions import PiecewiseFunction, dilate, transfer
+from omnalg.functions import PiecewiseFunction, dilate
 from omnalg import projection
 from omnalg.projection import (FuncElement, ProjectionData, _Fn,
                                _first_nonzero_point, _sample,
                                assemble_and_square, build_canonical_data,
                                check_conditions, k0_class,
                                kms_trace, sample_element, verify)
+from oracles import support_pieces, transfer
 
 F = Fraction
-
-
-def support_pieces(f):
-    """Intervals whose piece is not the zero polynomial."""
-    return [(lo, hi) for (lo, hi), p in zip(f.piece_bounds(), f.pieces) if p]
 
 IDENTITY_NAMES = {
     "a_split", "b_split", "a_unit_on_support", "b_unit_on_support",
@@ -112,7 +108,7 @@ def vanishing_at(points):
     """The polynomial prod (t - p) over points, on all of [0, 1)."""
     f = PiecewiseFunction.one()
     for p in points:
-        f = f * PiecewiseFunction.polynomial((-p, F(1)))
+        f = f * PiecewiseFunction([F(0)], [(-p, F(1))])
     return f
 
 
