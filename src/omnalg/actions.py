@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .algebra import AlgebraParams, Element, Monomial
-from .exact import bounded_power, reduce_exponent
+from .exact import bounded_power, int_str, reduce_exponent
 
 
 def rotation_modulus(params: AlgebraParams) -> int:
@@ -33,10 +33,6 @@ def rotation_weight(params: AlgebraParams, mon: Monomial) -> int:
     mod = rotation_modulus(params)
     w = sum(i - 1 for i in mon.mu) + mon.k - sum(j - 1 for j in mon.nu)
     return w % mod
-
-
-def is_rotation_fixed(params: AlgebraParams, mon: Monomial) -> bool:
-    return rotation_weight(params, mon) == 0
 
 
 # -- fixed-point rewriting ---------------------------------------------
@@ -121,37 +117,33 @@ def fixed_point_rewrite(params: AlgebraParams, mon: Monomial) -> GeneratorWord:
 
     Each creation letter S_j is replaced by z^{gamma} S_1 z^{-pm} using
     z^{pn} S_1 = S_1 z^{pm}, with p the least residue making gamma a
-    multiple of |n-m|; the annihilation side mirrors this, and all the
-    stray central powers collect into one middle exponent.
+    multiple of |n-m|; one loop lifts the annihilation word alike, and
+    all the stray central powers collect into one middle exponent.
     """
     mod = rotation_modulus(params)
     w = rotation_weight(params, mon)
     if w != 0:
-        raise ValueError(f"monomial has rotation weight {w}, "
+        raise ValueError(f"monomial has rotation weight {int_str(w)}, "
                          "not in the fixed-point subalgebra")
-    tokens: List[Token] = []
-    p_prev = 0
-    for letter in mon.mu:
-        base = (letter - 1) - p_prev * params.m
-        p = _solve_residue(base, params.n, mod)
-        tokens.append(("z", base + p * params.n))
-        tokens.append(("create",))
-        p_prev = p
-    q_prev = 0
-    deltas: List[int] = []
-    for letter in mon.nu:
-        base = (letter - 1) - q_prev * params.m
-        q = _solve_residue(base, params.n, mod)
-        deltas.append(base + q * params.n)
-        q_prev = q
-    middle = -p_prev * params.m + mon.k + q_prev * params.m
+    lifts = []
+    for word in (mon.mu, mon.nu):
+        gammas, p = [], 0
+        for letter in word:
+            base = (letter - 1) - p * params.m
+            p = _solve_residue(base, params.n, mod)
+            gammas.append(base + p * params.n)
+        lifts.append((gammas, p))
+    (ups, p), (downs, q) = lifts
+    middle = (q - p) * params.m + mon.k
     if middle % mod:
         raise AssertionError(f"middle exponent {middle} escaped {mod}Z "
                              "despite zero weight")
+    tokens: List[Token] = []
+    for gamma in ups:
+        tokens += [("z", gamma), ("create",)]
     tokens.append(("z", middle))
-    for d in reversed(deltas):
-        tokens.append(("annihilate",))
-        tokens.append(("z", -d))
+    for gamma in reversed(downs):
+        tokens += [("annihilate",), ("z", -gamma)]
     return GeneratorWord(params, tuple(tokens))
 
 
@@ -221,7 +213,8 @@ def subalgebra_witness_power(params: AlgebraParams, k: int) -> dict:
     _check_witness_args(params, k)
     count = bounded_power(params.n, k, GENERATOR_LIMIT)
     if count is None:
-        raise ValueError(f"n^k = {params.n}^{k} exceeds size bound {GENERATOR_LIMIT}")
+        raise ValueError(f"n^k = {int_str(params.n)}^{int_str(k)} exceeds size "
+                         f"bound {GENERATOR_LIMIT}")
     s1k = Element.isometry(params, 1) ** k
     gens = [Element.unitary(params, j) * s1k for j in range(count)]
     report = _check_relations(params, Element.unitary(params, 1),
@@ -243,7 +236,8 @@ def subalgebra_witness_zk(params: AlgebraParams, k: int) -> dict:
     _check_witness_args(params, k)
     n = params.n
     if n > GENERATOR_LIMIT:
-        raise ValueError(f"n = {n} exceeds size bound {GENERATOR_LIMIT}")
+        raise ValueError(f"n = {int_str(n)} exceeds size bound "
+                         f"{GENERATOR_LIMIT}")
     reduced = reduce_exponent(k, n)
     ltable = [((q - 1) * reduced) % n for q in range(1, n + 1)]
     ptable = [((q - 1) * reduced) // n for q in range(1, n + 1)]

@@ -56,7 +56,8 @@ class AlgebraParams:
 
     def check_letter(self, i: int) -> None:
         if not 1 <= i <= self.n:
-            raise ValueError(f"isometry index {i} outside 1..{self.n}")
+            raise ValueError(f"isometry index {int_str(i)} outside "
+                             f"1..{int_str(self.n)}")
 
     def check_word(self, word: Iterable[int]) -> Word:
         w = tuple(word)
@@ -98,7 +99,8 @@ def push_exponent(params: AlgebraParams, k: int, word: Word) -> Tuple[Word, int]
     out = []
     for j in word:
         if not 1 <= j <= n:
-            raise ValueError(f"isometry index {j} outside 1..{n}")
+            raise ValueError(f"isometry index {int_str(j)} outside "
+                             f"1..{int_str(n)}")
         k, r = divmod(j - 1 + k, n)
         out.append(r + 1)
         k *= m

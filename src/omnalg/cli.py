@@ -157,7 +157,7 @@ def _cmd_fixed_point(args) -> Tuple[dict, bool, str]:
     modulus = actions.rotation_modulus(params)
     weight = actions.rotation_weight(params, mon)
     if args.action == "test":
-        fixed = actions.is_rotation_fixed(params, mon)
+        fixed = weight == 0
         results = {"weight": weight, "modulus": modulus, "fixed": fixed}
         return results, fixed, _compact(results)
     word = actions.fixed_point_rewrite(params, mon)
@@ -377,7 +377,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "representation, checked on a label window")
     p.add_argument("action", choices=("check",))
     p.add_argument("--variant", choices=("A", "B"), default="A")
-    p.add_argument("--window", default="256,4",
+    p.add_argument("--window",
+                   default=",".join(map(str, representations.DEFAULT_WINDOW)),
                    help="label window as P,Q: numerators |p| <= P, "
                         "denominator exponents <= Q")
     _add_common(p, mn=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebra import AlgebraParams, Element, Monomial, all_words
-from .exact import QQi, bounded_power
+from .exact import QQi, bounded_power, int_str
 
 Word = Tuple[int, ...]
 
@@ -181,7 +181,7 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int) -> EntropyTable:
     if bounded_power(n, level, FOREST_NODE_LIMIT) is None:
         raise ValueError(f"forest node estimate exceeds the limit "
                          f"{FOREST_NODE_LIMIT}: it is more than n^level = "
-                         f"{n}^{level}")
+                         f"{int_str(n)}^{int_str(level)}")
     # n^s and n^(n_max - 1) are at most n^level, so these sizes are small
     total = window_size(params, s) * (n ** n_max - 1) // (n - 1)
     nodes = total * (level + 1)
@@ -191,7 +191,9 @@ def entropy_estimate(params: AlgebraParams, s: int, n_max: int) -> EntropyTable:
                          f"{FOREST_NODE_LIMIT}")
     members: set = set()
     above: set = set()
-    letters = [(d,) for d in range(1, n + 1)]
+    # no word has a letter at level 0; at level >= 1, n <= n^level passed
+    # the check above, so this table is small
+    letters = [(d,) for d in range(1, n + 1)] if level else []
     rows: List[EntropyRow] = []
     batch = monomial_window(params, s)
     prev_dim: Optional[int] = None

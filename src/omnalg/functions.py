@@ -2,8 +2,9 @@
 
 Each piece is a polynomial with rational coefficients.  The container
 supports everything the exact projection verification needs: ring
-operations, dilation t -> f(d*t mod 1), exact integration, winding
-numbers and an exact search for a negative value.  Float evaluation on a
+operations on pairs of functions, scaling by a rational, dilation
+t -> f(d*t mod 1), exact integration, winding numbers and an exact
+search for a negative value.  Float evaluation on a
 dyadic lattice is offered for the sampling cross-check in `projection`,
 which needs square roots and phases that leave the class; floats never
 enter the pieces.
@@ -256,31 +257,19 @@ class PiecewiseFunction:
         return PiecewiseFunction._from_normal(bps, pieces)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PiecewiseFunction.constant(other)
         if not isinstance(other, PiecewiseFunction):
             return NotImplemented
         return self._zip_with(other, _poly_add)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self.scale(-1)
-
     def __sub__(self, other):
-        if isinstance(other, PiecewiseFunction):
-            return self + other.scale(-1)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        if not isinstance(other, PiecewiseFunction):
+            return NotImplemented
+        return self + other.scale(-1)
 
     def __mul__(self, other):
-        if isinstance(other, PiecewiseFunction):
-            return self._zip_with(other, _poly_mul)
-        return self.scale(other)
-
-    __rmul__ = __mul__
+        if not isinstance(other, PiecewiseFunction):
+            return NotImplemented
+        return self._zip_with(other, _poly_mul)
 
     def scale(self, s) -> "PiecewiseFunction":
         if isinstance(s, (float, complex)):

@@ -1,10 +1,11 @@
 """K-group computations via exact integer linear algebra.
 
-Provides a hand-rolled Smith normal form over Z, cokernel/kernel
-extraction, the six-term splice for the algebra A(m, n), the fixed-point
-algebra of the flip symmetry (both parities of m, with the even-parity
-discrepancy surfaced rather than silenced), and the Pimsner-Voiculescu
-recomputation over localized integers Z[1/d].
+Provides a hand-rolled Smith normal form over Z, with the cokernel,
+kernel and class orders read off one reduction, the six-term splice for
+the algebra A(m, n), the fixed-point algebra of the flip symmetry (both
+parities of m, with the even-parity discrepancy surfaced rather than
+silenced), and the Pimsner-Voiculescu recomputation over localized
+integers Z[1/d].
 """
 
 from __future__ import annotations
@@ -171,6 +172,44 @@ class FGAbelianGroup:
 TRIVIAL_GROUP = FGAbelianGroup()
 
 
+@dataclass(frozen=True)
+class SmithReduction:
+    """One Smith normal form U*mat*V = D of mat: Z^cols -> Z^rows, read out.
+
+    ``diag`` holds D[i][i] for every row i, 0 past the last column: the
+    cokernel is the sum of the Z/d_i, and U carries Z^rows onto them.
+    """
+
+    u: IntMatrix
+    diag: Tuple[int, ...]
+    cols: int
+
+    @classmethod
+    def of(cls, mat: IntMatrix) -> "SmithReduction":
+        cols = len(mat[0]) if mat else 0
+        u, d, _ = smith_normal_form(mat)
+        return cls(u, tuple(d[i][i] if i < cols else 0 for i in range(len(mat))),
+                   cols)
+
+    def cokernel(self) -> FGAbelianGroup:
+        return FGAbelianGroup(self.diag.count(0), tuple(x for x in self.diag if x > 1))
+
+    def kernel(self) -> FGAbelianGroup:
+        """Always free, of rank cols - rank(mat)."""
+        return FGAbelianGroup(self.cols - len(self.diag) + self.diag.count(0), ())
+
+    def class_order(self, v: List[int]) -> Optional[int]:
+        """Order of v + im(mat) in the cokernel; None when infinite."""
+        order = 1
+        for di, yi in zip(self.diag, mat_vec(self.u, v)):
+            if di == 0:
+                if yi != 0:
+                    return None
+            elif yi % di:
+                order = lcm(order, di // gcd(di, yi % di))
+        return order
+
+
 def invariant_factors(cyclic_orders: List[int]) -> Tuple[int, ...]:
     """Rewrite a direct sum of cyclic groups as a divisibility chain.
 
@@ -180,52 +219,12 @@ def invariant_factors(cyclic_orders: List[int]) -> Tuple[int, ...]:
     orders = [t for t in cyclic_orders if t > 1]
     diag = [[t if i == j else 0 for j in range(len(orders))]
             for i, t in enumerate(orders)]
-    return cokernel(diag).torsion
+    return SmithReduction.of(diag).cokernel().torsion
 
 
 def direct_sum(a: FGAbelianGroup, b: FGAbelianGroup) -> FGAbelianGroup:
     return FGAbelianGroup(a.free_rank + b.free_rank,
                           invariant_factors(list(a.torsion) + list(b.torsion)))
-
-
-def _diagonal_entries(d: IntMatrix) -> List[int]:
-    rows = len(d)
-    cols = len(d[0]) if rows else 0
-    return [d[i][i] for i in range(min(rows, cols))]
-
-
-def cokernel(mat: IntMatrix) -> FGAbelianGroup:
-    """Z^rows / column span of mat."""
-    rows = len(mat)
-    _, d, _ = smith_normal_form(mat)
-    diag = _diagonal_entries(d)
-    rank = sum(1 for x in diag if x)
-    return FGAbelianGroup(rows - rank, tuple(x for x in diag if x > 1))
-
-
-def kernel(mat: IntMatrix) -> FGAbelianGroup:
-    """Kernel of the map Z^cols -> Z^rows; always free."""
-    cols = len(mat[0]) if mat else 0
-    _, d, _ = smith_normal_form(mat)
-    rank = sum(1 for x in _diagonal_entries(d) if x)
-    return FGAbelianGroup(cols - rank, ())
-
-
-def class_order(mat: IntMatrix, v: List[int]) -> Optional[int]:
-    """Order of v + im(mat) in the cokernel; None when infinite."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    u, d, _ = smith_normal_form(mat)
-    y = mat_vec(u, v)
-    order = 1
-    for i in range(rows):
-        di = d[i][i] if i < cols else 0
-        if di == 0:
-            if y[i] != 0:
-                return None
-        elif y[i] % di:
-            order = lcm(order, di // gcd(di, y[i] % di))
-    return order
 
 
 def six_term_kgroups(m: int, n: int) -> Tuple[FGAbelianGroup, FGAbelianGroup]:
@@ -238,9 +237,9 @@ def six_term_kgroups(m: int, n: int) -> Tuple[FGAbelianGroup, FGAbelianGroup]:
     `AlgebraParams` refuses a pair that is not coprime positive.
     """
     AlgebraParams(m, n)
-    ck_n, kr_n = cokernel([[1 - n]]), kernel([[1 - n]])
-    ck_m, kr_m = cokernel([[1 - m]]), kernel([[1 - m]])
-    return direct_sum(ck_n, kr_m), direct_sum(ck_m, kr_n)
+    by_n, by_m = SmithReduction.of([[1 - n]]), SmithReduction.of([[1 - m]])
+    return (direct_sum(by_n.cokernel(), by_m.kernel()),
+            direct_sum(by_m.cokernel(), by_n.kernel()))
 
 
 def flip_fixed_matrix(m_parity: str, n: int) -> IntMatrix:
@@ -266,17 +265,18 @@ def flip_fixed_matrix(m_parity: str, n: int) -> IntMatrix:
 def symmetry_fixed_kgroups(m_parity: str, n: int) -> dict:
     """K-groups of the fixed-point algebra of the flip z -> z^{-1}.
 
-    Computes coker/ker of I - Y by Smith normal form and compares against
-    the published values; for even parity the computed K0 genuinely
-    disagrees with the published single Z_{n-1}, and the report carries
-    both answers plus an explicit flag instead of hiding either.  That is
-    reported data, not a failure: ``pass`` needs K1 to agree either way.
+    Reads coker/ker of I - Y and the class orders off one Smith normal
+    form and compares them against the published values; for even parity
+    the computed K0 genuinely disagrees with the published single
+    Z_{n-1}, and the report carries both answers plus an explicit flag
+    instead of hiding either.  That is reported data, not a failure:
+    ``pass`` needs K1 to agree either way.
     """
     y = flip_fixed_matrix(m_parity, n)
     mat = [[int(i == j) - y[i][j] for j in range(3)] for i in range(3)]
-    k0 = cokernel(mat)
-    k1 = kernel(mat)
-    orders = {f"e{i}": class_order(mat, [int(j == i) for j in range(3)])
+    smith = SmithReduction.of(mat)
+    k0, k1 = smith.cokernel(), smith.kernel()
+    orders = {f"e{i}": smith.class_order([int(j == i) for j in range(3)])
               for i in range(3)}
     unit_order = orders["e0"]
     if m_parity == "odd":

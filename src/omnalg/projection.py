@@ -54,9 +54,9 @@ import re
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import frac_str
+from .exact import frac_str, int_str
 from .functions import (PiecewiseFunction, dilate, integrate, negative_point,
                         winding)
 
@@ -427,19 +427,6 @@ class FETerm:
     right: _Fn
 
 
-# the classes by name: typing caches every Union it builds, and a Union
-# holding the classes would keep each imported copy of omnalg alive
-FnLike = Union["_Fn", "PiecewiseFunction", int, float, complex]
-
-
-def _as_fn(f: FnLike) -> _Fn:
-    if isinstance(f, _Fn):
-        return f
-    if isinstance(f, PiecewiseFunction):
-        return _Fn.from_exact(f)
-    return _Fn.const(f)
-
-
 class FuncElement:
     """Finite sum of sandwich terms over the two-isometry algebra."""
 
@@ -449,17 +436,17 @@ class FuncElement:
         self.terms = tuple(terms)
 
     @classmethod
-    def sandwich(cls, mu: Sequence[int], f: FnLike, nu: Sequence[int]) -> "FuncElement":
+    def sandwich(cls, mu: Sequence[int], f: _Fn, nu: Sequence[int]) -> "FuncElement":
         """S_mu f S_nu*; the middle function is pushed left through S_mu."""
         mu, nu = tuple(mu), tuple(nu)
         if not all(x in (1, 2) for x in mu + nu):
             raise ValueError("letters must be 1 or 2")
-        left = _as_fn(f).dilated(2 ** len(mu))
+        left = f.dilated(2 ** len(mu))
         return cls((FETerm(left, mu, nu, _Fn.const(1.0)),))
 
     @classmethod
-    def function(cls, f: FnLike) -> "FuncElement":
-        return cls((FETerm(_as_fn(f), (), (), _Fn.const(1.0)),))
+    def function(cls, f: _Fn) -> "FuncElement":
+        return cls((FETerm(f, (), (), _Fn.const(1.0)),))
 
     def __add__(self, other: "FuncElement") -> "FuncElement":
         return FuncElement(self.terms + other.terms)
@@ -692,7 +679,7 @@ def verify(data: ProjectionData, grid: int = DEFAULT_GRID) -> dict:
     past GRID_LIMIT, or not a power of two, is refused before any work.
     """
     if grid > GRID_LIMIT:
-        raise ValueError(f"grid {grid} is more than the limit of {GRID_LIMIT}")
+        raise ValueError(f"grid {int_str(grid)} is more than the limit of {GRID_LIMIT}")
     _check_grid(grid)
     conditions = check_conditions(data)
     square = assemble_and_square(data, grid=grid)

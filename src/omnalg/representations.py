@@ -44,6 +44,9 @@ from .exact import bounded_power, in_localization, int_str
 
 _Label = Tuple[int, int]  # (p, e) standing for p/m^e, normalised
 
+# the window P,Q of `rep check` and criterion 6: |p| <= P, e <= Q
+DEFAULT_WINDOW = (256, 4)
+
 # relation_residuals checks at most (2P+1)(Q+1) labels on the window P,Q
 # (2P+1 when m = 1); in fact fewer, since p/m^e with m | p and e >= 1 is
 # a label at e - 1: at (3, 5) the default 256,4 has 1 881, not 2 565
@@ -64,9 +67,9 @@ LABEL_BITS = 4096
 # 2 cores)
 POWER_LIMIT = 1 << 37
 # `solenoid_orbits` visits every residue mod m^k - 1 once; at this limit
-# `solenoid_orbits(2, 16)` takes about 0.012 s and
+# `solenoid_orbits(2, 16)` takes about 0.017 s and
 # `solenoid_periodic_points(2, 16)`, whose points each walk their orbit
-# again to check their period, about 0.26-0.46 s (best of 3, Python
+# again to check their period, about 0.19-0.46 s (best of 3 and 5, Python
 # 3.11.7, 2 cores, shared host)
 RESIDUE_LIMIT = 1 << 16
 
@@ -208,7 +211,8 @@ def _bound_powers(m: int, top: int, window: str) -> None:
 
 
 def relation_residuals(params: AlgebraParams, variant: str = "A",
-                       num_bound: int = 256, exp_bound: int = 4) -> dict:
+                       num_bound: int = DEFAULT_WINDOW[0],
+                       exp_bound: int = DEFAULT_WINDOW[1]) -> dict:
     """Check every defining relation on a finite label window, exactly.
 
     The window is grown adaptively: any label produced as an image is
@@ -323,10 +327,7 @@ class SolenoidPeriodicPoint:
         mod = self.modulus
         if not 0 <= self.residue < mod:
             raise ValueError("residue out of range")
-        # the walk of `coordinates` comes back to r after r's exact period
-        # (see `solenoid_orbits`), so r shows again before step k unless
-        # that period is k
-        if self.residue in self.coordinates()[1:]:
+        if len(self.coordinates()) != self.period:
             raise ValueError(f"residue {self.residue} does not have exact period "
                              f"{self.period} mod {mod}")
 
@@ -336,47 +337,49 @@ class SolenoidPeriodicPoint:
 
     def coordinates(self) -> List[int]:
         mod = self.modulus
-        step = pow(self.m, self.period - 1, mod)
-        c, out = self.residue % mod, []
-        for _ in range(self.period):
-            out.append(c)
-            c = (c * step) % mod
-        return out
+        return _orbit(self.residue, pow(self.m, self.period - 1, mod), mod)
+
+
+def _orbit(r: int, step: int, mod: int) -> List[int]:
+    """r, r step, r step^2, ... mod `mod`, up to where the walk is back at r.
+
+    Called with step = m^(k-1), mod = m^k - 1: as m^k = 1 mod m^k - 1,
+    step is the inverse of m there, so r -> r step permutes the residues,
+    the walk closes, and its length is r's exact period, a divisor of k.
+    """
+    orbit, c = [r], r * step % mod
+    while c != r:
+        orbit.append(c)
+        c = c * step % mod
+    return orbit
 
 
 def solenoid_orbits(m: int, k: int) -> List[List[int]]:
     """Exact-period-k residues grouped into backward-shift orbits.
 
-    The residues mod m^k - 1 are walked once in ascending order, and each
-    one not yet visited has its orbit under r -> r m^(k-1) walked.  As
-    m^k = 1 mod m^k - 1, m^(k-1) is the inverse of m there, so that map
-    permutes the residues, the walk closes where it began, and the
-    orbit's length is the residue's exact period; it is kept when that
-    is k.  So every orbit starts at its least residue, and the orbits
-    come in ascending order of their starts.  m^k is built by
-    `bounded_power`: past RESIDUE_LIMIT within 17 factors.
+    The residues mod m^k - 1 are walked once in ascending order, and the
+    `_orbit` of each one not yet visited is kept when its length is k.  So
+    every orbit starts at its least residue, and the orbits come in
+    ascending order of their starts.  m^k is built by `bounded_power`:
+    past RESIDUE_LIMIT within 17 factors.
     """
     if m < 2 or k < 1:
         raise ValueError("need m >= 2 and k >= 1")
     if bounded_power(m, k, RESIDUE_LIMIT + 1) is None:
-        raise ValueError(f"period {k} at m = {m} would enumerate m^k - 1 = "
-                         f"{m}^{k} - 1 residues, more than the limit of "
-                         f"{RESIDUE_LIMIT}")
+        raise ValueError(f"period {int_str(k)} at m = {int_str(m)} would "
+                         f"enumerate m^k - 1 = {int_str(m)}^{int_str(k)} - 1 "
+                         f"residues, more than the limit of {RESIDUE_LIMIT}")
     mod = m ** k - 1
     step = pow(m, k - 1, mod)
     visited = bytearray(mod)
     orbits = []
     for r in range(mod):
-        if visited[r]:
-            continue
-        orbit = []
-        c = r
-        while not visited[c]:
-            orbit.append(c)
-            visited[c] = 1
-            c = c * step % mod
-        if len(orbit) == k:
-            orbits.append(orbit)
+        if not visited[r]:
+            orbit = _orbit(r, step, mod)
+            for c in orbit:
+                visited[c] = 1
+            if len(orbit) == k:
+                orbits.append(orbit)
     return orbits
 
 

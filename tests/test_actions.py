@@ -6,8 +6,7 @@ import random
 import pytest
 
 from omnalg.actions import (GENERATOR_LIMIT, GeneratorWord, _solve_residue,
-                            fixed_point_rewrite,
-                            is_rotation_fixed, rotation_modulus,
+                            fixed_point_rewrite, rotation_modulus,
                             rotation_weight, subalgebra_witness_power,
                             subalgebra_witness_zk)
 from omnalg.algebra import AlgebraParams, Element, Monomial
@@ -37,13 +36,19 @@ def test_rotation_weight_examples():
 
 
 def test_is_rotation_fixed_matches_weight():
+    # a monomial is in the fixed-point subalgebra iff its weight is 0, and
+    # the rewrite accepts exactly those
     rng = random.Random(53)
     for _ in range(100):
         params = (P13, P25, P35)[rng.randrange(3)]
         mon = Monomial(tuple(rng.randint(1, params.n) for _ in range(rng.randint(0, 3))),
                        rng.randint(-5, 5),
                        tuple(rng.randint(1, params.n) for _ in range(rng.randint(0, 3))))
-        assert is_rotation_fixed(params, mon) == (rotation_weight(params, mon) == 0)
+        if rotation_weight(params, mon) == 0:
+            assert fixed_point_rewrite(params, mon).represents(mon)
+        else:
+            with pytest.raises(ValueError, match="rotation weight"):
+                fixed_point_rewrite(params, mon)
 
 
 def _flip_letter(params, i):
@@ -143,7 +148,7 @@ def test_fixed_point_rewrite_round_trip_sweep():
             k = rng.randint(-6, 6)
             w = rotation_weight(params, Monomial(mu, k, nu))
             mon = Monomial(mu, k - w + mod * rng.randint(0, 1), nu)
-            assert is_rotation_fixed(params, mon)
+            assert rotation_weight(params, mon) == 0
             word = fixed_point_rewrite(params, mon)
             assert all(e % mod == 0 for e in word.exponents())
             assert (word.to_element()

@@ -554,6 +554,65 @@ def test_long_integer_flags_are_refused_in_one_short_line(
     assert len(err.encode()) < 300
 
 
+HUGE = str(10 ** 4000)  # 4 001 digits, within int()'s 4 300
+
+
+@pytest.mark.parametrize("argv, stdin, needle", [
+    (["subalgebra", "power", "--m", "1", "--n", "2", "--k", HUGE], "",
+     "n^k = 2^<13288-bit integer> exceeds size bound 81"),
+    (["subalgebra", "zk", "--m", "1", "--n", HUGE, "--k", "1"], "",
+     "n = <13288-bit integer> exceeds size bound 81"),
+    (["entropy", "--m", "1", "--n", "2", "--s", HUGE, "--nmax", "1"], "",
+     "n^level = 2^<13288-bit integer>"),
+    (["entropy", "--m", "1", "--n", "2", "--s", "0", "--nmax", HUGE], "",
+     "n^level = 2^<13288-bit integer>"),
+    (["solenoid", "points", "--m", HUGE, "--period", "1"], "",
+     "m^k - 1 = <13288-bit integer>^1 - 1 residues"),
+    (["solenoid", "points", "--m", "2", "--period", HUGE], "",
+     "m^k - 1 = 2^<13288-bit integer> - 1 residues"),
+    (["rieffel", "verify", "--grid", HUGE], "",
+     "grid <13288-bit integer> is more than the limit"),
+    (["reproduce", "--criteria", "1," + HUGE], "",
+     "criteria run from 1 to 9, not [<13288-bit integer>]"),
+    (["normalize", "--m", "1", "--n", "2"],
+     '[{"mu": [%s], "k": 0, "nu": []}]' % HUGE,
+     "isometry index <13288-bit integer> outside 1..2"),
+    (["fixed-point", "rewrite", "--m", "1", "--n", str(10 ** 4000 + 1),
+      "--monomial", '{"mu": [], "k": %d, "nu": []}' % (10 ** 4000 - 1)], "",
+     "rotation weight <13288-bit integer>, not in the fixed-point subalgebra"),
+], ids=["subalgebra-power-k", "subalgebra-zk-n", "entropy-s", "entropy-nmax",
+        "solenoid-m", "solenoid-period", "rieffel-grid", "reproduce-criteria",
+        "normalize-letter", "fixed-point-weight"])
+def test_every_refusal_writes_long_integers_by_bit_length(
+        argv, stdin, needle, monkeypatch, capsys):
+    # each wrote its 4 001-digit integer in full, a 4-8 KB error line
+    code, out, err = run(argv, monkeypatch, capsys, stdin=stdin)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err and len(err.encode()) < 300
+    assert "Traceback" not in err
+
+
+def test_entropy_at_level_zero_answers_a_huge_n_in_a_small_fresh_process():
+    # level 0 reads no letter, so no table of n letters is built: it took
+    # 185 MB at n = 2 * 10^6 and ran out of memory at 10^8
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(omnalg.__file__))
+    start = perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "omnalg.cli", "entropy",
+                           "--m", "1", "--n", str(10 ** 8), "--s", "0",
+                           "--nmax", "1"], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src},
+                          preexec_fn=limit_memory)
+    assert perf_counter() - start < 5.0
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines()[1].split()[:2] == ["1", "3"]
+
+
 @pytest.mark.parametrize("nmax", ["14", "20"])
 def test_entropy_refuses_past_the_work_limit_in_a_fresh_process(nmax):
     # both ran past 60 s before the size estimate was checked

@@ -87,7 +87,7 @@ def test_pointwise_arithmetic():
             assert s.evaluate(t) == f.evaluate(t) + g.evaluate(t)
             assert p.evaluate(t) == f.evaluate(t) * g.evaluate(t)
             assert d.evaluate(t) == f.evaluate(t) - g.evaluate(t)
-        assert (F(3) * f).evaluate(F(1, 3)) == 3 * f.evaluate(F(1, 3))
+        assert f.scale(F(3)).evaluate(F(1, 3)) == 3 * f.evaluate(F(1, 3))
         # the float path the projection sampler uses; piece midpoints, since
         # float rounding at a breakpoint may select the neighbouring piece
         for h in (f, s, p):
@@ -96,6 +96,11 @@ def test_pointwise_arithmetic():
                 assert abs(evaluate_float(h, t) - float(h.evaluate(t))) <= 1e-12
     with pytest.raises(ValueError):
         sawtooth().scale(0.5)  # floats stay out of the pieces
+    # a number is not a function: `scale` is the one scalar entry
+    for op in (lambda f: F(3) * f, lambda f: f * 3, lambda f: f + 1,
+               lambda f: 1 - f, lambda f: f - F(1, 2), lambda f: -f):
+        with pytest.raises(TypeError):
+            op(sawtooth())
 
 
 # -- ring operations against a bisecting reference --------------------------

@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from omnalg.ktheory import (FGAbelianGroup, class_order, cokernel, direct_sum,
-                            identity_matrix, invariant_factors, kernel,
+import omnalg.ktheory as ktheory
+from omnalg import reproduce
+from omnalg.ktheory import (FGAbelianGroup, SmithReduction, direct_sum,
+                            identity_matrix, invariant_factors,
                             kgroups_by_method, mat_mul, pv_dual_action_kgroups,
                             rational_inverse, six_term_kgroups,
                             smith_normal_form, symmetry_fixed_kgroups)
@@ -127,6 +129,18 @@ def test_fg_group_basics():
     assert s == FGAbelianGroup(1, (6,))
 
 
+def cokernel(mat):
+    return SmithReduction.of(mat).cokernel()
+
+
+def kernel(mat):
+    return SmithReduction.of(mat).kernel()
+
+
+def class_order(mat, v):
+    return SmithReduction.of(mat).class_order(v)
+
+
 def test_cokernel_kernel_examples():
     assert cokernel([[2]]) == FGAbelianGroup(0, (2,))
     assert cokernel([[0]]) == FGAbelianGroup(1, ())
@@ -135,6 +149,11 @@ def test_cokernel_kernel_examples():
     assert kernel([[2]]) == FGAbelianGroup(0, ())
     assert kernel([[0]]) == FGAbelianGroup(1, ())
     assert kernel([[1, 1], [1, 1]]) == FGAbelianGroup(1, ())
+    # more columns than rows, and more rows than columns
+    assert cokernel([[2, 4]]) == FGAbelianGroup(0, (2,))
+    assert kernel([[2, 4]]) == FGAbelianGroup(1, ())
+    assert cokernel([[2], [4]]) == FGAbelianGroup(1, (2,))
+    assert kernel([[2], [4]]) == FGAbelianGroup(0, ())
 
 
 def test_class_order_examples():
@@ -143,6 +162,30 @@ def test_class_order_examples():
     assert class_order([[0]], [1]) is None
     assert class_order([[2, 0], [0, 3]], [1, 1]) == 6
     assert class_order([[2, 0], [0, 3]], [0, 1]) == 3
+    # a row past the last column is a free Z summand
+    assert class_order([[2], [4]], [1, 0]) is None
+    assert class_order([[2], [4]], [1, 2]) == 2
+
+
+@pytest.mark.parametrize("call, reductions", [
+    (lambda: symmetry_fixed_kgroups("even", 4), 2),
+    (lambda: symmetry_fixed_kgroups("odd", 7), 2),
+    (lambda: six_term_kgroups(3, 5), 4),
+    (lambda: reproduce.criterion_5(), 54),
+], ids=["flip-even", "flip-odd", "six-term", "criterion-5"])
+def test_each_matrix_is_reduced_once(call, reductions, monkeypatch):
+    # one Smith reduction per matrix: a flip report reduces I - Y and the
+    # reference's diagonal, the six-term splice its two 1 x 1 maps and two
+    # direct sums, and criterion 5 its 18 reports plus its own U*M*V check
+    calls = []
+
+    def counted(mat):
+        calls.append(mat)
+        return smith_normal_form(mat)
+
+    monkeypatch.setattr(ktheory, "smith_normal_form", counted)
+    call()
+    assert len(calls) == reductions
 
 
 def test_six_term_tables():

@@ -91,7 +91,7 @@ def test_check_conditions_passes():
 
 def test_check_conditions_detects_broken_bump():
     d = build_canonical_data()
-    bad_a0 = d.a0 + F(1, 4) * PiecewiseFunction.indicator(F(0), F(1, 8))
+    bad_a0 = d.a0 + PiecewiseFunction.indicator(F(0), F(1, 8)).scale(F(1, 4))
     report = check_conditions(ProjectionData(bad_a0, d.b0, d.a1sq, d.b1sq,
                                              d.delta1, d.delta2))
     assert not report["pass"]
@@ -135,7 +135,7 @@ def test_check_conditions_detects_a_degree_eight_failure():
 
 def test_check_conditions_detects_negative_square():
     d = build_canonical_data()
-    bad = d.a1sq - F(1, 2) * PiecewiseFunction.indicator(F(0), F(1, 8))
+    bad = d.a1sq - PiecewiseFunction.indicator(F(0), F(1, 8)).scale(F(1, 2))
     report = check_conditions(ProjectionData(d.a0, d.b0, bad, d.b1sq,
                                              d.delta1, d.delta2))
     entry = report["identities"]["a_sq_nonneg"]
@@ -194,15 +194,16 @@ def test_k0_class_value():
 
 def test_sampler_sees_the_relations():
     # S_1* S_1 = 1 and S_1 S_1* + S_2 S_2* = 1 cancel exactly on the grid
-    one = FuncElement.function(1)
-    s1_star_s1 = (FuncElement.sandwich((), 1, (1,))
-                  * FuncElement.sandwich((1,), 1, ()))
+    c1 = _Fn.const(1)
+    one = FuncElement.function(c1)
+    s1_star_s1 = (FuncElement.sandwich((), c1, (1,))
+                  * FuncElement.sandwich((1,), c1, ()))
     assert sample_element(s1_star_s1 - one, 64) == 0.0
-    ranges = (FuncElement.sandwich((1,), 1, ()) * FuncElement.sandwich((), 1, (1,))
-              + FuncElement.sandwich((2,), 1, ()) * FuncElement.sandwich((), 1, (2,)))
+    ranges = (FuncElement.sandwich((1,), c1, ()) * FuncElement.sandwich((), c1, (1,))
+              + FuncElement.sandwich((2,), c1, ()) * FuncElement.sandwich((), c1, (2,)))
     # the letter-2 phases cancel to rounding, not bit-exactly
     assert sample_element(ranges - one, 64) < 1e-12
-    assert sample_element(FuncElement.sandwich((2,), 1, ()), 64) > 0.4
+    assert sample_element(FuncElement.sandwich((2,), c1, ()), 64) > 0.4
 
 
 def test_assemble_and_square_canonical():
@@ -249,7 +250,7 @@ def test_assemble_and_square_grid_validation():
 
 def test_sample_element_grid_validation():
     # the sampled points k/grid are exact floats only for powers of two
-    f = FuncElement.function(build_canonical_data().a0)
+    f = FuncElement.function(_Fn.from_exact(build_canonical_data().a0))
     for grid in (0, 3, 48):
         with pytest.raises(ValueError):
             sample_element(f, grid)
@@ -265,22 +266,26 @@ def test_sampler_contractions_match_exact_transfer():
         expected = f
         for length in range(4):
             for mu in product((1, 2), repeat=length):
-                lhs = (FuncElement.sandwich((), 1, mu) * FuncElement.function(f)
-                       * FuncElement.sandwich(mu, 1, ()))
-                assert sample_element(lhs - FuncElement.function(expected), 64) < 1e-12
-                lhs = FuncElement.sandwich((), 1, mu) * FuncElement.sandwich(mu, f, ())
-                assert sample_element(lhs - FuncElement.function(f), 64) < 1e-12
+                c1, exact = _Fn.const(1), _Fn.from_exact(f)
+                lhs = (FuncElement.sandwich((), c1, mu) * FuncElement.function(exact)
+                       * FuncElement.sandwich(mu, c1, ()))
+                want = FuncElement.function(_Fn.from_exact(expected))
+                assert sample_element(lhs - want, 64) < 1e-12
+                lhs = (FuncElement.sandwich((), c1, mu)
+                       * FuncElement.sandwich(mu, exact, ()))
+                assert sample_element(lhs - FuncElement.function(exact), 64) < 1e-12
             expected = transfer(expected)
 
 
 def test_sampler_isometry_words_are_orthonormal():
     # S_mu* S_nu is 1 for mu = nu and 0 otherwise, for words of equal length
-    one = FuncElement.function(1)
+    c1 = _Fn.const(1)
+    one = FuncElement.function(c1)
     for length in range(1, 4):
         words = list(product((1, 2), repeat=length))
         for mu in words:
             for nu in words:
-                prod = FuncElement.sandwich((), 1, mu) * FuncElement.sandwich(nu, 1, ())
+                prod = FuncElement.sandwich((), c1, mu) * FuncElement.sandwich(nu, c1, ())
                 diff = prod - one if mu == nu else prod
                 assert sample_element(diff, 64) < 1e-12
 
@@ -422,15 +427,16 @@ def ref_sample_element(elem, grid):
 
 def broad_leaves(d):
     """a0, b0, sqrt(b1sq) and the constants +-1, 0.5, 2j."""
-    return (lambda: d.a0, lambda: d.b0, lambda: _Fn.sqrt_of(d.b1sq),
-            lambda: 1, lambda: -1, lambda: 0.5, lambda: 2j)
+    return (lambda: _Fn.from_exact(d.a0), lambda: _Fn.from_exact(d.b0),
+            lambda: _Fn.sqrt_of(d.b1sq), lambda: _Fn.const(1),
+            lambda: _Fn.const(-1), lambda: _Fn.const(0.5), lambda: _Fn.const(2j))
 
 
 def narrow_leaves(d):
     """sqrt(a1sq), delta1 and a0 dilated by 2: each vanishes outside at
     most 3/8 of the circle, so most addends of a product are exact zeros."""
-    return (lambda: _Fn.sqrt_of(d.a1sq), lambda: d.delta1,
-            lambda: dilate(d.a0, 2))
+    return (lambda: _Fn.sqrt_of(d.a1sq), lambda: _Fn.from_exact(d.delta1),
+            lambda: _Fn.from_exact(dilate(d.a0, 2)))
 
 
 def random_element(seed, leaves=broad_leaves):
@@ -646,7 +652,7 @@ def test_no_table_outlives_one_sampling(monkeypatch):
     # its leaves again, since the first call's memo went with it
     d = build_canonical_data()
     elem = (FuncElement.sandwich((2,), _Fn.sqrt_of(d.a1sq), (1,))
-            * FuncElement.sandwich((), d.b0, (2,)))
+            * FuncElement.sandwich((), _Fn.from_exact(d.b0), (2,)))
     with monkeypatch.context() as patch:
         sweeps, builds = counting_builds(patch)
         first = sample_element(elem, 64)
