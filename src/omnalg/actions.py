@@ -215,7 +215,7 @@ def subalgebra_witness_power(params: AlgebraParams, k: int) -> dict:
     if count is None:
         raise ValueError(f"n^k = {int_str(params.n)}^{int_str(k)} exceeds size "
                          f"bound {GENERATOR_LIMIT}")
-    s1k = Element.isometry(params, 1) ** k
+    s1k = Element.monomial(params, (1,) * k, 0, ())
     gens = [Element.unitary(params, j) * s1k for j in range(count)]
     report = _check_relations(params, Element.unitary(params, 1),
                               Element.unitary(params, params.m ** k), gens)

@@ -36,6 +36,10 @@ Word = Tuple[int, ...]
 # 2 cores, shared host)
 PRODUCT_LIMIT = 1 << 18
 
+# and, at m > n, one that could form a z-exponent of more bits than this:
+# str() writes no int past 4 300 digits, about 14 284 bits
+EXPONENT_BIT_LIMIT = 1 << 14
+
 
 @dataclass(frozen=True)
 class AlgebraParams:
@@ -219,7 +223,7 @@ class Element:
         return cls(params, {Monomial((i,), 0, ()): QQi.of(1)})
 
     @classmethod
-    def unitary(cls, params: AlgebraParams, k: int = 1) -> "Element":
+    def unitary(cls, params: AlgebraParams, k: int) -> "Element":
         return cls(params, {Monomial((), k, ()): QQi.of(1)})
 
     @classmethod
@@ -274,15 +278,9 @@ class Element:
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
-    def scaled(self, s: Scalar) -> "Element":
-        c = QQi.of(s)
-        if c.is_zero():
-            return Element(self.params)
-        return Element._merged(self.params, {m: v * c for m, v in self._terms.items()})
-
-    def __mul__(self, other: Union["Element", Scalar]) -> "Element":
+    def __mul__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
-            return self.scaled(other)
+            return NotImplemented
         self._require_same(other)
         pairs = len(self._terms) * len(other._terms)
         if pairs > PRODUCT_LIMIT:
@@ -290,6 +288,21 @@ class Element:
                              f"{len(other._terms)} terms would form {pairs} "
                              f"term pairs, more than the limit of {PRODUCT_LIMIT}")
         params, right = self.params, other._terms.items()
+        if params.m > params.n and pairs:
+            # z^k S_j = S_j' z^k', |k'| = m |floor((j - 1 + k)/n)| < (m/n)|k| + m.
+            # With g >= 1 least such that m/n <= 2^g, after L letters |k_L| <=
+            # 2^(gL) |k| + m 2^(g(L-1)+1) <= 2^(gL) (|k| + 2n).  A product pushes
+            # one k through at most L letters, the longest left nu or right mu,
+            # and adds the other: with K the largest |k|, each is < 2^(gL+1) (K+n)
+            m, n = params.m, params.n
+            width = max([len(a.nu) for a in self._terms]
+                        + [len(b.mu) for b in other._terms])
+            top = max(abs(mon.k) for mon in (*self._terms, *other._terms))
+            bits = (-(-m // n) - 1).bit_length() * width + (top + n).bit_length() + 1
+            if bits > EXPONENT_BIT_LIMIT:
+                raise ValueError(f"a product at m = {int_str(m)} > n = {int_str(n)} "
+                                 f"could form a z-exponent of {int_str(bits)} bits, "
+                                 f"more than the limit of {EXPONENT_BIT_LIMIT}")
         # the loop of `_merge`, inlined; a coefficient product is formed
         # only for a product that survives, and is nonzero as Q(i) is a field
         out: dict = {}
@@ -309,30 +322,16 @@ class Element:
                     out[mon] = acc
         return Element._merged(params, out)
 
-    def __rmul__(self, other: Scalar) -> "Element":
-        return self.scaled(other)
-
-    def __pow__(self, e: int) -> "Element":
-        if e < 0:
-            raise ValueError("negative powers are not defined for general elements")
-        acc = Element.unit(self.params)
-        for _ in range(e):
-            acc = acc * self
-        return acc
-
     def adjoint(self) -> "Element":
         return Element._merged(self.params, {Monomial(m.nu, -m.k, m.mu): c.conjugate()
                                              for m, c in self._terms.items()})
 
     # -- gauge structure ----------------------------------------------
 
-    def degree_part(self, d: int) -> "Element":
-        return Element._merged(self.params, {m: c for m, c in self._terms.items()
-                                             if m.gauge_degree() == d})
-
     def gauge_expectation(self) -> "Element":
         """Conditional expectation onto the gauge-fixed subalgebra."""
-        return self.degree_part(0)
+        return Element._merged(self.params, {m: c for m, c in self._terms.items()
+                                             if len(m.mu) == len(m.nu)})
 
     def canonical_endo(self) -> "Element":
         """The endomorphism x -> sum_i S_i x S_i*."""

@@ -75,12 +75,6 @@ def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _require_params(args) -> AlgebraParams:
-    if args.m is None or args.n is None:
-        raise UsageError("this subcommand needs both --m and --n")
-    return AlgebraParams(args.m, args.n)
-
-
 def _load_json(text: str, source: str):
     # nesting too deep for the decoder is malformed input as well
     try:
@@ -97,12 +91,12 @@ def _stdin_element(params: AlgebraParams) -> Element:
 
 
 def _cmd_normalize(args) -> Tuple[dict, bool, str]:
-    terms = _stdin_element(_require_params(args)).to_json_obj()
+    terms = _stdin_element(AlgebraParams(args.m, args.n)).to_json_obj()
     return {"terms": terms, "term_count": len(terms)}, True, _compact(terms)
 
 
 def _cmd_mul(args) -> Tuple[dict, bool, str]:
-    params = _require_params(args)
+    params = AlgebraParams(args.m, args.n)
     obj = _load_json(sys.stdin.read(), "stdin")
     if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
         raise UsageError('mul reads {"a": [terms], "b": [terms]} from stdin')
@@ -113,18 +107,18 @@ def _cmd_mul(args) -> Tuple[dict, bool, str]:
 
 
 def _cmd_iszero(args) -> Tuple[dict, bool, str]:
-    zero = _stdin_element(_require_params(args)).is_zero()
+    zero = _stdin_element(AlgebraParams(args.m, args.n)).is_zero()
     return {"is_zero": zero}, zero, "true" if zero else "false"
 
 
 def _cmd_kms(args) -> Tuple[dict, bool, str]:
-    value = _stdin_element(_require_params(args)).kms_state()
+    value = _stdin_element(AlgebraParams(args.m, args.n)).kms_state()
     results = {"re": frac_str(value.re), "im": frac_str(value.im)}
     return results, True, str(value)
 
 
 def _cmd_kgroups(args) -> Tuple[dict, bool, str]:
-    params = _require_params(args)
+    params = AlgebraParams(args.m, args.n)
     report = ktheory.kgroups_by_method(params.m, params.n, args.method)
     results = {key: value for key, value in report.items() if key != "pass"}
     for key in ("six_term", "pv"):
@@ -136,8 +130,6 @@ def _cmd_kgroups(args) -> Tuple[dict, bool, str]:
 
 
 def _cmd_kgroups_fixed(args) -> Tuple[dict, bool, str]:
-    if args.n is None:
-        raise UsageError("kgroups-fixed needs --n")
     rep = ktheory.symmetry_fixed_kgroups(args.m_parity, args.n)
     results = dict(rep)
     for key in ("computed_k0", "computed_k1", "reference_k0", "reference_k1"):
@@ -152,7 +144,7 @@ def _cmd_kgroups_fixed(args) -> Tuple[dict, bool, str]:
 
 
 def _cmd_fixed_point(args) -> Tuple[dict, bool, str]:
-    params = _require_params(args)
+    params = AlgebraParams(args.m, args.n)
     mon = monomial_from_json_obj(params, _load_json(args.monomial, "--monomial"))
     modulus = actions.rotation_modulus(params)
     weight = actions.rotation_weight(params, mon)
@@ -174,7 +166,7 @@ def _cmd_fixed_point(args) -> Tuple[dict, bool, str]:
 
 
 def _cmd_subalgebra(args) -> Tuple[dict, bool, str]:
-    params = _require_params(args)
+    params = AlgebraParams(args.m, args.n)
     witness = (actions.subalgebra_witness_power if args.family == "power"
                else actions.subalgebra_witness_zk)
     report = witness(params, args.k)
@@ -205,7 +197,7 @@ def _cmd_rieffel(args) -> Tuple[dict, bool, str]:
 
 
 def _cmd_rep(args) -> Tuple[dict, bool, str]:
-    params = _require_params(args)
+    params = AlgebraParams(args.m, args.n)
     try:
         num_bound, exp_bound = (int(part) for part in args.window.split(","))
     except ValueError:
@@ -224,8 +216,6 @@ def _cmd_rep(args) -> Tuple[dict, bool, str]:
 
 
 def _cmd_solenoid(args) -> Tuple[dict, bool, str]:
-    if args.m is None:
-        raise UsageError("solenoid needs --m")
     orbits = representations.solenoid_orbits(args.m, args.period)
     if args.action == "points":
         # the orbits partition the exact-period points
@@ -255,7 +245,8 @@ def _cmd_solenoid(args) -> Tuple[dict, bool, str]:
 
 
 def _cmd_entropy(args) -> Tuple[dict, bool, str]:
-    table = entropy_mod.entropy_estimate(_require_params(args), args.s, args.nmax)
+    params = AlgebraParams(args.m, args.n)
+    table = entropy_mod.entropy_estimate(params, args.s, args.nmax)
     results = table.to_json_obj()
     lines = [f"{'N':>3} {'dim':>10} {'slope':>9} {'slope/log n':>12}"]
     for row in table.rows:
@@ -282,11 +273,11 @@ def _cmd_reproduce(args) -> Tuple[dict, bool, str]:
 
 
 def _add_common(parser: argparse.ArgumentParser, *, mn: bool = False,
-                seed: bool = False) -> None:
+                mn_required: bool = True, seed: bool = False) -> None:
     if mn:
-        parser.add_argument("--m", type=_int_arg, default=None,
+        parser.add_argument("--m", type=_int_arg, required=mn_required,
                             help="central twist exponent m")
-        parser.add_argument("--n", type=_int_arg, default=None,
+        parser.add_argument("--n", type=_int_arg, required=mn_required,
                             help="number of isometries n")
     if seed:
         parser.add_argument("--seed", type=_int_arg,
@@ -342,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="K-groups of the circle-flip fixed-point algebra")
     p.add_argument("--m-parity", choices=("odd", "even"), required=True,
                    dest="m_parity")
-    p.add_argument("--n", type=_int_arg, default=None)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.set_defaults(handler=_cmd_kgroups_fixed)
     _add_common(p)
 
@@ -369,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("verify", "trace", "k0class"))
     p.add_argument("--grid", type=_int_arg, default=projection.DEFAULT_GRID,
                    help="sampling grid for the numeric squaring check")
-    _add_common(p, mn=True)
+    _add_common(p, mn=True, mn_required=False)
     p.set_defaults(handler=_cmd_rieffel)
 
     p = sub.add_parser("rep",
@@ -388,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="periodic points of the m-adic solenoid and "
                             "the covariant finite representations")
     p.add_argument("action", choices=("points", "rep"))
-    p.add_argument("--m", type=_int_arg, default=None)
+    p.add_argument("--m", type=_int_arg, required=True)
     p.add_argument("--period", type=_int_arg, required=True)
     p.add_argument("--phase", default="0",
                    help="corner phase of the shift unitary, as p/q turns")

@@ -26,11 +26,11 @@ class QQi:
     two triples for the same number, (a, b, d) and (a', b', d'), satisfy
     a*d' = a'*d and b*d' = b'*d, so d divides a*d', b*d' and d*d', hence
     their gcd d'*gcd(a, b, d) = d'; d' divides d likewise, so d = d',
-    a = a' and b = b'.  So `==` and `hash` compare the ints, and `==`
-    holds only between `QQi` values: `QQi(1) != 1`.  `re` = a/d and
-    `im` = b/d are read-only `Fraction` properties, built on each read;
-    `gaussian()` gives the ints.  As in `Fraction`, the private slots are
-    not for callers.
+    a = a' and b = b'.  So `==` compares the ints, and holds only between
+    `QQi` values: `QQi(1) != 1`.  `re` = a/d and `im` = b/d are read-only
+    `Fraction` properties, built on each read; `gaussian()` gives the
+    ints.  As in `Fraction`, the private slots are not for callers.
+    `+` takes another `QQi` only; `*` also takes an int or a `Fraction`.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -38,11 +38,7 @@ class QQi:
     def __init__(self, re: Union[int, Fraction] = 0,
                  im: Union[int, Fraction] = 0) -> None:
         # ints and Fractions are already in lowest terms with a positive
-        # denominator, so only other values go through Fraction(...)
-        if not isinstance(re, (int, Fraction)):
-            re = Fraction(re)
-        if not isinstance(im, (int, Fraction)):
-            im = Fraction(im)
+        # denominator; any other part, a float say, has no denominator
         p, q = re.denominator, im.denominator
         if p == q:
             self._a, self._b, self._d = re.numerator, im.numerator, p
@@ -72,36 +68,21 @@ class QQi:
         """(a, b, d) with self = (a + b*i)/d, d > 0, gcd(a, b, d) = 1."""
         return self._a, self._b, self._d
 
-    def __add__(self, other: Scalar) -> "QQi":
-        if not isinstance(other, QQi):
-            other = QQi(other)
-        d, e = self._d, other._d
+    def __add__(self, other: "QQi") -> "QQi":
+        try:
+            d, e = self._d, other._d
+        except AttributeError:
+            return NotImplemented
         if d == e:
             return _reduced(self._a + other._a, self._b + other._b, d)
         return _reduced(self._a * e + other._a * d,
                         self._b * e + other._b * d, d * e)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Scalar) -> "QQi":
-        if not isinstance(other, QQi):
-            other = QQi(other)
-        d, e = self._d, other._d
-        if d == e:
-            return _reduced(self._a - other._a, self._b - other._b, d)
-        return _reduced(self._a * e - other._a * d,
-                        self._b * e - other._b * d, d * e)
-
-    def __rsub__(self, other: Scalar) -> "QQi":
-        return QQi(other) - self
 
     def __mul__(self, other: Scalar) -> "QQi":
         if not isinstance(other, QQi):
             other = QQi(other)
         a, b, c, e = self._a, self._b, other._a, other._b
         return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
-
-    __rmul__ = __mul__
 
     def _divided(self, k: int) -> "QQi":
         """self / k for an int k >= 1: only d is multiplied."""
@@ -121,15 +102,8 @@ class QQi:
             return NotImplemented
         return self._a == other._a and self._b == other._b and self._d == other._d
 
-    def __hash__(self) -> int:
-        return hash((self._a, self._b, self._d))
-
     def __repr__(self) -> str:
         return f"QQi(re={self.re!r}, im={self.im!r})"
-
-    def __complex__(self) -> complex:
-        # int / int is correctly rounded, so a/d is float(Fraction(a, d))
-        return complex(self._a / self._d, self._b / self._d)
 
     def __str__(self) -> str:
         if self._b == 0:

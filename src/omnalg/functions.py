@@ -138,10 +138,6 @@ class PiecewiseFunction:
         return cls((Fraction(0),), ((value,),))
 
     @classmethod
-    def zero(cls) -> "PiecewiseFunction":
-        return cls((Fraction(0),), ((),))
-
-    @classmethod
     def one(cls) -> "PiecewiseFunction":
         return cls.constant(1)
 

@@ -400,9 +400,6 @@ def _sample(fn: _Fn, size: int, phases: dict) -> List[complex]:
         if f.kind == "const":
             c = f.args[0]
             return [c * y for y in _sample(g, size, phases)]
-        if g.kind == "const":
-            c = g.args[0]
-            return [x * c for x in _sample(f, size, phases)]
         return [x * y for x, y in zip(_sample(f, size, phases),
                                       _sample(g, size, phases))]
     if kind == "conj":
@@ -635,7 +632,7 @@ def _matrix_of(data: ProjectionData) -> List[List[FuncElement]]:
     return [[p11, p12], [p21, p22]]
 
 
-def assemble_and_square(data: ProjectionData, grid: int = DEFAULT_GRID) -> dict:
+def assemble_and_square(data: ProjectionData, grid: int) -> dict:
     """Assemble P, square it by operator rewriting, sample the residual.
 
     Returns the sampled sup of |P^2 - P| entrywise, the same figure on a

@@ -210,7 +210,7 @@ def _bound_powers(m: int, top: int, window: str) -> None:
                          f"more than the limit of {POWER_LIMIT}")
 
 
-def relation_residuals(params: AlgebraParams, variant: str = "A",
+def relation_residuals(params: AlgebraParams, variant: str,
                        num_bound: int = DEFAULT_WINDOW[0],
                        exp_bound: int = DEFAULT_WINDOW[1]) -> dict:
     """Check every defining relation on a finite label window, exactly.
@@ -474,8 +474,6 @@ def precompose_shift_inverse(m: int, exponents: LaurentMonomial) -> LaurentMonom
     """Exponents of f∘σ^{-1}: x_i pulls back to x_{i-1}, and x_0 to x_0^m."""
     out: LaurentMonomial = {}
     for i, a in exponents.items():
-        if a == 0:
-            continue
         if i == 0:
             out[0] = out.get(0, 0) + m * a
         else:

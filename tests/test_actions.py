@@ -66,14 +66,14 @@ def inversion_apply(x):
     params = x.params
     out = Element.zero(params)
     for mon, c in x.items():
-        img = Element.unit(params)
+        img = Element(params, [(Monomial((), 0, ()), c)])
         for i in mon.mu:
             img = img * _flip_letter(params, i)
         img = img * Element.unitary(params, -mon.k)
         right = Element.unit(params)
         for j in mon.nu:
             right = right * _flip_letter(params, j)
-        out = out + (img * right.adjoint()).scaled(c)
+        out = out + img * right.adjoint()
     return out
 
 

@@ -128,7 +128,7 @@ def test_iszero_true_and_false(monkeypatch, capsys):
 
 def test_iszero_needs_params_and_valid_stdin(monkeypatch, capsys):
     code, _, err = run(["iszero"], monkeypatch, capsys, stdin="[]")
-    assert code == 2 and "--m and --n" in err
+    assert code == 2 and "required: --m, --n" in err
     code, _, err = run(["iszero", "--m", "1", "--n", "2"], monkeypatch, capsys,
                        stdin="not json")
     assert code == 2 and "stdin" in err
@@ -611,6 +611,50 @@ def test_entropy_at_level_zero_answers_a_huge_n_in_a_small_fresh_process():
     assert perf_counter() - start < 5.0
     assert proc.returncode == 0 and "Traceback" not in proc.stderr
     assert proc.stdout.splitlines()[1].split()[:2] == ["1", "3"]
+
+
+def test_mul_refuses_a_growing_exponent_in_a_fresh_process():
+    # z S_1^3000 at (m, n) = (10^4000, 1) multiplies the exponent by m at
+    # each of 3 000 letters: still running after 60 s
+    src = os.path.dirname(os.path.dirname(omnalg.__file__))
+    stdin = json.dumps({"a": [{"mu": [], "k": 1, "nu": []}],
+                        "b": [{"mu": [1] * 3000, "k": 0, "nu": []}]})
+    start = perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "omnalg.cli", "mul", "--m",
+                           str(10 ** 4000), "--n", "1"], input=stdin,
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert perf_counter() - start < 2.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "z-exponent" in proc.stderr and len(proc.stderr.encode()) < 300
+    assert "Traceback" not in proc.stderr
+
+
+def test_mul_at_a_huge_m_answers_one_letter(monkeypatch, capsys):
+    # z S_1 = S_1 z^m, a 4 001-digit exponent; two letters would give m^2
+    m = 10 ** 4000
+    stdin = json.dumps({"a": [{"mu": [], "k": 1, "nu": []}],
+                        "b": [{"mu": [1], "k": 0, "nu": []}]})
+    code, out, _ = run(["mul", "--m", str(m), "--n", "1"], monkeypatch, capsys,
+                       stdin=stdin)
+    assert code == 0
+    assert json.loads(out) == [{"mu": [1], "k": m, "nu": [], "re": "1/1",
+                                "im": "0/1"}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--n", "2"],
+    ["iszero"],
+    ["kgroups", "--m", "1"],
+    ["entropy", "--m", "1", "--s", "0", "--nmax", "1"],
+    ["kgroups-fixed", "--m-parity", "odd"],
+    ["solenoid", "points", "--period", "3"],
+    ["subalgebra", "power", "--m", "1", "--n", "2"],
+], ids=" ".join)
+def test_a_missing_flag_is_refused_by_the_parser(argv, monkeypatch, capsys):
+    code, out, err = run(argv, monkeypatch, capsys, stdin="[]")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the following arguments are required: --")
 
 
 @pytest.mark.parametrize("nmax", ["14", "20"])

@@ -237,7 +237,7 @@ def test_negative_point_finds_dips_of_any_degree():
         dipped = square - one.scale(F(1, 10 ** 15))
         t = negative_point(dipped)
         assert t is not None and dipped.evaluate(t) < 0
-    assert negative_point(PiecewiseFunction.zero()) is None
+    assert negative_point(PiecewiseFunction.constant(0)) is None
     # a linear piece below zero only next to its right end
     f = PiecewiseFunction.from_segments([(F(0), F(1, 2), (F(1), F(-3)))])
     t = negative_point(f)
@@ -293,7 +293,7 @@ def test_transfer_definition_and_properties():
 def test_integrate_examples():
     assert integrate(sawtooth()) == F(1, 2)
     assert integrate(PiecewiseFunction.indicator(F(1, 4), F(5, 8))) == F(3, 8)
-    assert integrate(PiecewiseFunction.zero()) == 0
+    assert integrate(PiecewiseFunction.constant(0)) == 0
     assert integrate(PiecewiseFunction([F(0)], [(F(0), F(0), F(1))])) == F(1, 3)
 
 
