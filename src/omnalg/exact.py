@@ -10,6 +10,7 @@ is defined at a basis vector.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Tuple, Union
@@ -139,9 +140,35 @@ def _reduced(a: int, b: int, d: int) -> QQi:
 QQI_ZERO = QQi()
 
 
+# Python 3.10 before 3.10.7 has no limit on str() of an int
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def frac_str(x: Fraction) -> str:
-    """Decimal-free serialization of a rational, always "p/q"."""
-    return f"{x.numerator}/{x.denominator}"
+    """Decimal-free serialization of a rational, always "p/q".
+
+    str() refuses an int of more decimal digits than
+    sys.get_int_max_str_digits() allows, 4 300 by default, with a message
+    about Python's own setting.  Every rational the package prints is
+    written here, so a numerator or denominator past that limit is refused
+    here first, in one short ValueError that names it by `int_str`.
+    """
+    p, q = x.numerator, x.denominator
+    limit = _max_str_digits()
+    if limit and (_has_more_digits(p, limit) or _has_more_digits(q, limit)):
+        raise ValueError(f"the rational {int_str(p)}/{int_str(q)} has a "
+                         f"numerator or denominator of more than {limit} "
+                         f"digits, too long to write in decimal")
+    return f"{p}/{q}"
+
+
+def _has_more_digits(x: int, limit: int) -> bool:
+    """True iff |x| has more than ``limit`` decimal digits, i.e. |x| >= 10^limit.
+
+    An int of at most 3 * limit bits is below 8^limit, so it is not
+    compared with the power at all.
+    """
+    return x.bit_length() > 3 * limit and abs(x) >= 10 ** limit
 
 
 def int_str(x: int) -> str:

@@ -34,7 +34,9 @@ term's left table is nonzero.
 `assemble_and_square` plans, then samples: before its 12 samplings it
 records the largest size at which each table can be read, and each is
 built once, at that size, when first read; a coarser read is a stride of
-it, the same floats.  A bucket is keyed by the integers (2^a, 2^b, j) of
+it, the same floats.  By the same rule each residual element is swept
+once, at twice the grid, and its sup at the grid is that of the kernel's
+even entries.  A bucket is keyed by the integers (2^a, 2^b, j) of
 its line x = (2^a t + j)/2^b over their gcd: two such triples name one
 line exactly when one is a power of two times the other, so this is the
 line's one reduced triple.
@@ -64,8 +66,8 @@ PUBLISHED_TRACE = Fraction(7, 16)
 PUBLISHED_K0_CLASS = -4
 DEFAULT_GRID = 4096
 # verify samples on lattices of up to 16 times the grid; at this limit it
-# takes about 1.5 to 1.7 s and 73 MB peak RSS, and at the default grid
-# 4096 about 0.4 to 0.5 s and 31 MB (`omnalg rieffel verify` in a fresh
+# takes about 1.2 to 1.3 s and 71 MB peak RSS, and at the default grid
+# 4096 about 0.40 to 0.44 s and 31 MB (`omnalg rieffel verify` in a fresh
 # interpreter, three runs each, Python 3.11.7, 2 cores, shared host)
 GRID_LIMIT = 1 << 14
 
@@ -245,6 +247,20 @@ def k0_class(data: ProjectionData) -> int:
 # once per memo, and a key that no term reads, such as the mu-phase of a
 # term whose left table is zero throughout, is never built.  The plan
 # decides only when a table is built, never what it holds.
+#
+# The plan also records the grids each element is sampled at, under
+# ("grids", elem).  `sample_element` sweeps an element once per memo, at
+# the largest of them, G' say, and keeps under ("sup", elem, g) the sup at
+# each planned grid g: the sup of every bucket's stride G'/g, which a
+# later sampling at g returns.  That is the very float a sweep at g would
+# give, as for G' = 2G and g = G: entry 2i of a line at 2G reads every
+# table at (2i)/(2G), the float i/G, which entry i at G reads, and
+# `_nonzero_runs` decides entry by entry whether a term adds there, so
+# entry 2i gets the same addends, in the same order, as entry i at G.  A
+# bucket that only the sweep at 2G makes holds zeros at its even entries,
+# and its 0.0 cannot raise a maximum of sups that are all >= 0.  Only the
+# sign of a zero may differ, and neither `abs` nor `max` sees it.  The
+# memo keeps one float per (element, grid) and no kernel.
 #
 # A bucket is keyed by the integers (2^a, 2^b, j) of its line
 # x = (2^a t + j)/2^b, divided by their gcd.  The triples (A, B, j) and
@@ -509,10 +525,12 @@ def _plan(samplings: Sequence[Tuple[FuncElement, int]], phases: dict) -> None:
             phases[("size", key)] = size
 
     # every size an element is read at is its grid times a factor of the
-    # term, so an element needs planning at its largest grid only
+    # term, so an element needs planning at its largest grid only; the
+    # grids it is sampled at are kept for `sample_element`
     grids: Dict[FuncElement, int] = {}
     for elem, grid in samplings:
         grids[elem] = max(grid, grids.get(elem, 0))
+        phases.setdefault(("grids", elem), set()).add(grid)
     reads: List[Tuple[_Fn, int]] = []
     for elem, grid in grids.items():
         for term in elem.terms:
@@ -545,16 +563,41 @@ def sample_element(elem: FuncElement, grid: int) -> float:
     operator cancellations show up as zeros here.  With t = i/grid the
     point x is the lattice point (2^a i + j grid) mod (grid 2^b) over
     grid 2^b, so both sides of a term are read from tables by index.
+
+    The element is swept once per memo, at the largest grid `_plan`
+    recorded for it, and the sup at each coarser planned grid is read off
+    that kernel's strided entries (see the numeric engine above).
     """
     _check_grid(grid)
-    buckets: Dict[Tuple[int, int, int], List[complex]] = {}
     phases = _SHARED_TABLES.get()
     if phases is None:
         phases = {}
         _plan([(elem, grid)], phases)
+    sup = phases.get(("sup", elem, grid))
+    if sup is not None:
+        return sup
+    grids = phases.get(("grids", elem), set()) | {grid}
+    top = max(grids)
+    buckets: Dict[Tuple[int, int, int], List[complex]] = {}
     for term in elem.terms:
-        _add_term(buckets, term, grid, phases)
-    return max((max(map(abs, acc)) for acc in buckets.values()), default=0.0)
+        _add_term(buckets, term, top, phases)
+    # the sup at stride s is the larger of the sup at stride 2s and that of
+    # the entries in between, so each entry is read once
+    coarsest = top // min(grids)
+    sups = dict.fromkeys(grids, 0.0)
+    for acc in buckets.values():
+        step = coarsest
+        bucket_sup = max(map(abs, acc[::step]))
+        while True:
+            if top // step in sups:
+                sups[top // step] = max(sups[top // step], bucket_sup)
+            if step == 1:
+                break
+            step //= 2
+            bucket_sup = max(bucket_sup, max(map(abs, acc[step::2 * step])))
+    for g, sup in sups.items():
+        phases[("sup", elem, g)] = sup
+    return sups[grid]
 
 
 def _check_grid(grid: int) -> None:
@@ -638,6 +681,12 @@ def assemble_and_square(data: ProjectionData, grid: int) -> dict:
     Returns the sampled sup of |P^2 - P| entrywise, the same figure on a
     doubled grid for stability, and the sampled self-adjointness defect.
     `sample_element` rejects a grid that is not a power of two.
+
+    The 12 samplings run in the order self-adjointness at the grid, the
+    residual at twice the grid, then at the grid, which is read off the
+    doubled-grid kernels.  The first sampling builds the leaves, so that
+    cost lands on a cheap element.  A table depends on its key and size
+    alone, so the order moves no float.
     """
     p = _matrix_of(data)
     p2 = [[p[i][0] * p[0][j] + p[i][1] * p[1][j] for j in range(2)]
@@ -645,10 +694,9 @@ def assemble_and_square(data: ProjectionData, grid: int) -> dict:
     entries = [(i, j) for i in range(2) for j in range(2)]
     residuals = [p2[i][j] - p[i][j] for i, j in entries]
     adjoints = [p[i][j] - p[j][i].adjoint() for i, j in entries]
-    # residual at the grid, then at twice the grid, then self-adjointness
-    samplings = ([(elem, grid) for elem in residuals]
+    samplings = ([(elem, grid) for elem in adjoints]
                  + [(elem, 2 * grid) for elem in residuals]
-                 + [(elem, grid) for elem in adjoints])
+                 + [(elem, grid) for elem in residuals])
     memo: dict = {}
     token = _SHARED_TABLES.set(memo)
     try:
@@ -656,7 +704,7 @@ def assemble_and_square(data: ProjectionData, grid: int) -> dict:
         sups = [sample_element(elem, g) for elem, g in samplings]
     finally:
         _SHARED_TABLES.reset(token)
-    residual, doubled, adj_defect = max(sups[:4]), max(sups[4:8]), max(sups[8:])
+    adj_defect, doubled, residual = max(sups[:4]), max(sups[4:8]), max(sups[8:])
     return {
         "grid": grid,
         "residual": residual,

@@ -593,6 +593,41 @@ def test_every_refusal_writes_long_integers_by_bit_length(
     assert "Traceback" not in err
 
 
+HUGE_COEFFICIENT = {"mu": [], "k": 0, "nu": [], "re": str(10 ** 3000), "im": "0"}
+
+
+@pytest.mark.parametrize("argv, stdin, needle", [
+    # the state of S_1^2 S_1^2* is 1/n^2, a denominator of 8 001 digits
+    (["kms", "--m", "1", "--n", str(10 ** 4000 + 1), "--json"],
+     '[{"mu": [1, 1], "k": 0, "nu": [1, 1]}]',
+     "the rational 1/<26576-bit integer>"),
+    (["kms", "--m", "1", "--n", str(10 ** 4000 + 1)],
+     '[{"mu": [1, 1], "k": 0, "nu": [1, 1]}]',
+     "the rational 1/<26576-bit integer>"),
+    # 10^3000 squared: a numerator of 6 001 digits
+    (["mul", "--m", "1", "--n", "2"],
+     json.dumps({"a": [HUGE_COEFFICIENT], "b": [HUGE_COEFFICIENT]}),
+     "the rational <19932-bit integer>/1"),
+], ids=["kms-json", "kms", "mul"])
+def test_rationals_past_the_digit_limit_are_refused_in_one_short_line(
+        argv, stdin, needle, monkeypatch, capsys):
+    # each ended in Python's own message about sys.set_int_max_str_digits
+    code, out, err = run(argv, monkeypatch, capsys, stdin=stdin)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + needle) and err.count("\n") == 1
+    assert "more than 4300 digits" in err and len(err.encode()) < 300
+    assert "set_int_max_str_digits" not in err and "Traceback" not in err
+
+
+def test_rationals_within_the_digit_limit_print_in_full(monkeypatch, capsys):
+    # 10^2000 squared has 4 001 digits, within str()'s 4 300
+    coefficient = dict(HUGE_COEFFICIENT, re=str(10 ** 2000))
+    code, out, _ = run(["mul", "--m", "1", "--n", "2"], monkeypatch, capsys,
+                       stdin=json.dumps({"a": [coefficient], "b": [coefficient]}))
+    assert code == 0
+    assert json.loads(out) == [dict(coefficient, re=f"{10 ** 4000}/1", im="0/1")]
+
+
 def test_entropy_at_level_zero_answers_a_huge_n_in_a_small_fresh_process():
     # level 0 reads no letter, so no table of n letters is built: it took
     # 185 MB at n = 2 * 10^6 and ran out of memory at 10^8

@@ -568,7 +568,7 @@ def test_assemble_and_square_matches_the_unfolded_reference(grid, monkeypatch):
         want = assemble_and_square(data, grid=grid)
     assert got == want and repr(got) == repr(want)
     # 12 calls of the module's sampler, each (elem, grid) by position:
-    # residual at the grid, then at twice the grid, then self-adjointness
+    # self-adjointness, then the residual at twice the grid, then at the grid
     assert calls == ref_calls
     assert [(nargs, kwargs, g) for nargs, kwargs, _, g in calls] == \
         [(2, {}, grid)] * 4 + [(2, {}, 2 * grid)] * 4 + [(2, {}, grid)] * 4
@@ -684,6 +684,91 @@ def test_the_plan_decides_only_when_tables_are_built(monkeypatch):
         unplanned_sups = [sample_element(elem, 64).hex() for elem in elems]
     assert planned == unplanned
     assert planned_sups == unplanned_sups
+
+
+def recording_plan(patch):
+    """The (element, grid) pairs each `_plan` call is given, in order."""
+    log, plan = [], projection._plan
+
+    def recorded(samplings, phases):
+        log.append(list(samplings))
+        plan(samplings, phases)
+
+    patch.setattr(projection, "_plan", recorded)
+    return log
+
+
+def test_one_sweep_gives_the_report_of_separate_samplings(monkeypatch):
+    # the residual at the grid is read off the doubled-grid kernel; sampled
+    # on its own, with a memo of its own, it gives the very same floats,
+    # and so does sampling the 12 pairs in reverse order
+    sampler = projection.sample_element
+
+    def separately(elem, grid):
+        token = projection._SHARED_TABLES.set(None)
+        try:
+            return sampler(elem, grid)
+        finally:
+            projection._SHARED_TABLES.reset(token)
+
+    def plan_then_sample_reversed(samplings, phases):
+        plan(samplings, phases)
+        for elem, grid in reversed(samplings):
+            sampler(elem, grid)
+
+    def sups_and_report(data, grid, patch, inner=sampler):
+        sups = []
+
+        def recorded(elem, grid):
+            sups.append(inner(elem, grid).hex())
+            return float.fromhex(sups[-1])
+
+        patch.setattr(projection, "sample_element", recorded)
+        return sups, hex_report(assemble_and_square(data, grid))
+
+    plan = projection._plan
+    differ = 0
+    for data in (build_canonical_data(), flat_control()):
+        for grid in (1, 2, 8, 64, 256, 1024):
+            with monkeypatch.context() as patch:
+                once = sups_and_report(data, grid, patch)
+            with monkeypatch.context() as patch:
+                assert sups_and_report(data, grid, patch, separately) == once, grid
+            with monkeypatch.context() as patch:
+                patch.setattr(projection, "_plan", plan_then_sample_reversed)
+                assert sups_and_report(data, grid, patch) == once, grid
+            sups = once[0]
+            differ += sups[4:8] != sups[8:]
+    # on the flat control some residual's sup at the grid is below its sup
+    # at twice the grid, so the strided read is not the whole kernel's sup
+    assert differ > 0
+
+
+def test_each_residual_is_swept_once_at_twice_the_grid(monkeypatch):
+    # the adjoints at the grid and the residuals at twice the grid, each
+    # term once: 80 sweeps, where sweeping the residuals at both grids
+    # made 140
+    data = build_canonical_data()
+    swept = []
+    add_term = projection._add_term
+
+    def counted(buckets, term, grid, phases):
+        swept.append((term, grid))
+        add_term(buckets, term, grid, phases)
+
+    with monkeypatch.context() as patch:
+        plans = recording_plan(patch)
+        patch.setattr(projection, "_add_term", counted)
+        report = assemble_and_square(data, 128)
+    assert report["pass"] and len(swept) == 80
+    [samplings] = plans
+    assert [g for _, g in samplings] == [128] * 4 + [256] * 4 + [128] * 4
+    adjoints = [elem for elem, _ in samplings[:4]]
+    residuals = [elem for elem, _ in samplings[4:8]]
+    assert [elem for elem, _ in samplings[8:]] == residuals
+    want = ([(term, 128) for elem in adjoints for term in elem.terms]
+            + [(term, 256) for elem in residuals for term in elem.terms])
+    assert swept == want
 
 
 def test_strided_reads_match_index_arithmetic():
