@@ -5,15 +5,19 @@ of order |n - m| (represented by its integer weight, never by cyclotomic
 coefficients), constructive rewriting of weight-zero monomials into words
 over {z^(multiple of |n-m|), S_1, S_1*}, and the generator witnesses for
 the power and z^k subalgebra embeddings.
+
+Such a word multiplies out by `algebra.mul_monomials` alone into one
+monomial or zero, and its round trip compares that normal form with the
+monomial it was rewritten from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from .algebra import AlgebraParams, Element, Monomial
-from .exact import bounded_power, int_str, reduce_exponent
+from .algebra import AlgebraParams, Element, Monomial, mul_monomials
+from .exact import bounded_power, decimal_int, int_str, reduce_exponent
 
 
 def rotation_modulus(params: AlgebraParams) -> int:
@@ -59,48 +63,65 @@ class GeneratorWord:
     def exponents(self) -> List[int]:
         return [tok[1] for tok in self.tokens if tok[0] == "z"]
 
-    def to_element(self) -> Element:
-        """The product of the tokens, by recursive halving of the word.
+    def monomial(self) -> Optional[Monomial]:
+        """The product of the tokens as one monomial, or None if it vanishes.
 
+        Each token is a monomial and `mul_monomials` multiplies two of
+        them into one or into zero, so the word is one monomial or zero.
         A left-to-right product would copy the growing word once per
         token, quadratic in the word length L.  Here each half of the
         token range is multiplied out first, keeping the order, so the
         recursion is about log2 L deep: each letter is copied once per
         level, the work is O(L log L), a word of L tokens takes L - 1
-        products of elements, and at most one pending product per level,
-        O(log L) in all, is alive at a time.
+        products, and at most one pending product per level, O(log L) in
+        all, is alive at a time.  Both halves are formed even when one
+        vanishes, so the exponents formed are those of the element product.
         """
         params, tokens = self.params, self.tokens
         if not tokens:
-            return Element.unit(params)
-        s1 = Element.isometry(params, 1)
-        s1_adj = s1.adjoint()
+            return Monomial((), 0, ())
+        create, annihilate = Monomial((1,), 0, ()), Monomial((), 0, (1,))
 
-        def product(lo: int, hi: int) -> Element:
+        def product(lo: int, hi: int) -> Optional[Monomial]:
             if hi - lo == 1:
                 tok = tokens[lo]
-                return (Element.unitary(params, tok[1]) if tok[0] == "z"
-                        else s1 if tok[0] == "create" else s1_adj)
+                return (Monomial((), tok[1], ()) if tok[0] == "z"
+                        else create if tok[0] == "create" else annihilate)
             mid = (lo + hi) // 2
-            return product(lo, mid) * product(mid, hi)
+            left, right = product(lo, mid), product(mid, hi)
+            # a Monomial is a 3-tuple, never falsy: only None stops the fold
+            return left and right and mul_monomials(params, left, right)
 
         return product(0, len(tokens))
 
+    def to_element(self) -> Element:
+        """The product of the tokens: the one-term element of `monomial`."""
+        mon = self.monomial()
+        return Element(self.params, {} if mon is None else {mon: 1})
+
     def represents(self, mon: Monomial) -> bool:
-        """Whether the word multiplies out to mon, by the exact zero test."""
-        target = Element.monomial(self.params, mon.mu, mon.k, mon.nu)
-        return (self.to_element() - target).is_zero()
+        """Whether the word multiplies out to mon, by comparing normal forms.
+
+        A match is an equality of normal forms, so the word equals mon in
+        the algebra.  At n >= 2 distinct monomials x and y are distinct
+        elements, so a mismatch is a real inequality: by `Element.is_zero`,
+        x - y is zero iff refining both to the longer nu, of length b, leaves
+        an empty sum.  With x's nu of length a <= b, x refines into n^(b-a)
+        distinct descendants (`_expand`), of which y cancels at most one;
+        at n >= 2 one survives unless a = b, and then x and y survive as
+        they are.  At n = 1, S_1 is unitary and distinct monomials can be
+        equal, S_1 S_1* = 1 say, so a mismatch would prove nothing, and the
+        check is refused.
+        """
+        if self.params.n == 1:
+            raise ValueError("the round trip needs n >= 2: at n = 1 S_1 is "
+                             "unitary, and distinct monomials can be equal")
+        return self.monomial() == mon
 
     def __str__(self) -> str:
-        bits = []
-        for tok in self.tokens:
-            if tok[0] == "z":
-                bits.append(f"z^{tok[1]}")
-            elif tok[0] == "create":
-                bits.append("S1")
-            else:
-                bits.append("S1*")
-        return " ".join(bits) if bits else "1"
+        return " ".join(f"z^{decimal_int(tok[1])}" if tok[0] == "z"
+                        else "S1" if tok[0] == "create" else "S1*"
+                        for tok in self.tokens) or "1"
 
 
 def _solve_residue(value: int, n: int, mod: int) -> int:

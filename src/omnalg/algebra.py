@@ -25,7 +25,8 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
-from .exact import QQI_ZERO, QQi, Scalar, frac_str, int_str, parse_frac
+from .exact import (QQI_ZERO, QQi, Scalar, decimal_int, frac_str, int_str,
+                    parse_frac)
 
 Word = Tuple[int, ...]
 
@@ -36,8 +37,11 @@ Word = Tuple[int, ...]
 # 2 cores, shared host)
 PRODUCT_LIMIT = 1 << 18
 
-# and, at m > n, one that could form a z-exponent of more bits than this:
-# str() writes no int past 4 300 digits, about 14 284 bits
+# `push_exponent` refuses, at m > n, to form a z-exponent of more bits than
+# this.  It bounds the work of a push: each letter divides and multiplies an
+# exponent of at most this many bits plus those of m, so a push through L
+# letters does L such steps.  Writing an exponent is bounded apart, by
+# str()'s 4 300 digits (`exact.decimal_int`)
 EXPONENT_BIT_LIMIT = 1 << 14
 
 
@@ -98,8 +102,18 @@ def push_exponent(params: AlgebraParams, k: int, word: Word) -> Tuple[Word, int]
 
     and the word is walked letter by letter.  A letter outside 1..n is
     refused.
+
+    Since |floor((j - 1 + k)/n)| < |k|/n + 1, each letter gives
+    |k'| < (m/n)|k| + m.  At m < n that keeps |k'| below max(|k|, m n),
+    and at m = n = 1 it is k' = k: the exponent does not grow, and
+    nothing is checked.  At m > n it grows by at most bits(m) bits a
+    letter, so the exponent is checked after each letter, and a push that
+    forms one of more than `EXPONENT_BIT_LIMIT` bits is refused there: no
+    exponent wider than that, or than the input k, plus bits(m) bits is
+    ever formed.
     """
     m, n = params.m, params.n
+    grows = m > n
     out = []
     for j in word:
         if not 1 <= j <= n:
@@ -108,6 +122,10 @@ def push_exponent(params: AlgebraParams, k: int, word: Word) -> Tuple[Word, int]
         k, r = divmod(j - 1 + k, n)
         out.append(r + 1)
         k *= m
+        if grows and k.bit_length() > EXPONENT_BIT_LIMIT:
+            raise ValueError(f"a push at m = {int_str(m)} > n = {int_str(n)} would "
+                             f"form a z-exponent of {int_str(k.bit_length())} "
+                             f"bits, more than the limit of {EXPONENT_BIT_LIMIT}")
     return tuple(out), k
 
 
@@ -288,21 +306,6 @@ class Element:
                              f"{len(other._terms)} terms would form {pairs} "
                              f"term pairs, more than the limit of {PRODUCT_LIMIT}")
         params, right = self.params, other._terms.items()
-        if params.m > params.n and pairs:
-            # z^k S_j = S_j' z^k', |k'| = m |floor((j - 1 + k)/n)| < (m/n)|k| + m.
-            # With g >= 1 least such that m/n <= 2^g, after L letters |k_L| <=
-            # 2^(gL) |k| + m 2^(g(L-1)+1) <= 2^(gL) (|k| + 2n).  A product pushes
-            # one k through at most L letters, the longest left nu or right mu,
-            # and adds the other: with K the largest |k|, each is < 2^(gL+1) (K+n)
-            m, n = params.m, params.n
-            width = max([len(a.nu) for a in self._terms]
-                        + [len(b.mu) for b in other._terms])
-            top = max(abs(mon.k) for mon in (*self._terms, *other._terms))
-            bits = (-(-m // n) - 1).bit_length() * width + (top + n).bit_length() + 1
-            if bits > EXPONENT_BIT_LIMIT:
-                raise ValueError(f"a product at m = {int_str(m)} > n = {int_str(n)} "
-                                 f"could form a z-exponent of {int_str(bits)} bits, "
-                                 f"more than the limit of {EXPONENT_BIT_LIMIT}")
         # the loop of `_merge`, inlined; a coefficient product is formed
         # only for a product that survives, and is nonzero as Q(i) is a field
         out: dict = {}
@@ -418,7 +421,8 @@ class Element:
         out = []
         for mon in sorted(self._terms):
             c = self._terms[mon]
-            out.append({"mu": list(mon.mu), "k": mon.k, "nu": list(mon.nu),
+            out.append({"mu": list(mon.mu), "k": decimal_int(mon.k),
+                        "nu": list(mon.nu),
                         "re": frac_str(c.re), "im": frac_str(c.im)})
         return out
 

@@ -35,7 +35,7 @@ from time import perf_counter
 from typing import NoReturn, Optional, Sequence, Tuple
 
 from .algebra import AlgebraParams, Element, monomial_from_json_obj
-from .exact import frac_str, parse_frac
+from .exact import frac_str, parse_frac, parse_int
 from . import actions
 from . import entropy as entropy_mod
 from . import ktheory
@@ -75,11 +75,16 @@ def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+# JSON integers are read by `exact.parse_int`, so one past int()'s digit
+# limit is refused in omnalg's own line, not as invalid JSON
+_DECODER = json.JSONDecoder(parse_int=parse_int)
+
+
 def _load_json(text: str, source: str):
     # nesting too deep for the decoder is malformed input as well
     try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
+        return _DECODER.decode(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"{source} is not valid JSON: {exc}") from None
 
 

@@ -162,6 +162,20 @@ def frac_str(x: Fraction) -> str:
     return f"{p}/{q}"
 
 
+def decimal_int(x: int) -> int:
+    """x itself, refused like `frac_str` when str() cannot write it.
+
+    The rule is the one `frac_str` applies to a numerator: more decimal
+    digits than sys.get_int_max_str_digits() allows are refused in one
+    short ValueError that names x by `int_str`.
+    """
+    limit = _max_str_digits()
+    if limit and _has_more_digits(x, limit):
+        raise ValueError(f"the integer {int_str(x)} has more than {limit} "
+                         f"digits, too long to write in decimal")
+    return x
+
+
 def _has_more_digits(x: int, limit: int) -> bool:
     """True iff |x| has more than ``limit`` decimal digits, i.e. |x| >= 10^limit.
 
@@ -183,19 +197,42 @@ def int_str(x: int) -> str:
     return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit integer>"
 
 
+def parse_int(text: str) -> int:
+    """int(text), with a long text that int() refuses named by its length.
+
+    int() refuses more decimal digits than sys.get_int_max_str_digits()
+    allows with a message about Python's own setting, and echoes any
+    other malformed text whole; past 64 characters either is refused here
+    in one short ValueError instead.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        if len(text) <= 64:
+            raise
+    digits = text.strip().lstrip("+-").replace("_", "")
+    limit = _max_str_digits()
+    if limit and len(digits) > limit and digits.isdecimal():
+        raise ValueError(f"an integer of {len(digits)} digits is past the "
+                         f"limit of {limit} digits")
+    raise ValueError(f"invalid integer text of {len(text)} characters")
+
+
 def parse_frac(text: str) -> Fraction:
     """Parse "p/q" (or a bare integer string) into a Fraction.
 
-    Malformed text, including a zero denominator, raises ValueError.
+    Malformed text, including a zero denominator, raises ValueError; each
+    integer is read by `parse_int`.
     """
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
-        q = int(den)
+        q = parse_int(den)
         if q == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), q)
-    return Fraction(int(text))
+            shown = repr(text) if len(text) <= 64 else f"{len(text)} characters"
+            raise ValueError(f"zero denominator in {shown}")
+        return Fraction(parse_int(num), q)
+    return Fraction(parse_int(text))
 
 
 def bounded_power(base: int, exp: int, bound: int) -> Optional[int]:

@@ -187,9 +187,43 @@ def test_to_element_matches_the_token_products():
             got = word.to_element()
             assert got == token_product(word), tokens
             assert got.term_count() <= 1
+            assert word.monomial() == next((mon for mon, _ in got.items()), None)
             checked += 1
             zeros += not got
     assert checked == 1000 and zeros > 100
+
+
+def test_represents_agrees_with_the_zero_test():
+    # the normal-form comparison gives the verdict of the exact zero test
+    # on the word minus its target, for the monomial it was rewritten from
+    # and for targets moved by one letter or by a multiple of the modulus
+    rng = random.Random(3303)
+    mismatches = 0
+    for params in (P13, P25, AlgebraParams(5, 3), AlgebraParams(7, 2),
+                   AlgebraParams(5, 2)):
+        mod = rotation_modulus(params)
+        for _ in range(60):
+            mu = tuple(rng.randint(1, params.n) for _ in range(rng.randint(0, 4)))
+            nu = tuple(rng.randint(1, params.n) for _ in range(rng.randint(0, 4)))
+            k = rng.randint(-6, 6)
+            k -= rotation_weight(params, Monomial(mu, k, nu))
+            mon = Monomial(mu, k, nu)
+            word = fixed_point_rewrite(params, mon)
+            targets = [mon, Monomial(mu, k + mod, nu), Monomial(mu + (1,), k, nu),
+                       Monomial(mu, k, nu + (params.n,)), Monomial(mu[:-1], k, nu)]
+            for target in targets:
+                got = word.represents(target)
+                element = Element(params, {target: 1})
+                assert got == (word.to_element() - element).is_zero(), (mon, target)
+                mismatches += not got
+    assert mismatches > 900
+
+
+def test_represents_refuses_n_equal_to_one():
+    params = AlgebraParams(3, 1)
+    word = fixed_point_rewrite(params, Monomial((1,), 2, ()))
+    with pytest.raises(ValueError, match="n >= 2"):
+        word.represents(Monomial((1,), 2, ()))
 
 
 def test_solve_residue_matches_search():

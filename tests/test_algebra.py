@@ -327,39 +327,75 @@ def test_product_checks_the_letters_it_pushes_through():
         push_exponent(P12, 1, (1, 0))
 
 
+def widest_push_bits(params, a, b):
+    """Bits of the widest exponent the product a b pushes, letter by letter.
+
+    None when no letter is pushed: the product vanishes on the prefix
+    check, or the leftover word is empty.
+    """
+    (mu, k, nu), (alpha, l, beta) = a, b
+    if len(nu) <= len(alpha):
+        if nu != alpha[:len(nu)]:
+            return None
+        word = alpha[len(nu):]
+    else:
+        if alpha != nu[:len(alpha)]:
+            return None
+        k, word = -l, nu[len(alpha):]
+    widths = []
+    for j in word:
+        k = params.m * ((j - 1 + k) // params.n)
+        widths.append(abs(k).bit_length())
+    return max(widths, default=None)
+
+
 def test_exponent_bound_covers_every_product_at_m_above_n(monkeypatch):
-    # the bound `Element.__mul__` checks at m > n is an upper bound: under a
-    # limit one bit below the widest exponent the product forms, up to ten
-    # letters and |k| <= 40, the product is refused
+    # `push_exponent` checks each exponent it forms: under a limit one bit
+    # below the widest one the product is refused, and at that limit it
+    # is admitted with the unpatched product, up to ten letters and
+    # |k| <= 40
     rng = random.Random(31)
 
     def term(params):
         def word():
             return tuple(rng.randint(1, params.n)
                          for _ in range(rng.randint(0, 10)))
-        return Element(params, [(Monomial(word(), rng.randint(-40, 40), word()), 1)])
+        return Monomial(word(), rng.randint(-40, 40), word())
 
+    refused = 0
     for params in (AlgebraParams(2, 1), AlgebraParams(3, 2),
                    AlgebraParams(5, 3), AlgebraParams(7, 2)):
         for _ in range(300):
-            a, b = term(params), term(params)
-            widest = max((abs(mon.k).bit_length() for mon, _ in (a * b).items()),
-                         default=0)
+            ma, mb = term(params), term(params)
+            a, b = Element(params, {ma: 1}), Element(params, {mb: 1})
+            widest = widest_push_bits(params, ma, mb)
+            if widest is None:
+                continue
+            expected = a * b
             with monkeypatch.context() as patch:
                 patch.setattr(algebra, "EXPONENT_BIT_LIMIT", widest - 1)
-                with pytest.raises(ValueError, match="z-exponent"):
+                with pytest.raises(ValueError, match=f"z-exponent of {widest} "
+                                                     f"bits, more than the limit "
+                                                     f"of {widest - 1}$"):
                     a * b
+                patch.setattr(algebra, "EXPONENT_BIT_LIMIT", widest)
+                assert a * b == expected
+            refused += 1
+    assert refused > 300
 
 
 def test_product_refuses_an_exponent_past_the_limit_before_forming_it():
-    # z S_1^L at (m, n) = (2, 1) is S_1^L z^(2^L), an (L + 1)-bit exponent
+    # z S_1^L at (m, n) = (2, 1) is S_1^L z^(2^L), and the push forms
+    # 2, 4, .., 2^L: admitted exactly while 2^L has at most the limit's bits
     params = AlgebraParams(2, 1)
     z = Element.unitary(params, 1)
-    admitted = EXPONENT_BIT_LIMIT - 3
+    admitted = EXPONENT_BIT_LIMIT - 1
     prod = z * Element.monomial(params, (1,) * admitted, 0, ())
     assert [mon.k for mon, _ in prod.items()] == [2 ** admitted]
-    with pytest.raises(ValueError, match=r"z-exponent of 16385 bits, more "
-                                         r"than the limit of 16384$"):
+    assert (2 ** admitted).bit_length() == EXPONENT_BIT_LIMIT
+    with pytest.raises(ValueError, match=r"^a push at m = 2 > n = 1 would "
+                                         r"form a z-exponent of 16385 bits, "
+                                         r"more than the limit of 16384$"):
         z * Element.monomial(params, (1,) * (admitted + 1), 0, ())
     # at m < n the exponent stays small however long the word
     params = AlgebraParams(2, 3)

@@ -628,6 +628,93 @@ def test_rationals_within_the_digit_limit_print_in_full(monkeypatch, capsys):
     assert json.loads(out) == [dict(coefficient, re=f"{10 ** 4000}/1", im="0/1")]
 
 
+def z_times_s1_power(k, letters):
+    return json.dumps({"a": [{"mu": [], "k": k, "nu": []}],
+                       "b": [{"mu": [1] * letters, "k": 0, "nu": []}]})
+
+
+LONG_DIGITS = "1" + "0" * 5000  # 5 001 digits, past int()'s 4 300
+
+
+@pytest.mark.parametrize("argv, stdin, needle", [
+    # z^K z^K = z^(2K), a 4 301-digit exponent, for K = 9 * 10^4299
+    (["mul", "--m", "1", "--n", "2"],
+     json.dumps({"a": [{"mu": [], "k": 9 * 10 ** 4299, "nu": []}],
+                 "b": [{"mu": [], "k": 9 * 10 ** 4299, "nu": []}]}),
+     "the integer <14286-bit integer> has more than 4300 digits"),
+    # z S_1^14290 = S_1^14290 z^(2^14290), within the push limit
+    (["mul", "--m", "2", "--n", "1"], z_times_s1_power(1, 14290),
+     "the integer <14291-bit integer> has more than 4300 digits"),
+    # the middle exponent of the rewrite is 10^4300
+    (["fixed-point", "rewrite", "--m", "1", "--n", "3", "--monomial",
+      '{"mu": [], "k": %d, "nu": [2]}' % (10 ** 4300 - 1)], "",
+     "the integer <14285-bit integer> has more than 4300 digits"),
+    (["normalize", "--m", "1", "--n", "2"],
+     json.dumps([{"mu": [], "k": 0, "nu": [], "re": LONG_DIGITS}]),
+     "an integer of 5001 digits is past the limit of 4300 digits"),
+    (["solenoid", "rep", "--m", "2", "--period", "3", "--phase",
+      "1/" + LONG_DIGITS], "",
+     "an integer of 5001 digits is past the limit of 4300 digits"),
+    (["normalize", "--m", "1", "--n", "2"],
+     '[{"mu": [], "k": -%s, "nu": []}]' % LONG_DIGITS,
+     "an integer of 5001 digits is past the limit of 4300 digits"),
+    (["normalize", "--m", "1", "--n", "2"],
+     json.dumps([{"mu": [], "k": 0, "nu": [], "re": "x" * 5001}]),
+     "invalid integer text of 5001 characters"),
+    # a zero denominator within the limit was echoed whole
+    (["normalize", "--m", "1", "--n", "2"],
+     json.dumps([{"mu": [], "k": 0, "nu": [], "re": "1/" + "0" * 4000}]),
+     "zero denominator in 4002 characters"),
+], ids=["mul-exponent-sum", "mul-pushed-exponent", "fixed-point-middle",
+        "coefficient", "solenoid-phase", "json-int", "malformed-coefficient",
+        "zero-denominator"])
+def test_long_integers_read_or_written_are_refused_in_one_short_line(
+        argv, stdin, needle, monkeypatch, capsys):
+    # each ended in Python's own message about sys.set_int_max_str_digits,
+    # or echoed its input whole
+    code, out, err = run(argv, monkeypatch, capsys, stdin=stdin)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + needle) and err.count("\n") == 1
+    assert len(err.encode()) < 300
+    assert "set_int_max_str_digits" not in err and "Traceback" not in err
+
+
+def test_integers_within_the_digit_limit_print_in_full(monkeypatch, capsys):
+    # 2^14283 and 10^4300 - 2 have 4 300 digits, within str()'s limit
+    code, out, _ = run(["mul", "--m", "2", "--n", "1"], monkeypatch, capsys,
+                       stdin=z_times_s1_power(1, 14283))
+    assert code == 0 and json.loads(out)[0]["k"] == 2 ** 14283
+    code, out, _ = run(["fixed-point", "rewrite", "--m", "1", "--n", "3",
+                        "--monomial", '{"mu": [], "k": %d, "nu": [2]}'
+                        % (10 ** 4300 - 3)], monkeypatch, capsys)
+    assert code == 0
+    assert json.loads(out) == {"word": f"z^{10 ** 4300 - 2} S1* z^-4",
+                               "round_trip": True}
+
+
+@pytest.mark.parametrize("argv, stdin, expected", [
+    # a 33 000-letter mu: the halves of the word push z-powers through
+    # 16 000-letter words, whose exponents stay small
+    (["fixed-point", "rewrite", "--m", "5", "--n", "3", "--monomial",
+      json.dumps({"mu": [1] * 33_000, "k": 0, "nu": []})], "",
+     {"word": "z^0 S1 " * 33_000 + "z^0", "round_trip": True}),
+    # z S_1^20000 = S_1^2 .. z^0 at (3, 2): exponent 0 at the second letter
+    (["mul", "--m", "3", "--n", "2"], z_times_s1_power(1, 20_000),
+     [{"mu": [2] + [1] * 19_999, "k": 0, "nu": [], "re": "1/1", "im": "0/1"}]),
+], ids=["fixed-point-rewrite-5-3", "mul-3-2"])
+def test_small_exponents_at_m_above_n_answer_in_a_fresh_process(
+        argv, stdin, expected):
+    # both were refused by an a-priori worst case over the word length
+    src = os.path.dirname(os.path.dirname(omnalg.__file__))
+    start = perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "omnalg.cli", *argv],
+                          input=stdin, capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert perf_counter() - start < 2.0
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout) == expected
+
+
 def test_entropy_at_level_zero_answers_a_huge_n_in_a_small_fresh_process():
     # level 0 reads no letter, so no table of n letters is built: it took
     # 185 MB at n = 2 * 10^6 and ran out of memory at 10^8
