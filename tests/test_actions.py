@@ -195,8 +195,9 @@ def test_to_element_matches_the_token_products():
 
 def test_represents_agrees_with_the_zero_test():
     # the normal-form comparison gives the verdict of the exact zero test
-    # on the word minus its target, for the monomial it was rewritten from
-    # and for targets moved by one letter or by a multiple of the modulus
+    # on the word's element product minus its target, for the monomial it
+    # was rewritten from and for targets moved by one letter or by a
+    # multiple of the modulus
     rng = random.Random(3303)
     mismatches = 0
     for params in (P13, P25, AlgebraParams(5, 3), AlgebraParams(7, 2),
@@ -214,7 +215,7 @@ def test_represents_agrees_with_the_zero_test():
             for target in targets:
                 got = word.represents(target)
                 element = Element(params, {target: 1})
-                assert got == (word.to_element() - element).is_zero(), (mon, target)
+                assert got == (token_product(word) - element).is_zero(), (mon, target)
                 mismatches += not got
     assert mismatches > 900
 
