@@ -43,6 +43,27 @@ def rotation_weight(params: AlgebraParams, mon: Monomial) -> int:
 
 Token = Tuple  # ("z", exponent) | ("create",) | ("annihilate",)
 
+_CREATE, _ANNIHILATE = Monomial((1,), 0, ()), Monomial((), 0, (1,))
+
+
+def _token_product(params: AlgebraParams, tokens: Tuple[Token, ...],
+                   lo: int, hi: int) -> Optional[Monomial]:
+    """The product of tokens[lo:hi], each half first; None if it vanishes.
+
+    Kept at module level: a nested function that calls itself holds
+    itself in its own closure cell, a reference cycle on every call that
+    only the cyclic collector frees.
+    """
+    if hi - lo == 1:
+        tok = tokens[lo]
+        return (Monomial((), tok[1], ()) if tok[0] == "z"
+                else _CREATE if tok[0] == "create" else _ANNIHILATE)
+    mid = (lo + hi) // 2
+    left = _token_product(params, tokens, lo, mid)
+    right = _token_product(params, tokens, mid, hi)
+    # a Monomial is a 3-tuple, never falsy: only None stops the fold
+    return left and right and mul_monomials(params, left, right)
+
 
 @dataclass(frozen=True)
 class GeneratorWord:
@@ -77,22 +98,9 @@ class GeneratorWord:
         all, is alive at a time.  Both halves are formed even when one
         vanishes, so the exponents formed are those of the element product.
         """
-        params, tokens = self.params, self.tokens
-        if not tokens:
+        if not self.tokens:
             return Monomial((), 0, ())
-        create, annihilate = Monomial((1,), 0, ()), Monomial((), 0, (1,))
-
-        def product(lo: int, hi: int) -> Optional[Monomial]:
-            if hi - lo == 1:
-                tok = tokens[lo]
-                return (Monomial((), tok[1], ()) if tok[0] == "z"
-                        else create if tok[0] == "create" else annihilate)
-            mid = (lo + hi) // 2
-            left, right = product(lo, mid), product(mid, hi)
-            # a Monomial is a 3-tuple, never falsy: only None stops the fold
-            return left and right and mul_monomials(params, left, right)
-
-        return product(0, len(tokens))
+        return _token_product(self.params, self.tokens, 0, len(self.tokens))
 
     def to_element(self) -> Element:
         """The product of the tokens: the one-term element of `monomial`."""

@@ -11,11 +11,12 @@ dimension-growth entropy (``entropy``), and the bundled acceptance sweep
 Every subcommand prints a compact answer on stdout and exits 0 exactly
 when its checks pass; ``--json`` wraps the same results in a
 schema-versioned run report with a command echo, parameters, a pass flag,
-and wall-clock timing.  Each pass flag, published value and size limit
-is the library's, the one ``reproduce`` reads too, and no flag moves a
-limit; handlers only pick arguments and format.  Elements are read from
-stdin in the JSON term-list format of the algebra module, which
-`algebra.Element.from_json_obj` checks strictly.
+and wall-clock timing.  A reader that closes the pipe before the answer is
+written gets status 1 and nothing on stderr.  Each pass flag, published
+value and size limit is the library's, the one ``reproduce`` reads too,
+and no flag moves a limit; handlers only pick arguments and format.
+Elements are read from stdin in the JSON term-list format of the algebra
+module, which `algebra.Element.from_json_obj` checks strictly.
 
 Bad input has one path to exit status 2: library code raises ValueError
 for bad arguments and for nothing else, handlers raise `UsageError` (a
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from time import perf_counter
 from typing import NoReturn, Optional, Sequence, Tuple
@@ -439,9 +441,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "pass": ok,
             "elapsed_s": round(elapsed, 6),
         }
-        print(json.dumps(report, indent=2))
+        answer = json.dumps(report, indent=2)
     else:
-        print(compact)
+        answer = compact
+    try:
+        print(answer)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left before the answer was written: point stdout at
+        # devnull so the flush at exit cannot fail again, and exit 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0 if ok else 1
 
 

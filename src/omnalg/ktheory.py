@@ -5,7 +5,9 @@ kernel and class orders read off one reduction, the six-term splice for
 the algebra A(m, n), the fixed-point algebra of the flip symmetry (both
 parities of m, with the even-parity discrepancy surfaced rather than
 silenced), and the Pimsner-Voiculescu recomputation over localized
-integers Z[1/d].
+integers Z[1/d].  A direct sum of cyclic groups gets its invariant
+factors from gcd/lcm steps on the orders (`invariant_factors`), not from
+a Smith reduction: the Smith normal form is kept for matrices.
 """
 
 from __future__ import annotations
@@ -213,13 +215,23 @@ class SmithReduction:
 def invariant_factors(cyclic_orders: List[int]) -> Tuple[int, ...]:
     """Rewrite a direct sum of cyclic groups as a divisibility chain.
 
-    The sum of the Z_t is the cokernel of diag(t), so its invariant factors
-    come from the Smith normal form, with no factoring of the orders.
+    Each order t > 1 is carried through the chain d_1 | d_2 | ... built so
+    far: at each d_i the entry becomes gcd(d_i, t) and lcm(d_i, t) is
+    carried on, and the last carry is appended, since Z_a + Z_b is
+    Z_gcd(a,b) + Z_lcm(a,b).  The chain stays a chain: the new d_i divides
+    the old d_i, which divides both d_(i+1) and the lcm carried on, so it
+    divides the new d_(i+1), and the last entry divides the carry appended.
+    An entry that becomes 1 is divided by every entry before it, so the 1s
+    form a prefix, and they are dropped.  No order is factored.
     """
-    orders = [t for t in cyclic_orders if t > 1]
-    diag = [[t if i == j else 0 for j in range(len(orders))]
-            for i, t in enumerate(orders)]
-    return SmithReduction.of(diag).cokernel().torsion
+    chain: List[int] = []
+    for t in cyclic_orders:
+        if t > 1:
+            for i, d in enumerate(chain):
+                g = gcd(d, t)
+                chain[i], t = g, d // g * t
+            chain.append(t)
+    return tuple(d for d in chain if d > 1)
 
 
 def direct_sum(a: FGAbelianGroup, b: FGAbelianGroup) -> FGAbelianGroup:

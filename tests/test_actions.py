@@ -1,5 +1,6 @@
 """Finite symmetries: rotation weights, the inversion, fixed-point rewriting."""
 
+import gc
 import math
 import random
 
@@ -191,6 +192,26 @@ def test_to_element_matches_the_token_products():
             checked += 1
             zeros += not got
     assert checked == 1000 and zeros > 100
+
+
+def test_monomial_leaves_no_reference_cycle():
+    # words of every length, some vanishing: their products leave nothing
+    # for the cyclic collector to free
+    rng = random.Random(1604)
+    words = [GeneratorWord(P35, tuple(
+        ("z", 2 * rng.randint(-4, 4)) if rng.random() < 0.4 else
+        (rng.choice(("create", "annihilate")),)
+        for _ in range(rng.randint(1, 40)))) for _ in range(200)]
+    words.append(fixed_point_rewrite(P35, Monomial((1, 2, 1), 0, (2,))))
+    assert any(w.monomial() is None for w in words)
+    gc.collect()
+    gc.disable()
+    try:
+        for word in words:
+            word.monomial()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_represents_agrees_with_the_zero_test():

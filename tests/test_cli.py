@@ -810,6 +810,21 @@ def test_rep_check_refuses_a_huge_m_in_a_fresh_process():
     assert "Traceback" not in proc.stderr
 
 
+def test_a_reader_that_leaves_early_gets_exit_1_and_an_empty_stderr():
+    # the 1.87 MB answer fills the pipe long before it is written out, so
+    # the write fails once the reader has gone: that ended in a
+    # BrokenPipeError traceback
+    src = os.path.dirname(os.path.dirname(omnalg.__file__))
+    argv = ["solenoid", "points", "--m", "2", "--period", "16", "--json"]
+    with subprocess.Popen([sys.executable, "-m", "omnalg.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": src}) as proc:
+        assert proc.stdout.read(10) == b'{\n  "schem'
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1 and err == b""
+
+
 # -- one parser per process --------------------------------------------------
 
 
